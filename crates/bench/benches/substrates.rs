@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfr_bench::{bench_setup, random_symmetric};
 use pfr_core::{Pfr, PfrConfig};
-use pfr_data::synthetic;
+use pfr_data::{compas, synthetic};
 use pfr_graph::{KnnGraphBuilder, LaplacianKind};
+use pfr_linalg::stats::Standardizer;
 use pfr_linalg::{Eigen, EigenMethod};
 use pfr_opt::LogisticRegression;
 use std::hint::black_box;
@@ -39,6 +40,19 @@ fn bench_knn_graph(c: &mut Criterion) {
         .unwrap();
         let (x, _, _) = bench_setup(&ds, 10, 5);
         group.bench_with_input(BenchmarkId::from_parameter(2 * n_per_group), &x, |b, x| {
+            b.iter(|| KnnGraphBuilder::new(10).build(black_box(x)).unwrap())
+        });
+    }
+    // The two shapes of the repository benchmark's cold fits. The cases
+    // above are too small to leave the caller's thread; these are not.
+    let (_, tall) = Standardizer::fit_transform(compas::generate_default(7).unwrap().features())
+        .expect("standardization succeeds");
+    let wide = random_symmetric(2048, 7)
+        .select_cols(&(0..96).collect::<Vec<_>>())
+        .expect("96 columns exist");
+    for x in [tall, wide] {
+        let id = BenchmarkId::from_parameter(format!("{}x{}", x.rows(), x.cols()));
+        group.bench_with_input(id, &x, |b, x| {
             b.iter(|| KnnGraphBuilder::new(10).build(black_box(x)).unwrap())
         });
     }

@@ -90,8 +90,9 @@ impl SparseGraph {
     /// Adds an undirected edge `{i, j}` with the given weight.
     ///
     /// Self-loops and out-of-range nodes are rejected; a weight of exactly
-    /// zero is silently ignored; negative weights are rejected (similarity
-    /// and fairness graphs are non-negative by construction).
+    /// zero is silently ignored; negative and non-finite weights are
+    /// rejected (similarity and fairness graphs are non-negative and finite
+    /// by construction).
     pub fn add_edge(&mut self, i: usize, j: usize, weight: f64) -> Result<()> {
         if i >= self.n {
             return Err(GraphError::NodeOutOfRange { node: i, n: self.n });
@@ -102,9 +103,11 @@ impl SparseGraph {
         if i == j {
             return Err(GraphError::SelfLoop { node: i });
         }
-        if weight < 0.0 {
+        // NaN compares false with everything, so `weight < 0.0` alone would
+        // let it through; the range test rejects it along with ±∞.
+        if !(0.0..f64::INFINITY).contains(&weight) {
             return Err(GraphError::InvalidParameter(format!(
-                "edge weight must be non-negative, got {weight}"
+                "edge weight must be finite and non-negative, got {weight}"
             )));
         }
         if weight == 0.0 {
@@ -493,6 +496,9 @@ mod tests {
         assert!(g.add_edge(3, 0, 1.0).is_err());
         assert!(g.add_edge(1, 1, 1.0).is_err());
         assert!(g.add_edge(0, 1, -0.5).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(g.add_edge(0, 1, bad).is_err(), "weight {bad} was accepted");
+        }
         g.add_edge(0, 1, 0.0).unwrap();
         assert_eq!(g.num_edges(), 0);
         g.add_edge(2, 0, 2.0).unwrap();

@@ -105,12 +105,18 @@ impl FairPipeline {
         let (standardizer, x) =
             Standardizer::fit_transform(&raw).map_err(PipelineError::from_display)?;
 
-        // WX over the masked features, as the paper prescribes.
-        let (_, x_masked) =
-            Standardizer::fit_transform(train.features()).map_err(PipelineError::from_display)?;
+        // WX over the masked features, as the paper prescribes. Without the
+        // protected attribute the learner's input is that same matrix.
+        let x_masked = if self.config.use_protected_attribute {
+            let (_, masked) = Standardizer::fit_transform(train.features())
+                .map_err(PipelineError::from_display)?;
+            Some(masked)
+        } else {
+            None
+        };
         let k = self.config.knn_k.min(train.len().saturating_sub(1)).max(1);
         let wx = KnnGraphBuilder::new(k)
-            .build(&x_masked)
+            .build(x_masked.as_ref().unwrap_or(&x))
             .map_err(PipelineError::from_display)?;
 
         let dim = self
