@@ -1,5 +1,4 @@
-//! Micro-benchmarks of the substrates the PFR pipeline is built from,
-//! including the eigensolver-choice ablation called out in DESIGN.md §6.
+//! Micro-benchmarks of the substrates the PFR pipeline is built from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfr_bench::{bench_setup, random_symmetric};
@@ -7,21 +6,18 @@ use pfr_core::{Pfr, PfrConfig};
 use pfr_data::{compas, synthetic};
 use pfr_graph::{KnnGraphBuilder, LaplacianKind};
 use pfr_linalg::stats::Standardizer;
-use pfr_linalg::{Eigen, EigenMethod};
+use pfr_linalg::Eigen;
 use pfr_opt::LogisticRegression;
 use std::hint::black_box;
 
-/// Jacobi vs. Householder+QL on symmetric matrices of growing size.
-fn bench_eigensolvers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("eigensolver_comparison");
+/// The dense symmetric eigensolver on matrices of growing size.
+fn bench_eigensolver(c: &mut Criterion) {
+    let mut group = c.benchmark_group("eigen_sym");
     group.sample_size(10);
     for &n in &[10usize, 30, 60] {
         let a = random_symmetric(n, 42);
-        group.bench_with_input(BenchmarkId::new("jacobi", n), &a, |b, a| {
-            b.iter(|| Eigen::decompose_with(black_box(a), EigenMethod::Jacobi).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("tridiagonal_ql", n), &a, |b, a| {
-            b.iter(|| Eigen::decompose_with(black_box(a), EigenMethod::TridiagonalQl).unwrap())
+        group.bench_with_input(BenchmarkId::from_parameter(n), &a, |b, a| {
+            b.iter(|| Eigen::decompose(black_box(a)).unwrap())
         });
     }
     group.finish();
@@ -128,7 +124,7 @@ fn bench_logistic_regression(c: &mut Criterion) {
 
 criterion_group!(
     substrates,
-    bench_eigensolvers,
+    bench_eigensolver,
     bench_knn_graph,
     bench_quadratic_form,
     bench_pfr_fit,

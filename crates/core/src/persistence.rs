@@ -11,7 +11,7 @@ use crate::error::PfrError;
 use crate::pfr::{PfrConfig, PfrModel};
 use crate::Result;
 use pfr_graph::LaplacianKind;
-use pfr_linalg::{EigenMethod, Matrix};
+use pfr_linalg::Matrix;
 use std::path::Path;
 
 /// Magic tag identifying the serialization format.
@@ -140,7 +140,6 @@ pub fn from_string(text: &str) -> Result<PfrModel> {
         gamma,
         dim,
         laplacian,
-        eigen_method: EigenMethod::Jacobi,
     };
     Ok(PfrModel::from_parts(config, projection, eigenvalues))
 }

@@ -3,7 +3,7 @@
 use crate::error::PfrError;
 use crate::Result;
 use pfr_graph::{LaplacianKind, SparseGraph};
-use pfr_linalg::{Eigen, EigenMethod, Matrix};
+use pfr_linalg::{Eigen, Matrix};
 
 /// Hyper-parameters of the linear PFR model.
 #[derive(Debug, Clone)]
@@ -15,8 +15,6 @@ pub struct PfrConfig {
     pub dim: usize,
     /// Which Laplacian to use (the paper uses the unnormalized one).
     pub laplacian: LaplacianKind,
-    /// Which eigensolver to use.
-    pub eigen_method: EigenMethod,
 }
 
 impl Default for PfrConfig {
@@ -25,8 +23,85 @@ impl Default for PfrConfig {
             gamma: 0.5,
             dim: 2,
             laplacian: LaplacianKind::Unnormalized,
-            eigen_method: EigenMethod::Jacobi,
         }
+    }
+}
+
+/// The two γ-independent halves of the PFR objective (Equation 7): the
+/// `m x m` quadratic forms `Xᵀ Lˣ X / |Wˣ|` and `Xᵀ Lᶠ X / |Wᶠ|`.
+///
+/// Assembling them is the expensive part of a fit — a pass over every edge
+/// of both graphs — and does not depend on γ or `d`. A γ sweep or grid
+/// search assembles once per data split and calls [`Pfr::fit_objective`]
+/// per grid point; [`Pfr::fit`] is the same two steps back to back, so both
+/// routes give the same bits.
+#[derive(Debug, Clone)]
+pub struct PfrObjective {
+    qx: Matrix,
+    qf: Matrix,
+    laplacian: LaplacianKind,
+}
+
+impl PfrObjective {
+    /// Validates the inputs and assembles both halves without ever
+    /// materializing the `n x n` Laplacians.
+    ///
+    /// The number of nodes in both graphs must match the number of rows of
+    /// `x`. Each half is normalized by its graph's total edge weight so that
+    /// γ interpolates between two losses of comparable scale — without this,
+    /// a dense fairness graph (e.g. the quantile graph on COMPAS, millions
+    /// of unit edges) would dominate the k-NN graph for any γ > 0 and the
+    /// trade-off would degenerate into a step function. A graph without
+    /// edges contributes a zero half.
+    pub fn assemble(
+        x: &Matrix,
+        wx: &SparseGraph,
+        wf: &SparseGraph,
+        laplacian: LaplacianKind,
+    ) -> Result<Self> {
+        let n = x.rows();
+        if n == 0 {
+            return Err(PfrError::InvalidConfig(
+                "cannot fit PFR on an empty data matrix".to_string(),
+            ));
+        }
+        for (what, graph) in [("similarity graph WX", wx), ("fairness graph WF", wf)] {
+            if graph.num_nodes() != n {
+                return Err(PfrError::DimensionMismatch {
+                    what,
+                    got: graph.num_nodes(),
+                    expected: n,
+                });
+            }
+        }
+        let half = |g: &SparseGraph| -> Result<Matrix> {
+            let weight = g.total_weight();
+            let scale = if weight > 0.0 { 1.0 / weight } else { 0.0 };
+            Ok(g.quadratic_form(x, laplacian)?.scale(scale))
+        };
+        Ok(PfrObjective {
+            qx: half(wx)?,
+            qf: half(wf)?,
+            laplacian,
+        })
+    }
+
+    /// `M = (1 − γ) Qˣ + γ Qᶠ`, symmetrized: the symmetric positive
+    /// semi-definite matrix whose `d` smallest eigenvectors are the fit.
+    pub fn combine(&self, gamma: f64) -> Result<Matrix> {
+        if !(0.0..=1.0).contains(&gamma) {
+            return Err(PfrError::InvalidConfig(format!(
+                "gamma = {gamma} must lie in [0, 1]"
+            )));
+        }
+        let mut m_mat = self.qx.scale(1.0 - gamma);
+        m_mat.axpy(gamma, &self.qf)?;
+        Ok(m_mat.symmetrize()?)
+    }
+
+    /// Number of features `m` of the data matrix the halves were built on.
+    pub fn num_features(&self) -> usize {
+        self.qx.rows()
     }
 }
 
@@ -49,29 +124,40 @@ impl Pfr {
 
     /// Fits PFR on a data matrix (one row per individual, protected
     /// attributes excluded and typically standardized), the similarity graph
-    /// `WX` and the fairness graph `WF`.
+    /// `WX` and the fairness graph `WF`: assemble, combine, solve.
     ///
-    /// The number of nodes in both graphs must match the number of rows of
-    /// `x`. The fairness graph may be sparse or even empty (in which case
-    /// the model degenerates to a purely neighbourhood-preserving embedding,
+    /// The fairness graph may be sparse or even empty (in which case the
+    /// model degenerates to a purely neighbourhood-preserving embedding,
     /// the γ = 0 behaviour).
     pub fn fit(&self, x: &Matrix, wx: &SparseGraph, wf: &SparseGraph) -> Result<PfrModel> {
-        let m_mat = self.assemble_objective(x, wx, wf)?;
-        let eigen = Eigen::decompose_with(&m_mat, self.config.eigen_method)?;
-        let projection = eigen.smallest_eigenvectors(self.config.dim)?;
-        let eigenvalues = eigen.eigenvalues[..self.config.dim].to_vec();
-        Ok(self.model_from(projection, eigenvalues, x.cols()))
+        self.fit_objective(&PfrObjective::assemble(x, wx, wf, self.config.laplacian)?)
     }
 
-    /// Fits PFR warm-started from an existing projection — the online-refit
-    /// path. Instead of a full `O(m³)`-per-sweep dense decomposition, the
-    /// `d` smallest eigenpairs of the objective matrix are found by shifted
-    /// block subspace iteration seeded with `warm.projection()`
-    /// ([`pfr_linalg::subspace`]), which costs a handful of `O(m²d)` GEMM
-    /// products when the window's objective is close to the one `warm` was
-    /// fitted on. Falls back to the dense solver (an ordinary [`Pfr::fit`])
-    /// if the iteration does not converge or the warm model's shape does
-    /// not match, so the result is always valid.
+    /// Fits on already assembled halves: combines them at this estimator's
+    /// γ and keeps the `d` smallest eigenvectors of the dense solve.
+    pub fn fit_objective(&self, objective: &PfrObjective) -> Result<PfrModel> {
+        let eigen = Eigen::decompose(&self.combined(objective)?)?;
+        let projection = eigen.smallest_eigenvectors(self.config.dim)?;
+        let eigenvalues = eigen.eigenvalues[..self.config.dim].to_vec();
+        Ok(PfrModel::from_parts(
+            self.config.clone(),
+            projection,
+            eigenvalues,
+        ))
+    }
+
+    /// Fits PFR by shift-invert subspace iteration seeded with
+    /// `warm.projection()` ([`pfr_linalg::subspace`]), falling back to the
+    /// dense solve if the iteration does not converge or the warm model's
+    /// shape does not match, so the result is always valid.
+    ///
+    /// This was the online-refit route while the dense solver was cyclic
+    /// Jacobi. Against Householder + QL it is the slower one (18.9 ms
+    /// against 3.9 ms on a drifted 256 × 96 window), so nothing in the
+    /// workspace calls it: `RefitEngine` uses [`Pfr::fit`]. It stays, tested,
+    /// only because the repository benchmark times it
+    /// (`refit.cold_over_warm_x`) and a change that claims a gain may not
+    /// edit the benchmark; it goes when that probe does.
     pub fn fit_warm(
         &self,
         x: &Matrix,
@@ -79,102 +165,40 @@ impl Pfr {
         wf: &SparseGraph,
         warm: &PfrModel,
     ) -> Result<PfrModel> {
-        let m = x.cols();
-        if warm.num_features() != m || warm.dim() != self.config.dim {
-            return self.fit(x, wx, wf);
-        }
-        let m_mat = self.assemble_objective(x, wx, wf)?;
-        match pfr_linalg::smallest_eigenpairs_warm(
-            &m_mat,
-            warm.projection(),
-            &pfr_linalg::SubspaceOptions::default(),
-        ) {
-            Ok(sub) => Ok(self.model_from(sub.eigenvectors, sub.eigenvalues, m)),
-            Err(_) => {
-                let eigen = Eigen::decompose_with(&m_mat, self.config.eigen_method)?;
-                let projection = eigen.smallest_eigenvectors(self.config.dim)?;
-                let eigenvalues = eigen.eigenvalues[..self.config.dim].to_vec();
-                Ok(self.model_from(projection, eigenvalues, m))
+        let objective = PfrObjective::assemble(x, wx, wf, self.config.laplacian)?;
+        if warm.num_features() == x.cols() && warm.dim() == self.config.dim {
+            let sub = pfr_linalg::smallest_eigenpairs_warm(
+                &self.combined(&objective)?,
+                warm.projection(),
+                &pfr_linalg::SubspaceOptions::default(),
+            );
+            if let Ok(sub) = sub {
+                return Ok(PfrModel::from_parts(
+                    self.config.clone(),
+                    sub.eigenvectors,
+                    sub.eigenvalues,
+                ));
             }
         }
+        self.fit_objective(&objective)
     }
 
-    fn model_from(&self, projection: Matrix, eigenvalues: Vec<f64>, m: usize) -> PfrModel {
-        let objective = eigenvalues.iter().sum();
-        PfrModel {
-            config: self.config.clone(),
-            projection,
-            eigenvalues,
-            objective,
-            num_features: m,
-        }
-    }
-
-    /// Validates inputs and assembles the symmetric objective matrix
-    /// `M = (1 − γ) Xᵀ Lˣ X + γ Xᵀ Lᶠ X` shared by [`Pfr::fit`] and
-    /// [`Pfr::fit_warm`].
-    fn assemble_objective(&self, x: &Matrix, wx: &SparseGraph, wf: &SparseGraph) -> Result<Matrix> {
-        let n = x.rows();
-        let m = x.cols();
-        if !(0.0..=1.0).contains(&self.config.gamma) {
-            return Err(PfrError::InvalidConfig(format!(
-                "gamma = {} must lie in [0, 1]",
-                self.config.gamma
-            )));
-        }
+    /// Checks this configuration against the halves and combines them.
+    fn combined(&self, objective: &PfrObjective) -> Result<Matrix> {
+        let m = objective.num_features();
         if self.config.dim == 0 || self.config.dim > m {
             return Err(PfrError::InvalidConfig(format!(
                 "dim = {} must lie in 1..={m}",
                 self.config.dim
             )));
         }
-        if n == 0 {
-            return Err(PfrError::InvalidConfig(
-                "cannot fit PFR on an empty data matrix".to_string(),
-            ));
+        if self.config.laplacian != objective.laplacian {
+            return Err(PfrError::InvalidConfig(format!(
+                "objective assembled with the {:?} Laplacian, configuration asks for {:?}",
+                objective.laplacian, self.config.laplacian
+            )));
         }
-        if wx.num_nodes() != n {
-            return Err(PfrError::DimensionMismatch {
-                what: "similarity graph WX",
-                got: wx.num_nodes(),
-                expected: n,
-            });
-        }
-        if wf.num_nodes() != n {
-            return Err(PfrError::DimensionMismatch {
-                what: "fairness graph WF",
-                got: wf.num_nodes(),
-                expected: n,
-            });
-        }
-
-        // The m x m quadratic forms Xᵀ Lˣ X and Xᵀ Lᶠ X, computed without
-        // ever materializing the n x n Laplacians. Each term is normalized by
-        // its graph's total edge weight so that γ interpolates between two
-        // losses of comparable scale — without this, a dense fairness graph
-        // (e.g. the quantile graph on COMPAS, millions of unit edges) would
-        // dominate the k-NN graph for any γ > 0 and the trade-off would
-        // degenerate into a step function.
-        let scale_of = |g: &SparseGraph| {
-            let w = g.total_weight();
-            if w > 0.0 {
-                1.0 / w
-            } else {
-                0.0
-            }
-        };
-        let qx = wx
-            .quadratic_form(x, self.config.laplacian)?
-            .scale(scale_of(wx));
-        let qf = wf
-            .quadratic_form(x, self.config.laplacian)?
-            .scale(scale_of(wf));
-
-        // M = (1 − γ) Xᵀ Lˣ X + γ Xᵀ Lᶠ X  (Equation 7, transposed data
-        // convention). M is symmetric positive semi-definite.
-        let mut m_mat = qx.scale(1.0 - self.config.gamma);
-        m_mat.axpy(self.config.gamma, &qf)?;
-        Ok(m_mat.symmetrize()?)
+        objective.combine(self.config.gamma)
     }
 }
 
@@ -442,21 +466,41 @@ mod tests {
     }
 
     #[test]
-    fn both_eigen_methods_produce_equivalent_objectives() {
+    fn fit_agrees_with_the_jacobi_oracle() {
         let (x, wx, wf) = toy_problem();
-        let jac = Pfr::new(PfrConfig {
-            eigen_method: EigenMethod::Jacobi,
+        let ql = Pfr::default().fit(&x, &wx, &wf).unwrap();
+        let m_mat = PfrObjective::assemble(&x, &wx, &wf, LaplacianKind::Unnormalized)
+            .unwrap()
+            .combine(0.5)
+            .unwrap();
+        let jac = Eigen::decompose_jacobi_reference(&m_mat).unwrap();
+        let objective: f64 = jac.eigenvalues[..2].iter().sum();
+        assert!((objective - ql.objective()).abs() < 1e-8);
+    }
+
+    #[test]
+    fn split_route_gives_the_same_bits_as_fit() {
+        let (x, wx, wf) = toy_problem();
+        let objective = PfrObjective::assemble(&x, &wx, &wf, LaplacianKind::Unnormalized).unwrap();
+        assert_eq!(objective.num_features(), 2);
+        for gamma in [0.0, 0.3, 1.0] {
+            let pfr = Pfr::new(PfrConfig {
+                gamma,
+                ..PfrConfig::default()
+            });
+            let direct = pfr.fit(&x, &wx, &wf).unwrap();
+            let split = pfr.fit_objective(&objective).unwrap();
+            assert_eq!(direct.projection(), split.projection());
+            assert_eq!(direct.eigenvalues(), split.eigenvalues());
+        }
+        // The halves remember their Laplacian; a configuration asking for
+        // the other one is refused rather than silently mislabelled.
+        let normalized = Pfr::new(PfrConfig {
+            laplacian: LaplacianKind::SymmetricNormalized,
             ..PfrConfig::default()
-        })
-        .fit(&x, &wx, &wf)
-        .unwrap();
-        let ql = Pfr::new(PfrConfig {
-            eigen_method: EigenMethod::TridiagonalQl,
-            ..PfrConfig::default()
-        })
-        .fit(&x, &wx, &wf)
-        .unwrap();
-        assert!((jac.objective() - ql.objective()).abs() < 1e-8);
+        });
+        assert!(normalized.fit_objective(&objective).is_err());
+        assert!(objective.combine(1.5).is_err());
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::methods::default_pfr_config;
 use crate::pipeline::{evaluate_representation, prepare, DatasetSpec, PipelineConfig};
 use crate::report::{fmt3, fmt3_opt, TextTable};
 use crate::Result;
-use pfr_core::Pfr;
+use pfr_core::{Pfr, PfrObjective};
+use pfr_graph::LaplacianKind;
 
 /// One row of the γ sweep.
 #[derive(Debug, Clone)]
@@ -99,10 +100,18 @@ pub fn run(spec: DatasetSpec, fast: bool, seed: u64) -> Result<GammaSweep> {
         (0..=10).map(|i| i as f64 / 10.0).collect()
     };
 
+    // The two quadratic forms do not depend on γ: one pass over the graphs
+    // for the whole sweep, one small eigensolve per grid point.
+    let objective = PfrObjective::assemble(
+        &exp.x_train_prot,
+        &exp.wx_train,
+        &exp.wf_train,
+        LaplacianKind::default(),
+    )?;
     let mut rows = Vec::with_capacity(gammas.len());
     for &gamma in &gammas {
         let pfr_config = default_pfr_config(exp.x_train_prot.cols(), gamma);
-        let model = Pfr::new(pfr_config).fit(&exp.x_train_prot, &exp.wx_train, &exp.wf_train)?;
+        let model = Pfr::new(pfr_config).fit_objective(&objective)?;
         let z_train = model.transform(&exp.x_train_prot)?;
         let z_test = model.transform(&exp.x_test_prot)?;
         let eval =

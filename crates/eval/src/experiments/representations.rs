@@ -201,7 +201,7 @@ pub fn run(fast: bool, seed: u64) -> Result<Figure1> {
     // paper's synthetic experiment.
     let mut pfr_config = default_pfr_config(exp.x_train_prot.cols(), 0.9);
     pfr_config.dim = 2.min(exp.x_train_prot.cols());
-    let pfr = PfrMethod::new(pfr_config, exp.wf_train.clone()).fit(&ctx)?;
+    let pfr = PfrMethod::new(pfr_config, &exp.wf_train).fit(&ctx)?;
     per_method.push(geometry(
         "PFR".to_string(),
         &pfr.transform(&exp.x_train_prot)?,

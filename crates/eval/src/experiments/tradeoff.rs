@@ -132,9 +132,8 @@ pub fn run_tradeoff(spec: DatasetSpec, fast: bool, seed: u64) -> Result<Tradeoff
         DatasetSpec::Compas => 0.8,
     };
 
-    let lineup = standard_lineup(&exp, gamma, augmented, fast);
     let mut evaluations = Vec::new();
-    for (label, method, space) in &lineup {
+    for (label, method, space) in &standard_lineup(&exp, gamma, augmented, fast) {
         evaluations.push(run_method(method.as_ref(), label, &exp, *space)?);
     }
 

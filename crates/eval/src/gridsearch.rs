@@ -12,9 +12,9 @@
 use crate::pipeline::{evaluate_representation, PreparedExperiment};
 use crate::Result;
 use pfr_baselines::FitContext;
-use pfr_core::{Pfr, PfrConfig};
+use pfr_core::{Pfr, PfrConfig, PfrObjective};
 use pfr_data::split::k_fold;
-use pfr_graph::KnnGraphBuilder;
+use pfr_graph::{KnnGraphBuilder, LaplacianKind};
 use pfr_linalg::stats::Standardizer;
 use pfr_metrics::{consistency, roc_auc};
 use pfr_opt::{LogisticRegression, LogisticRegressionConfig};
@@ -56,51 +56,55 @@ pub fn search_pfr_gamma(
         ));
     }
     let splits = k_fold(&exp.train, folds, seed)?;
-    let mut scores = Vec::with_capacity(candidates.len());
-    for &gamma in candidates {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for fold in &splits {
-            let train = exp.train.subset(&fold.train)?;
-            let valid = exp.train.subset(&fold.test)?;
-            // PFR's input includes the protected attribute; the WX graph is
-            // built on the masked features (Section 3.1).
-            let (train_prot_raw, _) = train.features_with_protected()?;
-            let (valid_prot_raw, _) = valid.features_with_protected()?;
-            let (standardizer, x_train) = Standardizer::fit_transform(&train_prot_raw)?;
-            let x_valid = standardizer.transform(&valid_prot_raw)?;
-            let (masked_standardizer, x_train_masked) =
-                Standardizer::fit_transform(train.features())?;
-            let _ = masked_standardizer;
-            let k = 5.min(x_train.rows().saturating_sub(1)).max(1);
-            let wx = KnnGraphBuilder::new(k).build(&x_train_masked)?;
-            let wf = exp.spec.build_fairness_graph(&train, 5)?;
+    // Everything up to the two quadratic forms is γ-free, so it happens once
+    // per fold; each grid point then costs one small eigensolve and one
+    // classifier.
+    let mut totals = vec![0.0; candidates.len()];
+    for fold in &splits {
+        let train = exp.train.subset(&fold.train)?;
+        let valid = exp.train.subset(&fold.test)?;
+        // PFR's input includes the protected attribute; the WX graph is
+        // built on the masked features (Section 3.1).
+        let (train_prot_raw, _) = train.features_with_protected()?;
+        let (valid_prot_raw, _) = valid.features_with_protected()?;
+        let (standardizer, x_train) = Standardizer::fit_transform(&train_prot_raw)?;
+        let x_valid = standardizer.transform(&valid_prot_raw)?;
+        let (_, x_train_masked) = Standardizer::fit_transform(train.features())?;
+        let k = 5.min(x_train.rows().saturating_sub(1)).max(1);
+        let wx = KnnGraphBuilder::new(k).build(&x_train_masked)?;
+        let wf = exp.spec.build_fairness_graph(&train, 5)?;
+        let objective = PfrObjective::assemble(&x_train, &wx, &wf, LaplacianKind::default())?;
+        let wf_valid = match criterion {
+            SelectionCriterion::Auc => None,
+            SelectionCriterion::AucPlusConsistencyWf => {
+                Some(exp.spec.build_fairness_graph(&valid, 5)?)
+            }
+        };
+        for (total, &gamma) in totals.iter_mut().zip(candidates) {
             let config = PfrConfig {
                 gamma,
                 dim: dim.min(x_train.cols()).max(1),
                 ..PfrConfig::default()
             };
-            let model = Pfr::new(config).fit(&x_train, &wx, &wf)?;
+            let model = Pfr::new(config).fit_objective(&objective)?;
             let z_train = model.transform(&x_train)?;
             let z_valid = model.transform(&x_valid)?;
             let mut clf = LogisticRegression::new(LogisticRegressionConfig::default());
             clf.fit(&z_train, train.labels())?;
             let probs = clf.predict_proba(&z_valid)?;
-            let auc = roc_auc(valid.labels(), &probs).unwrap_or(0.5);
-            let score = match criterion {
-                SelectionCriterion::Auc => auc,
-                SelectionCriterion::AucPlusConsistencyWf => {
-                    let preds: Vec<f64> = probs.iter().map(|&p| f64::from(p >= 0.5)).collect();
-                    let wf_valid = exp.spec.build_fairness_graph(&valid, 5)?;
-                    let cons = consistency(&wf_valid, &preds)?;
-                    auc + cons
-                }
-            };
-            total += score;
-            count += 1;
+            let mut score = roc_auc(valid.labels(), &probs).unwrap_or(0.5);
+            if let Some(wf_valid) = &wf_valid {
+                let preds: Vec<f64> = probs.iter().map(|&p| f64::from(p >= 0.5)).collect();
+                score += consistency(wf_valid, &preds)?;
+            }
+            *total += score;
         }
-        scores.push((gamma, total / count as f64));
     }
+    let scores: Vec<(f64, f64)> = candidates
+        .iter()
+        .zip(totals)
+        .map(|(&gamma, total)| (gamma, total / splits.len() as f64))
+        .collect();
     let (best_gamma, best_score) = scores
         .iter()
         .cloned()

@@ -16,16 +16,17 @@ use pfr_linalg::Matrix;
 /// training individuals, aligned with the rows of the training matrix) is
 /// captured at construction time because the baseline trait has no slot for
 /// it — exactly mirroring how PFR consumes strictly more side information
-/// than the baselines.
-pub struct PfrMethod {
+/// than the baselines. It is borrowed, the way [`FitContext`] borrows `wx`:
+/// a Compas-sized quantile graph is tens of megabytes.
+pub struct PfrMethod<'a> {
     config: PfrConfig,
-    wf_train: SparseGraph,
+    wf_train: &'a SparseGraph,
 }
 
-impl PfrMethod {
+impl<'a> PfrMethod<'a> {
     /// Creates the adapter from a PFR configuration and the training-split
     /// fairness graph.
-    pub fn new(config: PfrConfig, wf_train: SparseGraph) -> Self {
+    pub fn new(config: PfrConfig, wf_train: &'a SparseGraph) -> Self {
         PfrMethod { config, wf_train }
     }
 }
@@ -46,7 +47,7 @@ impl Representation for FittedPfrAdapter {
     }
 }
 
-impl RepresentationMethod for PfrMethod {
+impl RepresentationMethod for PfrMethod<'_> {
     fn name(&self) -> String {
         "PFR".to_string()
     }
@@ -54,7 +55,7 @@ impl RepresentationMethod for PfrMethod {
     fn fit(&self, ctx: &FitContext<'_>) -> pfr_baselines::Result<Box<dyn Representation>> {
         ctx.validate()?;
         let model = Pfr::new(self.config.clone())
-            .fit(ctx.x, ctx.wx, &self.wf_train)
+            .fit(ctx.x, ctx.wx, self.wf_train)
             .map_err(|e| pfr_baselines::BaselineError::Optimization(e.to_string()))?;
         Ok(Box::new(FittedPfrAdapter { model }))
     }
@@ -114,8 +115,9 @@ pub fn run_method(
 }
 
 /// One entry of the method line-up: display label, the method, and the input
-/// space it is fitted on.
-pub type LineupEntry = (String, Box<dyn RepresentationMethod>, InputSpace);
+/// space it is fitted on. The PFR entry borrows the experiment's fairness
+/// graph, hence the lifetime.
+pub type LineupEntry<'a> = (String, Box<dyn RepresentationMethod + 'a>, InputSpace);
 
 /// Builds the standard method line-up for an experiment.
 ///
@@ -131,7 +133,7 @@ pub fn standard_lineup(
     gamma: f64,
     augmented: bool,
     fast: bool,
-) -> Vec<LineupEntry> {
+) -> Vec<LineupEntry<'_>> {
     let suffix = if augmented { " +" } else { "" };
     let (original_space, learner_space) = if augmented {
         (InputSpace::MaskedAugmented, InputSpace::ProtectedAugmented)
@@ -160,7 +162,7 @@ pub fn standard_lineup(
         "PFR".to_string(),
         Box::new(PfrMethod::new(
             default_pfr_config(pfr_features, gamma),
-            exp.wf_train.clone(),
+            &exp.wf_train,
         )),
         pfr_space,
     ));
@@ -176,7 +178,7 @@ mod tests {
     fn pfr_method_fits_through_the_trait() {
         let exp = prepare(DatasetSpec::Synthetic, &PipelineConfig::fast(5)).unwrap();
         let dims = exp.x_train_prot.cols();
-        let method = PfrMethod::new(default_pfr_config(dims, 0.5), exp.wf_train.clone());
+        let method = PfrMethod::new(default_pfr_config(dims, 0.5), &exp.wf_train);
         assert_eq!(method.name(), "PFR");
         let eval = run_method(&method, "PFR", &exp, InputSpace::Protected).unwrap();
         assert!(eval.auc > 0.5);

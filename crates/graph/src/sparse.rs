@@ -2,25 +2,31 @@
 //!
 //! The key operation for PFR is the quadratic form `Xᵀ L X` (an `m x m`
 //! matrix, `m` = number of features) where `L = D - W` is the graph Laplacian
-//! of either the similarity graph `WX` or the fairness graph `WF`. Because
-//! `L` is `n x n` (and `n` can be several thousand), we never build it
-//! densely for real workloads; instead we exploit
+//! of either the similarity graph `WX` or the fairness graph `WF`. `L` is
+//! `n x n` (and `n` can be several thousand), so it is never built densely
+//! for real workloads. Two ways to avoid it, with different cost models:
 //!
-//! ```text
-//! Xᵀ L X = Σ_{(i,j) ∈ E} w_ij (x_i - x_j)(x_i - x_j)ᵀ
-//! ```
-//!
-//! which streams over the edge list and accumulates an `m x m` matrix.
+//! * [`SparseGraph::quadratic_form`] — the product form, as the paper writes
+//!   it: one pass over the edge list builds `Y = L·Xc` (`n x m`, row `i`
+//!   collecting `Σ_j w_ij (x_i − x_j)`), then one GEMM gives `Xcᵀ·Y`. Cost
+//!   `O(E·m + n·m²)`. `Xc` is `x` with its column means removed: `L·1 = 0`,
+//!   so centring changes nothing in exact arithmetic, and it keeps the
+//!   GEMM's rounding error independent of where the columns sit (an offset
+//!   of 10⁶ costs five digits otherwise; centred, none).
+//! * [`SparseGraph::quadratic_form_by_edges`] — the identity
+//!   `Xᵀ L X = Σ_{(i,j) ∈ E} w_ij (x_i − x_j)(x_i − x_j)ᵀ`, one rank-1
+//!   update per edge. Cost `O(E·m²)`: `m/2` times the work of the product
+//!   form on a dense fairness graph (203 379 edges, `m = 96`: 3.75 GFLOP
+//!   against 0.12). It is a sum of positive semi-definite terms with no
+//!   cancellation at all, which makes it the test oracle for the product
+//!   form and the right tool when the *null space* of the result matters
+//!   more than its cost — kernel PFR's rank-deficient `K L K`, on graphs of
+//!   a few hundred edges.
 
 use crate::error::GraphError;
 use crate::Result;
+use pfr_linalg::stats::column_means;
 use pfr_linalg::Matrix;
-
-/// Edge count from which the unnormalized quadratic form switches from the
-/// streaming per-edge accumulation to the chunked GEMM formulation. The
-/// rule depends only on the graph (never on the data matrix), so a given
-/// graph always takes the same path and produces the same bits.
-const GEMM_EDGE_THRESHOLD: usize = 4096;
 
 /// Which graph Laplacian to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -125,18 +131,7 @@ impl SparseGraph {
     /// Merges duplicate edges by summing their weights. Useful after bulk
     /// construction where the same pair may have been inserted repeatedly.
     pub fn coalesce(&mut self) {
-        if self.edges.is_empty() {
-            return;
-        }
-        self.edges.sort_by_key(|e| (e.i, e.j));
-        let mut out: Vec<Edge> = Vec::with_capacity(self.edges.len());
-        for e in self.edges.drain(..) {
-            match out.last_mut() {
-                Some(last) if last.i == e.i && last.j == e.j => last.weight += e.weight,
-                _ => out.push(e),
-            }
-        }
-        self.edges = out;
+        self.coalesce_with(|kept, next| kept + next);
     }
 
     /// Caps duplicate edges at the maximum weight rather than the sum.
@@ -144,20 +139,20 @@ impl SparseGraph {
     /// Used by the k-NN builder, where `i ∈ Np(j)` and `j ∈ Np(i)` would
     /// otherwise double the kernel weight.
     pub fn coalesce_max(&mut self) {
-        if self.edges.is_empty() {
-            return;
-        }
+        self.coalesce_with(f64::max);
+    }
+
+    /// Sorts by endpoint pair (stably) and folds each run of equal pairs
+    /// into its first edge, left to right.
+    fn coalesce_with(&mut self, merge: impl Fn(f64, f64) -> f64) {
         self.edges.sort_by_key(|e| (e.i, e.j));
-        let mut out: Vec<Edge> = Vec::with_capacity(self.edges.len());
-        for e in self.edges.drain(..) {
-            match out.last_mut() {
-                Some(last) if last.i == e.i && last.j == e.j => {
-                    last.weight = last.weight.max(e.weight)
-                }
-                _ => out.push(e),
+        self.edges.dedup_by(|next, kept| {
+            let same = (next.i, next.j) == (kept.i, kept.j);
+            if same {
+                kept.weight = merge(kept.weight, next.weight);
             }
-        }
-        self.edges = out;
+            same
+        });
     }
 
     /// Weighted node degrees `d_i = Σ_j w_ij`.
@@ -243,75 +238,43 @@ impl SparseGraph {
     /// Computes the quadratic form `Xᵀ L X` without materializing `L`, where
     /// `x` has one row per node (`n x m`) and the result is `m x m`.
     ///
-    /// For the unnormalized Laplacian this is
-    /// `Σ_{(i,j) ∈ E} w_ij (x_i - x_j)(x_i - x_j)ᵀ`; for the normalized
-    /// Laplacian the rows are first scaled by `d_i^{-1/2}` and an additional
-    /// `Σ_i 1·x̃_i x̃_iᵀ - Σ edges` structure applies — we implement it via the
-    /// equivalent edge sum on the scaled features plus the isolated-node
-    /// correction.
+    /// The unnormalized Laplacian takes the product form `Xcᵀ (L Xc)` in
+    /// `O(E·m + n·m²)` (see the module docs; the same path for every graph
+    /// size). The normalized Laplacian follows its definition directly:
+    /// `Σ_{d_i > 0} x_i x_iᵀ − Σ_{(i,j)} w_ij/√(d_i d_j) (x_i x_jᵀ + x_j x_iᵀ)`.
     pub fn quadratic_form(&self, x: &Matrix, kind: LaplacianKind) -> Result<Matrix> {
-        if x.rows() != self.n {
-            return Err(GraphError::LengthMismatch {
-                what: "data matrix rows",
-                got: x.rows(),
-                expected: self.n,
-            });
-        }
+        self.check_rows(x)?;
         let m = x.cols();
-        let mut acc = Matrix::zeros(m, m);
         match kind {
             LaplacianKind::Unnormalized => {
-                if self.edges.len() < GEMM_EDGE_THRESHOLD {
-                    // Small graphs: the seed's streaming accumulation, one
-                    // rank-1 update per edge. Kept not just for its lower
-                    // constant cost — it also preserves the exact historic
-                    // accumulation order, so the bit-level results of every
-                    // small paper artifact are unchanged.
-                    let mut diff = vec![0.0; m];
-                    for e in &self.edges {
-                        let xi = x.row(e.i as usize);
-                        let xj = x.row(e.j as usize);
-                        for ((d, &a), &b) in diff.iter_mut().zip(xi.iter()).zip(xj.iter()) {
-                            *d = a - b;
-                        }
-                        accumulate_outer(&mut acc, &diff, e.weight);
-                    }
-                } else {
-                    // Large graphs: Σ w_ij (x_i - x_j)(x_i - x_j)ᵀ = Dᵀ D
-                    // where row e of D is √w_e (x_i - x_j). Assembling D in
-                    // edge chunks turns the accumulation into a handful of
-                    // GEMM calls on the blocked multi-threaded
-                    // `pfr_linalg::gemm` kernel instead of one rank-1
-                    // update per edge — the dense fairness graphs (quantile
-                    // graph on COMPAS: millions of unit edges) make this
-                    // the hot loop of every PFR fit. The chunk size is
-                    // fixed and the kernel is thread-count independent, so
-                    // the result does not depend on machine parallelism.
-                    const EDGE_CHUNK: usize = 8192;
-                    for chunk in self.edges.chunks(EDGE_CHUNK) {
-                        let mut d = Matrix::zeros(chunk.len(), m);
-                        for (row, e) in chunk.iter().enumerate() {
-                            let sw = e.weight.sqrt();
-                            let xi = x.row(e.i as usize);
-                            let xj = x.row(e.j as usize);
-                            for ((d, &a), &b) in
-                                d.row_mut(row).iter_mut().zip(xi.iter()).zip(xj.iter())
-                            {
-                                *d = sw * (a - b);
-                            }
-                        }
-                        let partial = d.transpose_matmul(&d)?;
-                        acc.axpy(1.0, &partial).expect("accumulator shapes match");
+                let means = column_means(x);
+                let mut xc = x.clone();
+                for r in 0..self.n {
+                    for (v, mean) in xc.row_mut(r).iter_mut().zip(&means) {
+                        *v -= mean;
                     }
                 }
+                // Y = L·Xc, one edge at a time: row i gains w (x_i − x_j)
+                // and row j loses it, which is D·Xc − W·Xc without ever
+                // forming the two terms that would then have to cancel.
+                let mut y = Matrix::zeros(self.n, m);
+                for e in &self.edges {
+                    let (i, j) = (e.i as usize, e.j as usize);
+                    // Edges are stored with i < j: row i sits in `upper`.
+                    let (upper, lower) = y.as_mut_slice().split_at_mut(j * m);
+                    let yi = &mut upper[i * m..(i + 1) * m];
+                    let yj = &mut lower[..m];
+                    let steps = xc.row(i).iter().zip(xc.row(j));
+                    let steps = steps.map(|(a, b)| e.weight * (a - b));
+                    for ((vi, vj), step) in yi.iter_mut().zip(yj.iter_mut()).zip(steps) {
+                        *vi += step;
+                        *vj -= step;
+                    }
+                }
+                Ok(xc.transpose_matmul(&y)?)
             }
             LaplacianKind::SymmetricNormalized => {
-                // L_sym = I - D^{-1/2} W D^{-1/2} restricted to nodes with
-                // positive degree. Xᵀ L_sym X = Σ_i∈V+ x_i x_iᵀ
-                //   - Σ_{(i,j)} w_ij/(√d_i √d_j) (x_i x_jᵀ + x_j x_iᵀ).
-                // We compute it as the edge-difference form on scaled rows
-                // plus a correction because the scaled degree is not 1 in
-                // general: instead, use the direct definition.
+                let mut acc = Matrix::zeros(m, m);
                 let deg = self.degrees();
                 for (i, &d) in deg.iter().enumerate() {
                     if d > 0.0 {
@@ -323,9 +286,41 @@ impl SparseGraph {
                     let scale = e.weight / (deg[i].sqrt() * deg[j].sqrt());
                     accumulate_outer_cross(&mut acc, x.row(i), x.row(j), -scale);
                 }
+                Ok(acc)
             }
         }
+    }
+
+    /// The unnormalized `Xᵀ L X` as `Σ_{(i,j) ∈ E} w_ij (x_i − x_j)(x_i − x_j)ᵀ`,
+    /// one rank-1 update per edge in edge-list order: `O(E·m²)`, free of
+    /// cancellation. The oracle [`SparseGraph::quadratic_form`] is tested
+    /// against, and what `KernelPfr` uses (see the module docs for when
+    /// that trade is right).
+    pub fn quadratic_form_by_edges(&self, x: &Matrix) -> Result<Matrix> {
+        self.check_rows(x)?;
+        let m = x.cols();
+        let mut acc = Matrix::zeros(m, m);
+        let mut diff = vec![0.0; m];
+        for e in &self.edges {
+            let xi = x.row(e.i as usize);
+            let xj = x.row(e.j as usize);
+            for ((d, &a), &b) in diff.iter_mut().zip(xi.iter()).zip(xj.iter()) {
+                *d = a - b;
+            }
+            accumulate_outer(&mut acc, &diff, e.weight);
+        }
         Ok(acc)
+    }
+
+    fn check_rows(&self, x: &Matrix) -> Result<()> {
+        if x.rows() != self.n {
+            return Err(GraphError::LengthMismatch {
+                what: "data matrix rows",
+                got: x.rows(),
+                expected: self.n,
+            });
+        }
+        Ok(())
     }
 
     /// Smoothness loss `Σ_{(i,j) ∈ E} w_ij ‖z_i − z_j‖²` of a representation
@@ -570,23 +565,25 @@ mod tests {
                 "mismatch for {kind:?}"
             );
         }
+        // Hand-checked: (x0−x1)(x0−x1)ᵀ + (x1−x2)(x1−x2)ᵀ.
+        let by_edges = g.quadratic_form_by_edges(&x).unwrap();
+        let want = Matrix::from_rows(&[vec![5.0, -5.0], vec![-5.0, 5.0]]).unwrap();
+        assert_eq!(by_edges, want);
     }
 
-    #[test]
-    fn quadratic_form_gemm_path_matches_dense_laplacian() {
-        // Enough edges to cross GEMM_EDGE_THRESHOLD and more than one
-        // 8192-edge chunk, so the chunked GEMM path (packing, fringes,
-        // cross-chunk accumulation) is what gets exercised.
-        let n = 150;
+    /// A random graph on `n` nodes with `edges` insertions (duplicates
+    /// included) and an `n x m` data matrix with entries on a 2⁻¹⁰ lattice
+    /// in `[-2, 2)`.
+    fn random_problem(n: usize, m: usize, edges: usize, seed: u64) -> (SparseGraph, Matrix) {
         let mut g = SparseGraph::new(n);
-        let mut state = 77u64;
+        let mut state = seed;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
         };
-        while g.num_edges() < 9000 {
+        while g.num_edges() < edges {
             let i = (next() % n as u64) as usize;
             let j = (next() % n as u64) as usize;
             if i != j {
@@ -594,19 +591,55 @@ mod tests {
                 g.add_edge(i, j, w).unwrap();
             }
         }
-        let m = 6;
         let data: Vec<f64> = (0..n * m)
-            .map(|_| (next() % 2000) as f64 / 500.0 - 2.0)
+            .map(|_| (next() % 4096) as f64 / 1024.0 - 2.0)
             .collect();
-        let x = Matrix::from_vec(n, m, data).unwrap();
+        (g, Matrix::from_vec(n, m, data).unwrap())
+    }
+
+    #[test]
+    fn quadratic_form_on_a_dense_graph_matches_dense_laplacian_and_edge_sum() {
+        // 9000 insertions on 150 nodes: far past the edge count where the
+        // form once switched algorithms; there is one path now.
+        let (g, x) = random_problem(150, 6, 9000, 77);
         let fast = g.quadratic_form(&x, LaplacianKind::Unnormalized).unwrap();
         let dense = g.laplacian_dense(LaplacianKind::Unnormalized);
         let explicit = x.transpose_matmul(&dense.matmul(&x).unwrap()).unwrap();
+        let by_edges = g.quadratic_form_by_edges(&x).unwrap();
         let scale = explicit.max_abs().max(1.0);
         assert!(
             fast.sub(&explicit).unwrap().max_abs() / scale < 1e-12,
-            "chunked GEMM quadratic form diverges from the dense Laplacian"
+            "product form diverges from the dense Laplacian"
         );
+        assert!(
+            fast.sub(&by_edges).unwrap().max_abs() / scale < 1e-12,
+            "product form diverges from the per-edge sum"
+        );
+    }
+
+    #[test]
+    fn quadratic_form_is_translation_invariant() {
+        // L·1 = 0: shifting every row by one constant vector must not move
+        // the form. Lattice entries and integer offsets below 2²¹ keep
+        // `x + offset` exact, so what is measured is the algorithm, not
+        // the rounding of its input: 9e-16 relative with the centring,
+        // 1.1e-10 without it (and growing with degree and offset).
+        let (g, x) = random_problem(120, 5, 2500, 5);
+        let offsets = [1e6, -3e5, 0.0, 2e6, 7.0];
+        let mut shifted = x.clone();
+        for r in 0..shifted.rows() {
+            for (v, offset) in shifted.row_mut(r).iter_mut().zip(&offsets) {
+                *v += offset;
+            }
+        }
+        let base = g.quadratic_form(&x, LaplacianKind::Unnormalized).unwrap();
+        let moved = g
+            .quadratic_form(&shifted, LaplacianKind::Unnormalized)
+            .unwrap();
+        let relative = moved.sub(&base).unwrap().max_abs() / base.max_abs();
+        assert!(relative <= 1e-12, "shifted form differs by {relative:e}");
+        let edges = g.quadratic_form_by_edges(&shifted).unwrap();
+        assert!(edges.sub(&base).unwrap().max_abs() / base.max_abs() <= 1e-12);
     }
 
     #[test]
@@ -614,6 +647,11 @@ mod tests {
         let g = path3();
         let x = Matrix::zeros(2, 2);
         assert!(g.quadratic_form(&x, LaplacianKind::Unnormalized).is_err());
+        assert!(g.quadratic_form_by_edges(&x).is_err());
+        // No nodes, no rows: an all-zero form, not a division by zero.
+        let empty = SparseGraph::new(0);
+        let form = empty.quadratic_form(&Matrix::zeros(0, 3), LaplacianKind::Unnormalized);
+        assert_eq!(form.unwrap(), Matrix::zeros(3, 3));
     }
 
     #[test]

@@ -300,18 +300,19 @@ fn small_gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mu
 }
 
 /// How many worker threads an `m x n x k` product is worth: one per
-/// [`FLOPS_PER_THREAD`] of its `2·m·n·k` flops, at most the machine's
-/// parallelism, at least one.
+/// [`FLOPS_PER_THREAD`] of its `2·m·n·k` flops, at least one, at most the
+/// machine's parallelism less one — a kernel on every core ends when the
+/// slowest core does, and on a shared host that spread fit times three to
+/// four times wider between runs (`crates/linalg/DESIGN.md`, guarantee 2).
 ///
-/// This is the workspace's one thread-sizing rule. `pfr-graph`'s k-NN
-/// kernel — an `n x n x m` distance product — sizes its row bands through
-/// it too, so small problems stay on the caller's thread everywhere and no
-/// kernel needs a thread-count knob.
+/// This is the workspace's one thread-sizing rule: `pfr-graph`'s k-NN
+/// kernel, an `n x n x m` distance product, sizes its row bands by it, so
+/// small problems stay on the caller's thread and nothing needs a knob.
 pub fn auto_threads(m: usize, n: usize, k: usize) -> usize {
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    let by_work = (flops / FLOPS_PER_THREAD).max(1);
+    let by_work = flops / FLOPS_PER_THREAD;
     let hw = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    by_work.min(hw)
+    by_work.min(hw - 1).max(1)
 }
 
 /// Computes `C += A · B` where `A` is an `m x k` view, `B` a `k x n` view

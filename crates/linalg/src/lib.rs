@@ -13,12 +13,12 @@
 //! * [`gemm`] — the blocked, packed, multi-threaded GEMM kernel every dense
 //!   matrix product routes through (register-tiled micro-kernel, L1/L2
 //!   cache blocking, deterministic thread-count-independent accumulation).
-//! * [`eigen`] — symmetric eigensolvers: a cyclic Jacobi rotation solver and a
-//!   Householder-tridiagonalization + implicit-QL solver, both returning full
-//!   eigen-decompositions sorted by eigenvalue.
+//! * [`eigen`] — the one dense symmetric eigensolver (Householder
+//!   tridiagonalization + implicit-shift QL), returning the full
+//!   decomposition sorted by eigenvalue. Every fit and refit solves with it.
 //! * [`subspace`] — warm-started block subspace iteration for just the `d`
-//!   smallest eigenpairs, used by the online-refit path to re-solve the PFR
-//!   problem from the serving model's projection at GEMM cost.
+//!   smallest eigenpairs. Slower than the dense solver at the sizes the
+//!   workspace fits; no fit path calls it any more (see its module docs).
 //! * [`cholesky`] — Cholesky factorization and SPD linear solves (used by the
 //!   Newton/IRLS steps of the downstream logistic-regression classifier).
 //! * [`solve`] — LU factorization with partial pivoting for general square
@@ -46,7 +46,7 @@ pub mod subspace;
 pub mod vector;
 
 pub use cholesky::CholeskyDecomposition;
-pub use eigen::{Eigen, EigenMethod};
+pub use eigen::Eigen;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use solve::LuDecomposition;

@@ -1,12 +1,20 @@
 //! Warm-started shift-invert subspace iteration for the smallest eigenpairs
 //! of a symmetric matrix.
 //!
-//! The online-refit path re-solves the PFR trace optimization on a sliding
-//! window whose matrix `M` is a small perturbation of the one the serving
-//! model was fitted on. A full Jacobi decomposition costs `O(m³)` per sweep
-//! and is the slowest substrate in a cold fit; when a good starting subspace
-//! is available (the serving model's projection `V`), shift-invert subspace
-//! iteration reaches the same `d` smallest eigenpairs with one Cholesky
+//! **No fit path uses this any more.** It was the online-refit route while
+//! the dense solver was cyclic Jacobi; against Householder + QL
+//! ([`Eigen::decompose`]) it is the slower one at every size the workspace
+//! fits (18.9 ms against 3.9 ms on a drifted 256 × 96 window), so
+//! `RefitEngine` calls `Pfr::fit`. The module stays, with its tests,
+//! because the repository benchmark times it
+//! (`linalg.subspace_warm_128_ms`, `refit.cold_over_warm_x`) and a change
+//! that claims a gain may not edit the benchmark; it goes when those
+//! probes do.
+//!
+//! The method: the refit window's matrix `M` is a small perturbation of
+//! the one the serving model was fitted on, and when a good starting
+//! subspace is available (the serving model's projection `V`), shift-invert
+//! subspace iteration reaches the `d` smallest eigenpairs with one Cholesky
 //! factorization plus a handful of `O(m²d)` triangular solves:
 //!
 //! 1. Shift: factor `C = M − σI` with `σ < λ_min(M)`, so the smallest
@@ -19,8 +27,8 @@
 //!    factors. The closer `σ` sits to `λ_min`, the faster the contraction.
 //! 2. Iterate: `V ← orth(C⁻¹C⁻¹·V)` — two triangular solves per column per
 //!    sweep, with modified Gram-Schmidt re-orthonormalization.
-//! 3. Rayleigh–Ritz: diagonalize the small projection `VᵀMV` (Jacobi —
-//!    trivial at this size) to extract eigenvalue estimates and rotate `V`
+//! 3. Rayleigh–Ritz: diagonalize the small projection `VᵀMV` (trivial at
+//!    this size) to extract eigenvalue estimates and rotate `V`
 //!    onto the Ritz vectors.
 //! 4. Stop when every *returned* column's residual `‖Mv_k − λ_k v_k‖_∞`
 //!    falls below a relative tolerance; fail with
@@ -36,7 +44,7 @@
 //! amplification sorts it into the returned bottom `d`.
 
 use crate::cholesky::CholeskyDecomposition;
-use crate::eigen::{Eigen, EigenMethod};
+use crate::eigen::Eigen;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::Result;
@@ -133,7 +141,7 @@ pub fn smallest_eigenpairs_warm(
     // for a warm seed, sits right next to it — the ideal shift anchor.
     let av0 = a.matmul(&v)?;
     let t0 = v.transpose_matmul(&av0)?.symmetrize()?;
-    let ritz0 = Eigen::decompose_with(&t0, EigenMethod::Jacobi)?;
+    let ritz0 = Eigen::decompose(&t0)?;
     let r0 = ritz0.eigenvalues[0];
     let span = (ritz0.eigenvalues[p - 1] - r0).max(scale * 1e-3);
 
@@ -190,7 +198,7 @@ pub fn smallest_eigenpairs_warm(
         // Ritz vectors so columns line up with individual eigenpairs.
         let aw = a.matmul(&w)?;
         let t = w.transpose_matmul(&aw)?.symmetrize()?;
-        let small = Eigen::decompose_with(&t, EigenMethod::Jacobi)?;
+        let small = Eigen::decompose(&t)?;
         v = w.matmul(&small.eigenvectors)?;
         let av = aw.matmul(&small.eigenvectors)?;
 

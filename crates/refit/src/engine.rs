@@ -1,4 +1,4 @@
-//! Warm-started PFR re-fit over the current window.
+//! PFR re-fit over the current window.
 //!
 //! The engine rebuilds the full training pipeline on window data alone —
 //! no access to the original labeled training set is assumed:
@@ -10,12 +10,12 @@
 //! 3. **Fairness graph**: the between-group quantile graph (Definition 3)
 //!    over the protected attribute column and the *serving model's* scores
 //!    — the only ranking signal available online.
-//! 4. **Projection**: [`pfr_core::Pfr::fit_warm`] seeded with the serving
-//!    model's projection. On a drifted-but-related window this converges in
-//!    a handful of GEMM-sized iterations instead of a dense `O(m³)`
-//!    decomposition, which is where the warm ≥ 2× speedup comes from; on a
-//!    structurally incompatible seed it falls back to the cold solver
-//!    internally.
+//! 4. **Projection**: an ordinary [`pfr_core::Pfr::fit`] — the one dense
+//!    eigensolver. Seeding a subspace iteration with the serving model's
+//!    projection only ever beat cyclic Jacobi; against Householder + QL it
+//!    is about five times slower on a 256 × 96 window (DESIGN.md § warm
+//!    start), so the serving bundle contributes scores and pseudo-labels
+//!    but no starting point.
 //! 5. **Classifier distillation**: a fresh logistic head trained on the
 //!    serving model's *hard decisions* (pseudo-labels) in the new
 //!    representation, so candidate and serving model agree wherever the
@@ -39,8 +39,7 @@ use pfr_serve::ServableModel;
 pub struct RefitModelConfig {
     /// Trade-off between data graph and fairness graph (paper's γ).
     pub gamma: f64,
-    /// Dimensionality of the fair representation. Must match the serving
-    /// model for the warm start to engage.
+    /// Dimensionality of the fair representation.
     pub dim: usize,
     /// Neighbours in the window's kNN data graph.
     pub knn_k: usize,
@@ -106,8 +105,8 @@ impl RefitEngine {
         &self.config
     }
 
-    /// Re-fits a candidate bundle on `window` (raw feature rows), warm
-    /// started from `serving`.
+    /// Re-fits a candidate bundle on `window` (raw feature rows); `serving`
+    /// supplies the ranking signal and the pseudo-labels.
     pub fn refit(&self, window: &Matrix, serving: &ModelBundle) -> Result<RefitOutcome> {
         let (n, m) = window.shape();
         if self.config.protected_column >= m {
@@ -151,13 +150,13 @@ impl RefitEngine {
             self.config.quantiles,
         )?;
 
-        // 4. Warm-started projection re-fit.
+        // 4. Projection re-fit on the dense solver.
         let pfr = Pfr::new(PfrConfig {
             gamma: self.config.gamma,
             dim: self.config.dim,
             ..PfrConfig::default()
         });
-        let model = pfr.fit_warm(&x, &wx, &wf, &serving.model)?;
+        let model = pfr.fit(&x, &wx, &wf)?;
 
         // 5. Distill the serving model's decisions into a fresh head on the
         // new representation.

@@ -11,10 +11,9 @@
 //! vectors into a sliding [`window::FeatureWindow`], and watches the
 //! stream for **distribution drift** against the serving model's own
 //! training statistics ([`drift::DriftDetector`]). When drift is detected,
-//! the worker re-fits the PFR model **warm-started** from the serving
-//! projection ([`engine::RefitEngine`] →
-//! [`pfr_core::Pfr::fit_warm`] → `pfr_linalg::subspace`), shadow-scores
-//! the candidate on a held-back slice the candidate never trained on
+//! the worker re-fits the PFR model on the window, with the serving model
+//! as teacher ([`engine::RefitEngine`] → [`pfr_core::Pfr::fit`], the same
+//! dense solve as an offline fit), shadow-scores the candidate on a held-back slice the candidate never trained on
 //! ([`gate::ShadowGate`]), and only on a passing report ships it through
 //! the existing wire-level `PUSH` path ([`worker::SwapTarget`]) — a single
 //! backend, a list of backends, or a whole routing tier at once.

@@ -1,4 +1,4 @@
-//! The refit worker: journal tail → window → drift check → warm re-fit →
+//! The refit worker: journal tail → window → drift check → re-fit →
 //! shadow gate → wire-level hot-swap, as one synchronous state machine
 //! ([`RefitLoop`]) plus a background-thread wrapper ([`RefitWorker`]).
 //!
@@ -377,7 +377,7 @@ impl RefitLoop {
                 // Someone installed a bundle for our model. If it is not
                 // the one we already track (including our own swap coming
                 // back through the tail), rebase on it: new baseline, new
-                // warm-start seed, fresh window. Unparseable text cannot
+                // teacher, fresh window. Unparseable text cannot
                 // have been installed by a backend either — skip it.
                 if let Ok(digest) = bundle_text_digest(&bundle_text) {
                     if digest != self.serving_digest {

@@ -18,9 +18,10 @@
 //! With `--refit` (implies journaling, into a scratch directory unless
 //! `--journal` names one) a background refit worker tails that same
 //! journal, the demo shifts the traffic distribution, and the worker
-//! detects the drift, warm-refits the model from the serving projection,
-//! shadow-scores the candidate on held-back traffic, and hot-swaps it back
-//! into the live server over the wire — all visible on the `STATS` line:
+//! detects the drift, refits the model on the window (the serving model is
+//! the teacher), shadow-scores the candidate on held-back traffic, and
+//! hot-swaps it back into the live server over the wire — all visible on
+//! the `STATS` line:
 //!
 //! ```text
 //! cargo run --release --example serve_demo -- --refit
@@ -228,7 +229,7 @@ fn main() {
     // 7. With `--refit`: close the loop. A background worker tails the very
     //    journal the server writes, watches the live feature stream for
     //    drift against the serving bundle's own training statistics, and on
-    //    detection warm-refits, shadow-gates and hot-swaps — while clients
+    //    detection refits, shadow-gates and hot-swaps — while clients
     //    keep scoring.
     if refit_mode {
         println!("starting the refit worker (tailing the journal) ...");

@@ -8,8 +8,8 @@
 //!    drifted requests *continuously* — including across the hot-swap —
 //!    and every single response must come back `OK` (zero dropped or
 //!    failed in-flight requests).
-//! 4. The refit loop detects the drift, warm-refits from the serving
-//!    projection, passes the shadow gate on the held-back slice, and ships
+//! 4. The refit loop detects the drift, refits with the serving model as
+//!    teacher, passes the shadow gate on the held-back slice, and ships
 //!    the candidate back through the wire-level `PUSH` path.
 //! 5. Post-swap, served scores are **bitwise** equal to offline
 //!    predictions of the refreshed bundle, and the refit counters ride the
