@@ -87,66 +87,34 @@ fn reactor_gone() -> io::Error {
 /// block on it ([`Ticket::wait`]), or block with a deadline
 /// ([`Ticket::wait_deadline`], which hands the ticket back on timeout so
 /// the caller can keep waiting).
-///
-/// A ticket may also be born resolved ([`Ticket::ready`]) — that is how
-/// blocking transports and cache hits slot into completion-shaped call
-/// sites without a reactor round-trip.
 #[derive(Debug)]
-pub struct Ticket(TicketState);
-
-#[derive(Debug)]
-enum TicketState {
-    Ready(Option<BurstResult>),
-    Pending(Receiver<BurstResult>),
-}
+pub struct Ticket(Receiver<BurstResult>);
 
 impl Ticket {
-    /// A ticket that is already resolved with `result`.
-    pub fn ready(result: BurstResult) -> Ticket {
-        Ticket(TicketState::Ready(Some(result)))
-    }
-
-    fn pending(rx: Receiver<BurstResult>) -> Ticket {
-        Ticket(TicketState::Pending(rx))
-    }
-
     /// Non-blocking poll: `Some(result)` once the operation resolved,
     /// `None` while it is still in flight.
     pub fn try_take(&mut self) -> Option<BurstResult> {
-        match &mut self.0 {
-            TicketState::Ready(slot) => slot.take(),
-            TicketState::Pending(rx) => match rx.try_recv() {
-                Ok(result) => Some(result),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(Err(reactor_gone())),
-            },
+        match self.0.try_recv() {
+            Ok(result) => Some(result),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(reactor_gone())),
         }
     }
 
     /// Blocks until the operation resolves.
     pub fn wait(self) -> BurstResult {
-        match self.0 {
-            TicketState::Ready(Some(result)) => result,
-            TicketState::Ready(None) => Err(io::Error::other("ticket already consumed")),
-            TicketState::Pending(rx) => rx.recv().map_err(|_| reactor_gone())?,
-        }
+        self.0.recv().map_err(|_| reactor_gone())?
     }
 
     /// Blocks until the operation resolves or `deadline` passes; on
     /// timeout the ticket is returned so the caller can keep waiting or
     /// polling.
     pub fn wait_deadline(self, deadline: Instant) -> Result<BurstResult, Ticket> {
-        match self.0 {
-            TicketState::Ready(Some(result)) => Ok(result),
-            TicketState::Ready(None) => Ok(Err(io::Error::other("ticket already consumed"))),
-            TicketState::Pending(rx) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(timeout) {
-                    Ok(result) => Ok(result),
-                    Err(RecvTimeoutError::Timeout) => Err(Ticket(TicketState::Pending(rx))),
-                    Err(RecvTimeoutError::Disconnected) => Ok(Err(reactor_gone())),
-                }
-            }
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        match self.0.recv_timeout(timeout) {
+            Ok(result) => Ok(result),
+            Err(RecvTimeoutError::Timeout) => Err(self),
+            Err(RecvTimeoutError::Disconnected) => Ok(Err(reactor_gone())),
         }
     }
 }
@@ -343,7 +311,7 @@ impl ClientDriver {
     ) -> io::Result<Ticket> {
         let (reply, rx) = mpsc::channel();
         self.enqueue(addr, bytes, expect, ReplySlot::Channel(reply))?;
-        Ok(Ticket::pending(rx))
+        Ok(Ticket(rx))
     }
 
     /// Submits a pre-framed request whose result lands on `queue` under
@@ -897,15 +865,6 @@ mod tests {
             Ok(result) => panic!("5ms deadline should expire first, got {result:?}"),
         };
         assert_eq!(ticket.wait().unwrap(), vec!["LATE"]);
-    }
-
-    #[test]
-    fn ready_tickets_resolve_without_a_reactor() {
-        let mut ticket = Ticket::ready(Ok(vec!["OK 1".to_string()]));
-        assert_eq!(ticket.try_take().unwrap().unwrap(), vec!["OK 1"]);
-        assert!(ticket.try_take().is_none());
-        let ticket = Ticket::ready(Ok(vec!["OK 2".to_string()]));
-        assert_eq!(ticket.wait().unwrap(), vec!["OK 2"]);
     }
 
     #[test]

@@ -36,9 +36,7 @@
 //!   the observability tier exposes as gauges.
 //!
 //! `pfr-serve` builds its event-driven front end from the first four;
-//! `pfr-router` routes its backend traffic through the last. Both tiers
-//! keep their thread-per-connection paths selectable so the two
-//! architectures stay differential-testable against each other.
+//! `pfr-router` routes its backend traffic through the last.
 //!
 //! See `DESIGN.md` in this crate for the reactor architecture, the
 //! edge-vs-level argument and the safety inventory of the FFI layer.

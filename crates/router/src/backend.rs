@@ -1,5 +1,5 @@
-//! One routed-to backend: its transport (blocking connection pool or
-//! shared reactor client) and its circuit breaker.
+//! One routed-to backend: its address on the shared reactor client and its
+//! circuit breaker.
 //!
 //! The breaker is the router's memory of backend failures. It closes (lets
 //! traffic through) while a backend behaves, opens (ejects the backend from
@@ -10,13 +10,35 @@
 //! backend dying under traffic is ejected after K failed requests even
 //! before the next probe runs.
 
-use crate::conn::{ConnConfig, ConnPool};
 use pfr_net::{ClientDriver, Ticket};
 use pfr_obs::LatencyHisto;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Deployment timeouts of the router's backend connections, handed to the
+/// shared reactor client ([`pfr_net::ClientConfig`]) at connect.
+#[derive(Debug, Clone, Copy)]
+pub struct ConnConfig {
+    /// TCP connect timeout.
+    pub connect_timeout: Duration,
+    /// Read/write timeout per protocol exchange.
+    pub io_timeout: Duration,
+    /// Idle connections kept per backend; excess connections are closed on
+    /// release instead of kept.
+    pub max_idle: usize,
+}
+
+impl Default for ConnConfig {
+    fn default() -> Self {
+        ConnConfig {
+            connect_timeout: Duration::from_millis(250),
+            io_timeout: Duration::from_secs(2),
+            max_idle: 8,
+        }
+    }
+}
 
 /// Circuit-breaker tuning.
 #[derive(Debug, Clone, Copy)]
@@ -143,48 +165,27 @@ impl CircuitBreaker {
     }
 }
 
-/// How a backend's protocol traffic is carried.
-///
-/// `Pool` is the original blocking path: pooled sockets, one OS thread
-/// blocked per in-flight exchange. `Driver` multiplexes every backend's
-/// traffic over one shared `pfr-net` reactor thread, so N concurrent
-/// exchanges (a scatter to N replicas) cost zero additional threads.
-#[derive(Debug)]
-enum Transport {
-    Pool(ConnPool),
-    Driver(Arc<ClientDriver>),
-}
-
 /// One backend of the routing tier.
 #[derive(Debug)]
 pub struct Backend {
     id: usize,
     addr: SocketAddr,
-    transport: Transport,
+    /// The router's one event loop: every backend's traffic is multiplexed
+    /// over it, so N concurrent exchanges (a scatter to N replicas) cost
+    /// zero additional threads.
+    driver: Arc<ClientDriver>,
     breaker: CircuitBreaker,
     /// Router-observed exchange latency (submit to settled response),
-    /// including queueing in the transport — the client-side complement
+    /// including queueing in the driver — the client-side complement
     /// of the backend's own per-verb histograms. Lock-free; the router
     /// exposes it as `pfr_router_backend_latency_ns{backend="<id>"}`.
     latency: Arc<LatencyHisto>,
 }
 
 impl Backend {
-    /// A backend carried by blocking pooled connections, with a closed
-    /// breaker (the thread-per-exchange transport).
-    pub fn new(id: usize, addr: SocketAddr, conn: ConnConfig, breaker: BreakerConfig) -> Self {
-        Backend {
-            id,
-            addr,
-            transport: Transport::Pool(ConnPool::new(addr, conn)),
-            breaker: CircuitBreaker::new(breaker),
-            latency: Arc::new(LatencyHisto::new()),
-        }
-    }
-
-    /// A backend carried by a shared reactor client, with a closed breaker.
+    /// A backend carried by the shared reactor client, with a closed breaker.
     /// Deadlines (connect and io) come from the driver's `ClientConfig`.
-    pub fn with_driver(
+    pub fn new(
         id: usize,
         addr: SocketAddr,
         driver: Arc<ClientDriver>,
@@ -193,7 +194,7 @@ impl Backend {
         Backend {
             id,
             addr,
-            transport: Transport::Driver(driver),
+            driver,
             breaker: CircuitBreaker::new(breaker),
             latency: Arc::new(LatencyHisto::new()),
         }
@@ -226,37 +227,27 @@ impl Backend {
         self.latency.record_duration(elapsed);
     }
 
-    /// Drops every idle connection to this backend (pooled sockets to a
+    /// Drops every idle connection to this backend (idle sockets to a
     /// dead backend are all equally broken). Public so a router can retire
-    /// the pools of a backend it just removed from the ring.
+    /// the connections of a backend it just removed from the ring.
     pub fn drain_idle(&self) {
-        match &self.transport {
-            Transport::Pool(pool) => pool.drain(),
-            Transport::Driver(driver) => driver.drain(self.addr),
-        }
+        self.driver.drain(self.addr);
     }
 
     /// One transport-level frame submission — the single funnel **every**
     /// exchange on this backend (bursts, pushes, probes) goes through:
-    /// `bytes` out, `expect` response lines back as a [`Ticket`]. With the
-    /// reactor transport the frame rides the shared event loop and the
-    /// ticket resolves asynchronously; with the pool transport the exchange
-    /// runs inline (blocking) and the ticket comes back already resolved —
-    /// semantics are identical either way. The ticket's result **has not**
-    /// touched the breaker: pass it through [`Backend::settle_burst`].
+    /// `bytes` out, `expect` response lines back as a [`Ticket`]. The frame
+    /// rides the shared event loop and the ticket resolves asynchronously.
+    /// Its result **has not** touched the breaker: pass it through
+    /// [`Backend::settle_burst`].
     pub fn submit_frame(&self, bytes: Vec<u8>, expect: usize) -> std::io::Result<Ticket> {
-        match &self.transport {
-            Transport::Driver(driver) => driver.submit_frame(self.addr, bytes, expect),
-            Transport::Pool(pool) => Ok(Ticket::ready(
-                pool.run(|conn| conn.exchange_frame(&bytes, expect)),
-            )),
-        }
+        self.driver.submit_frame(self.addr, bytes, expect)
     }
 
     /// The queued twin of [`Backend::submit_frame`]: the result lands
     /// tagged on `queue` instead of resolving a ticket. Exactly one
-    /// completion is delivered for `tag` — a submission the transport
-    /// could not even start pushes its error. Breaker bookkeeping still
+    /// completion is delivered for `tag` — a submission the driver could
+    /// not even start pushes its error. Breaker bookkeeping still
     /// happens at collection, via [`Backend::settle_burst`].
     pub fn submit_frame_queued(
         &self,
@@ -265,15 +256,11 @@ impl Backend {
         queue: &pfr_net::CompletionQueue,
         tag: u64,
     ) {
-        match &self.transport {
-            Transport::Driver(driver) => {
-                if let Err(e) = driver.submit_frame_queued(self.addr, bytes, expect, queue, tag) {
-                    queue.push(tag, Err(e));
-                }
-            }
-            Transport::Pool(pool) => {
-                queue.push(tag, pool.run(|conn| conn.exchange_frame(&bytes, expect)));
-            }
+        if let Err(e) = self
+            .driver
+            .submit_frame_queued(self.addr, bytes, expect, queue, tag)
+        {
+            queue.push(tag, Err(e));
         }
     }
 
@@ -307,7 +294,7 @@ impl Backend {
     /// The frame is validated *before* anything is written: if the server
     /// rejected the header (whitespace in the name, payload outside the
     /// protocol bound), the already-written payload bytes would be parsed
-    /// as request lines — desyncing the pooled connection so every later
+    /// as request lines — desyncing the shared connection so every later
     /// response on it would answer the wrong request.
     pub fn push(&self, name: &str, bundle_text: &str) -> std::io::Result<String> {
         self.push_traced(name, bundle_text, None)
@@ -439,8 +426,19 @@ impl Backend {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A small reactor client for tests that build a [`Backend`] by hand.
+    pub(crate) fn test_driver(connect_timeout: Duration) -> Arc<ClientDriver> {
+        let config = pfr_net::ClientConfig {
+            connect_timeout,
+            io_timeout: Duration::from_millis(500),
+            max_idle: 2,
+            ..pfr_net::ClientConfig::default()
+        };
+        Arc::new(ClientDriver::spawn(config).unwrap())
+    }
 
     fn breaker(threshold: u32, probation_ms: u64) -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig {
@@ -511,7 +509,8 @@ mod tests {
         // never hears about it — these are caller errors, not backend
         // failures).
         let addr = "127.0.0.1:1".parse().unwrap();
-        let backend = Backend::new(0, addr, ConnConfig::default(), BreakerConfig::default());
+        let driver = test_driver(Duration::from_millis(100));
+        let backend = Backend::new(0, addr, driver, BreakerConfig::default());
         for (name, text) in [
             ("two words", "bundle"),
             ("", "bundle"),
@@ -535,10 +534,7 @@ mod tests {
         let backend = Backend::new(
             0,
             addr,
-            ConnConfig {
-                connect_timeout: Duration::from_millis(100),
-                ..ConnConfig::default()
-            },
+            test_driver(Duration::from_millis(100)),
             BreakerConfig {
                 failure_threshold: 2,
                 probation: Duration::from_secs(10),

@@ -143,8 +143,7 @@ impl Drop for LocalCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BreakerConfig;
-    use crate::conn::ConnConfig;
+    use crate::backend::{BreakerConfig, ConnConfig};
     use pfr_core::persistence::{ClassifierSection, StandardizerParams};
     use pfr_core::{Pfr, PfrConfig};
     use pfr_graph::{KnnGraphBuilder, SparseGraph};
@@ -258,6 +257,41 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "batch row {i}");
         }
         assert!(router.stats().scatters() >= 1);
+    }
+
+    #[test]
+    fn a_batch_with_every_replica_ejected_falls_to_the_per_row_retry() {
+        let mut cluster = LocalCluster::boot(2, ServerConfig::default()).unwrap();
+        // Nothing may re-admit a backend behind the test's back.
+        let router = cluster
+            .router(RouterConfig {
+                breaker: BreakerConfig {
+                    failure_threshold: 1,
+                    probation: Duration::from_secs(60),
+                },
+                health_interval: None,
+                sync_interval: None,
+                hot_cache_capacity: 0,
+                ..quick_router_config()
+            })
+            .unwrap();
+        let (bundle, x) = toy_bundle();
+        cluster.place(&router, "toy", &bundle).unwrap();
+        let model = cluster.server(0).unwrap().registry().get("toy").unwrap();
+        let expected = model.score_batch(&x).unwrap();
+        for backend in router.backends() {
+            backend.breaker().record_failure();
+            assert!(!backend.breaker().available());
+        }
+        // No live replica: nothing is scattered, and the gather's retry
+        // walks the ejected backends as a last resort.
+        let rows: Vec<Vec<f64>> = (0..x.rows()).map(|i| x.row(i).to_vec()).collect();
+        let got = router.score_batch("toy", &rows).unwrap();
+        for (i, (a, b)) in got.iter().zip(expected.iter()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
+        }
+        assert_eq!(router.stats().scatters(), 0);
+        assert_eq!(router.stats().retried_rows(), rows.len() as u64);
     }
 
     #[test]

@@ -60,9 +60,9 @@ pub(crate) struct ControlPlane {
     /// equal-epoch catalogs. Minted once per router from the process id
     /// and a process-local counter, so two routers never collide.
     pub(crate) writer: u64,
-    /// The reactor transport's shared event loop (None under `Threaded`);
-    /// backends created during roster adoption ride the same loop.
-    driver: Option<Arc<pfr_net::ClientDriver>>,
+    /// The router's shared event loop; backends created during roster
+    /// adoption ride the same loop.
+    driver: Arc<pfr_net::ClientDriver>,
     pub(crate) membership: Arc<RwLock<Arc<Membership>>>,
     pub(crate) next_backend_id: Arc<AtomicUsize>,
     /// The local catalog replica. Uninitialized (epoch 0) until bootstrap
@@ -98,7 +98,7 @@ impl ControlPlane {
     pub(crate) fn new(
         config: RouterConfig,
         writer: u64,
-        driver: Option<Arc<pfr_net::ClientDriver>>,
+        driver: Arc<pfr_net::ClientDriver>,
         membership: Arc<RwLock<Arc<Membership>>>,
         next_backend_id: Arc<AtomicUsize>,
         catalog: Arc<Mutex<Catalog>>,
@@ -277,8 +277,8 @@ impl ControlPlane {
     }
 
     /// Rebuilds membership from an adopted catalog's roster. Backends
-    /// whose `(id, addr)` survive are reused (their pools, breaker state
-    /// and latency history carry over); new ids get fresh backends on the
+    /// whose `(id, addr)` survive are reused (their breaker state and
+    /// latency history carry over); new ids get fresh backends on the
     /// shared driver. Ring ids stay never-reused: the id allocator is
     /// bumped past the adopted maximum.
     fn apply_roster(&self, catalog: &Catalog) {
@@ -306,12 +306,12 @@ impl ControlPlane {
             let backend = match current.backends.get(&id) {
                 Some(existing) if existing.addr() == addr => Arc::clone(existing),
                 _ => {
-                    let backend = Arc::new(match &self.driver {
-                        Some(driver) => {
-                            Backend::with_driver(id, addr, Arc::clone(driver), self.config.breaker)
-                        }
-                        None => Backend::new(id, addr, self.config.conn, self.config.breaker),
-                    });
+                    let backend = Arc::new(Backend::new(
+                        id,
+                        addr,
+                        Arc::clone(&self.driver),
+                        self.config.breaker,
+                    ));
                     register_backend_metrics(&self.metrics, &backend);
                     backend
                 }

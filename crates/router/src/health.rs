@@ -91,16 +91,13 @@ impl Drop for HealthChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::test_driver;
     use crate::backend::BreakerConfig;
-    use crate::conn::ConnConfig;
+    use pfr_net::ClientDriver;
     use pfr_serve::{Server, ServerConfig};
 
-    fn quick_conn() -> ConnConfig {
-        ConnConfig {
-            connect_timeout: Duration::from_millis(150),
-            io_timeout: Duration::from_millis(500),
-            max_idle: 2,
-        }
+    fn quick_driver() -> Arc<ClientDriver> {
+        test_driver(Duration::from_millis(150))
     }
 
     fn roster_of(backends: Vec<Arc<Backend>>) -> Roster {
@@ -113,7 +110,7 @@ mod tests {
         let live = Arc::new(Backend::new(
             0,
             server.addr(),
-            quick_conn(),
+            quick_driver(),
             BreakerConfig::default(),
         ));
         let dead_addr = {
@@ -123,7 +120,7 @@ mod tests {
         let dead = Arc::new(Backend::new(
             1,
             dead_addr,
-            quick_conn(),
+            quick_driver(),
             BreakerConfig {
                 failure_threshold: 2,
                 probation: Duration::from_secs(30),
@@ -176,7 +173,7 @@ mod tests {
         let backend = Arc::new(Backend::new(
             0,
             addr,
-            quick_conn(),
+            quick_driver(),
             BreakerConfig {
                 failure_threshold: 3,
                 probation: Duration::from_secs(30),
@@ -206,7 +203,7 @@ mod tests {
         let backend = Arc::new(Backend::new(
             0,
             server.addr(),
-            quick_conn(),
+            quick_driver(),
             BreakerConfig {
                 failure_threshold: 1,
                 probation: Duration::from_millis(40),

@@ -14,8 +14,9 @@
 //!   requests route against a single snapshot, so live
 //!   [`Router::add_backend`]/[`Router::remove_backend`] calls swap one
 //!   `Arc` and can never tear an in-flight scatter.
-//! * [`ConnPool`] / [`Conn`] — per-backend TCP connection pools speaking
-//!   the `pfr-serve` line protocol, with pipelined bursts for sub-batches.
+//! * One shared `pfr-net` reactor client carries every backend's traffic:
+//!   pipelined bursts for sub-batches, zero threads per exchange;
+//!   [`ConnConfig`] holds its deployment timeouts.
 //! * [`CircuitBreaker`] / [`Backend`] — consecutive-failure ejection with
 //!   probation and half-open re-admission; the request path and the
 //!   background [`HealthChecker`] feed the same breaker (the prober reads
@@ -89,7 +90,6 @@
 
 pub mod backend;
 pub mod cluster;
-pub mod conn;
 mod control;
 pub mod error;
 pub mod health;
@@ -97,13 +97,12 @@ pub mod ring;
 pub mod router;
 pub mod ticket;
 
-pub use backend::{Backend, BreakerConfig, CircuitBreaker};
+pub use backend::{Backend, BreakerConfig, CircuitBreaker, ConnConfig};
 pub use cluster::LocalCluster;
-pub use conn::{Conn, ConnConfig, ConnPool};
 pub use error::RouterError;
 pub use health::{HealthChecker, Roster};
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use router::{Membership, Router, RouterConfig, RouterStats, TransportMode};
+pub use router::{Membership, Router, RouterConfig, RouterStats};
 pub use ticket::{CompletionQueue, Ticket};
 
 /// Convenient result alias used across the crate.

@@ -48,8 +48,7 @@
 //! one exception is `ERR no model named ...`, which only means "this
 //! backend is not a replica of that model" and continues the walk.
 
-use crate::backend::{Backend, BreakerConfig};
-use crate::conn::ConnConfig;
+use crate::backend::{Backend, BreakerConfig, ConnConfig};
 use crate::control::{ControlPlane, SyncWorker};
 use crate::error::RouterError;
 use crate::health::HealthChecker;
@@ -73,25 +72,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// How the router carries its backend traffic.
-///
-/// Both transports speak the identical protocol and return bitwise
-/// identical scores (the cluster end-to-end test runs under both); they
-/// differ in cost: `Threaded` blocks one OS thread per in-flight exchange
-/// and spawns one scoped thread per replica per scatter, `Reactor`
-/// multiplexes everything over one shared `pfr-net` event-loop thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportMode {
-    /// One shared reactor thread; a fan-out to N replicas submits N
-    /// operations and spawns zero threads. Bursts of any size are safe
-    /// because the reactor interleaves reads with writes.
-    #[default]
-    Reactor,
-    /// Blocking pooled sockets and scoped scatter threads — the original
-    /// transport, kept selectable as the differential-testing baseline.
-    Threaded,
-}
-
 /// Configuration of a routing tier.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -103,11 +83,8 @@ pub struct RouterConfig {
     pub vnodes: usize,
     /// Circuit-breaker tuning shared by every backend.
     pub breaker: BreakerConfig,
-    /// Socket tuning shared by every backend's connection pool (both
-    /// transports honor its connect/io timeouts and idle bound).
+    /// Connect/io timeouts and idle bound of the backend connections.
     pub conn: ConnConfig,
-    /// Backend transport architecture (see [`TransportMode`]).
-    pub transport: TransportMode,
     /// Health-probe period (`None` disables the background prober; the
     /// request path still feeds the breakers). A config field — tests
     /// tune it down instead of sleeping out a hard-coded default.
@@ -133,14 +110,6 @@ pub struct RouterConfig {
     pub sync_interval: Option<Duration>,
 }
 
-/// Rows per pipelined burst within one **threaded-transport** scatter
-/// sub-batch. `SCORE` lines run a few hundred bytes, so 128 lines stay far
-/// under the combined client/server socket buffers — past those, the
-/// blocking client's write-all-then-read-all pipelining deadlocks until
-/// the io timeout. The reactor transport needs no such cap: it reads
-/// responses while writing requests.
-const MAX_BURST: usize = 128;
-
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
@@ -148,7 +117,6 @@ impl Default for RouterConfig {
             vnodes: DEFAULT_VNODES,
             breaker: BreakerConfig::default(),
             conn: ConnConfig::default(),
-            transport: TransportMode::default(),
             health_interval: Some(Duration::from_millis(100)),
             hot_cache_capacity: 4096,
             trace_sample_every: 0,
@@ -302,9 +270,9 @@ impl Membership {
 pub struct Router {
     config: RouterConfig,
     membership: Arc<RwLock<Arc<Membership>>>,
-    /// The reactor transport's shared event loop (None under `Threaded`);
-    /// kept so backends added later ride the same loop.
-    driver: Option<Arc<pfr_net::ClientDriver>>,
+    /// The shared event loop carrying every backend's traffic; kept so
+    /// backends added later ride the same loop.
+    driver: Arc<pfr_net::ClientDriver>,
     /// Ring ids are never reused: a removed backend's id stays retired so
     /// stale snapshots and logs cannot confuse two incarnations. Shared
     /// with the control plane, which bumps it past adopted rosters.
@@ -361,28 +329,23 @@ impl Router {
         if addrs.is_empty() {
             return Err(RouterError::NoBackends);
         }
-        // The reactor transport's shared event loop. Every backend holds an
-        // `Arc` to it, so the loop thread lives exactly as long as the last
+        // One shared event loop: a fan-out to N replicas submits N
+        // operations and spawns zero threads. Every backend holds an `Arc`
+        // to it, so the loop thread lives exactly as long as the last
         // backend and joins on the final drop.
-        let driver = match config.transport {
-            TransportMode::Threaded => None,
-            TransportMode::Reactor => Some(Arc::new(
-                pfr_net::ClientDriver::spawn(pfr_net::ClientConfig {
-                    connect_timeout: config.conn.connect_timeout,
-                    io_timeout: config.conn.io_timeout,
-                    max_idle: config.conn.max_idle,
-                    ..pfr_net::ClientConfig::default()
-                })
-                .map_err(RouterError::Io)?,
-            )),
-        };
+        let driver = Arc::new(
+            pfr_net::ClientDriver::spawn(pfr_net::ClientConfig {
+                connect_timeout: config.conn.connect_timeout,
+                io_timeout: config.conn.io_timeout,
+                max_idle: config.conn.max_idle,
+                ..pfr_net::ClientConfig::default()
+            })
+            .map_err(RouterError::Io)?,
+        );
         let mut ring = HashRing::new(config.vnodes);
         let mut backends = BTreeMap::new();
         for (id, &addr) in addrs.iter().enumerate() {
-            let backend = Arc::new(match &driver {
-                Some(driver) => Backend::with_driver(id, addr, Arc::clone(driver), config.breaker),
-                None => Backend::new(id, addr, config.conn, config.breaker),
-            });
+            let backend = Arc::new(Backend::new(id, addr, Arc::clone(&driver), config.breaker));
             ring.add(id);
             backends.insert(id, backend);
         }
@@ -436,7 +399,7 @@ impl Router {
         let control = Arc::new(ControlPlane::new(
             config.clone(),
             writer,
-            driver.clone(),
+            Arc::clone(&driver),
             Arc::clone(&membership),
             Arc::clone(&next_backend_id),
             Arc::clone(&catalog),
@@ -571,10 +534,12 @@ impl Router {
     /// never reused.
     pub fn add_backend(&self, addr: SocketAddr) -> Result<usize> {
         let id = self.next_backend_id.fetch_add(1, Ordering::Relaxed);
-        let backend = Arc::new(match &self.driver {
-            Some(driver) => Backend::with_driver(id, addr, Arc::clone(driver), self.config.breaker),
-            None => Backend::new(id, addr, self.config.conn, self.config.breaker),
-        });
+        let backend = Arc::new(Backend::new(
+            id,
+            addr,
+            Arc::clone(&self.driver),
+            self.config.breaker,
+        ));
         // Exposition series are append-only: a later `remove_backend` does
         // not unregister them — ids are never reused, so a departed
         // backend's series simply stops moving.
@@ -607,7 +572,7 @@ impl Router {
     /// every placed model that lost a replica is re-established on its new
     /// replica set via `PUSH`. In-flight requests holding the old snapshot
     /// finish against the departing backend (its `Arc` lives until they
-    /// drop it), then the pools are gone. The last member cannot be
+    /// drop it). The last member cannot be
     /// removed.
     pub fn remove_backend(&self, id: usize) -> Result<()> {
         let removed = {
@@ -642,7 +607,7 @@ impl Router {
         self.control.publish();
         // Retire the departed backend's sockets. Requests still in flight
         // on the old snapshot hold their own connections; these are the
-        // idle pooled ones that would otherwise linger.
+        // idle ones that would otherwise linger.
         removed.drain_idle();
         Ok(())
     }
@@ -1107,14 +1072,11 @@ impl Router {
         self.submit_score_batch(model, rows).wait()
     }
 
-    /// Starts scoring a batch without blocking on the gather: with the
-    /// reactor transport every sub-burst is submitted to its replica
-    /// before the [`Ticket`] is returned, and collection (gather, per-row
-    /// retry, cache fill) runs when the ticket is resolved — so one
-    /// caller can scatter several batches across the cluster and collect
-    /// them as they complete. With the threaded transport the scatter
-    /// runs inline (its burst-capped blocking exchanges cannot be
-    /// deferred) and the ticket comes back already resolved.
+    /// Starts scoring a batch without blocking on the gather: every
+    /// sub-burst is submitted to its replica before the [`Ticket`] is
+    /// returned, and collection (gather, per-row retry, cache fill) runs
+    /// when the ticket is resolved — so one caller can scatter several
+    /// batches across the cluster and collect them as they complete.
     pub fn submit_score_batch(&self, model: &str, rows: &[Vec<f64>]) -> Ticket<'_, Vec<f64>> {
         if rows.is_empty() {
             return Ticket::ready(Ok(Vec::new()));
@@ -1156,100 +1118,52 @@ impl Router {
         if live.len() > 1 {
             self.stats.scatters.fetch_add(1, Ordering::Relaxed);
         }
-        // Stripe miss positions over the live replicas.
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
-        for p in 0..lines.len() {
-            assignment[p % live.len()].push(p);
-        }
-        match self.config.transport {
-            // Reactor: submit every replica's whole sub-batch as one
-            // operation on the shared event loop (no burst cap — the
-            // reactor reads responses while it writes requests, so the
-            // batch cannot deadlock the socket buffers). The gather runs
-            // when the ticket is resolved; zero threads are spawned.
-            TransportMode::Reactor if !live.is_empty() => {
-                let subs: Vec<SubBurst> = assignment
-                    .into_iter()
-                    .zip(live.iter())
-                    // With fewer rows than replicas some chunks are
-                    // empty; they must not reach the backend at all —
-                    // an empty burst resolves without touching the
-                    // network, and settling it would record a phantom
-                    // breaker success that could re-admit a dead
-                    // backend.
-                    .filter(|(positions, _)| !positions.is_empty())
-                    .map(|(positions, backend)| {
-                        let chunk: Vec<&str> =
-                            positions.iter().map(|&p| lines[p].as_str()).collect();
-                        let state = match backend.submit_burst(&chunk) {
-                            Ok(net) => SubState::Waiting(net),
-                            // The submit itself failed (reactor gone):
-                            // settle the breaker now; the rows fall to
-                            // the per-row retry at collection.
-                            Err(e) => {
-                                let _ = backend.settle_burst(Err(e));
-                                SubState::Done(Vec::new())
-                            }
-                        };
-                        SubBurst {
-                            positions,
-                            backend: Arc::clone(backend),
-                            state,
-                        }
-                    })
-                    .collect();
-                ticket::pending_batch(
-                    self,
-                    snapshot,
-                    model.to_string(),
-                    scores,
-                    keys,
-                    miss,
-                    lines,
-                    subs,
-                )
-            }
-            // Threaded (or no live replica): the scatter runs inline —
-            // one scoped thread per replica, bursts capped at MAX_BURST
-            // (the blocking client writes everything before reading
-            // anything, so an unbounded burst would deadlock once the
-            // batch outgrows the combined socket buffers).
-            _ => {
-                let gathered: Vec<(Vec<usize>, Vec<String>)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = assignment
-                        .into_iter()
-                        .zip(live.iter())
-                        .filter(|(positions, _)| !positions.is_empty())
-                        .map(|(positions, backend)| {
-                            // Borrowed lines: the scoped threads join
-                            // before `lines` drops, so no per-row copies
-                            // are needed.
-                            let chunk: Vec<&str> =
-                                positions.iter().map(|&p| lines[p].as_str()).collect();
-                            scope.spawn(move || {
-                                let mut responses = Vec::with_capacity(chunk.len());
-                                for burst in chunk.chunks(MAX_BURST) {
-                                    match backend.exchange_burst(burst) {
-                                        Ok(mut replies) => responses.append(&mut replies),
-                                        // Remaining rows retry individually;
-                                        // earlier bursts' scores are kept.
-                                        Err(_) => break,
-                                    }
-                                }
-                                (positions, responses)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("scatter thread never panics"))
-                        .collect()
-                });
-                Ticket::ready(
-                    self.finish_batch(&snapshot, model, scores, keys, miss, lines, gathered),
-                )
-            }
-        }
+        // Stripe miss positions over the live replicas and submit every
+        // replica's whole sub-batch as one operation on the shared event
+        // loop (no burst cap — the reactor reads responses while it writes
+        // requests, so the batch cannot deadlock the socket buffers). The
+        // gather runs when the ticket is resolved; zero threads are
+        // spawned. With no live replica there is nothing to submit, and
+        // every row falls to the gather's per-row retry, which tries the
+        // ejected backends as a last resort.
+        let subs: Vec<SubBurst> = live
+            .iter()
+            .enumerate()
+            // With fewer rows than replicas the surplus replicas get no
+            // chunk at all — an empty burst resolves without touching the
+            // network, and settling it would record a phantom breaker
+            // success that could re-admit a dead backend.
+            .take(lines.len())
+            .map(|(r, backend)| {
+                let positions: Vec<usize> = (r..lines.len()).step_by(live.len()).collect();
+                let chunk: Vec<&str> = positions.iter().map(|&p| lines[p].as_str()).collect();
+                let state = match backend.submit_burst(&chunk) {
+                    Ok(net) => SubState::Waiting(net),
+                    // The submit itself failed (reactor gone): settle the
+                    // breaker now; the rows fall to the per-row retry at
+                    // collection.
+                    Err(e) => {
+                        let _ = backend.settle_burst(Err(e));
+                        SubState::Done(Vec::new())
+                    }
+                };
+                SubBurst {
+                    positions,
+                    backend: Arc::clone(backend),
+                    state,
+                }
+            })
+            .collect();
+        ticket::pending_batch(
+            self,
+            snapshot,
+            model.to_string(),
+            scores,
+            keys,
+            miss,
+            lines,
+            subs,
+        )
     }
 
     /// The gather half of a batch: applies sub-burst responses, re-routes

@@ -356,7 +356,7 @@ impl PendingWork<Vec<f64>> for BatchPending<'_> {
 }
 
 enum State<'r, T> {
-    /// Resolved at submit time (hot-cache hit, inline transport, empty
+    /// Resolved at submit time (hot-cache hit, no live replica, empty
     /// batch); `None` once the result has been taken.
     Ready(Option<Result<T>>),
     Pending(Box<dyn PendingWork<T> + 'r>),
@@ -484,8 +484,8 @@ pub(crate) fn pending_batch<'r>(
 
 /// What became of a queued submission at submit time.
 pub(crate) enum QueuedSubmit {
-    /// Resolved without touching the network (hot-cache hit, no live
-    /// replica, inline transport fallback).
+    /// Resolved without a pending submission (hot-cache hit, or no live
+    /// replica and an inline walk of the preference order).
     Immediate(Result<f64>),
     /// In flight: the tagged result will land on the net queue and
     /// `ScoreFinish` turns it into a score.

@@ -7,7 +7,7 @@
 //! The design is a collector thread in front of the worker pool:
 //!
 //! ```text
-//! conn threads ──submit()──► queue ──collector──► WorkerPool ──► replies
+//! reactors ─────submit()──► queue ──collector──► WorkerPool ──► replies
 //!                                   (drains ≤ B,
 //!                                    groups by model,
 //!                                    builds one Matrix)
@@ -32,11 +32,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Where a completed score lands. The blocking (thread-per-connection)
-/// path waits on a channel; the reactor path cannot block, so its sink
-/// records a completion for the event loop and rings its waker.
+/// Where a completed score lands. The blocking entry points
+/// ([`MicroBatcher::submit`], [`MicroBatcher::score`]) wait on a channel;
+/// a reactor cannot block, so its sink records a completion for the event
+/// loop and rings its waker.
 pub(crate) enum ScoreSink {
-    /// Reply over an mpsc channel a connection thread is blocked on.
+    /// Reply over an mpsc channel the caller is blocked on.
     Channel(Sender<Result<f64>>),
     /// Reply into the reactor's completion queue.
     Net(crate::reactor_front::NetSink),
@@ -49,7 +50,7 @@ impl ScoreSink {
                 // A dropped receiver just means the caller stopped waiting.
                 let _ = tx.send(result);
             }
-            ScoreSink::Net(sink) => sink.send_score(result),
+            ScoreSink::Net(sink) => sink.send(crate::verbs::Outcome::Score(result)),
         }
     }
 }
@@ -113,8 +114,8 @@ impl MicroBatcher {
         Ok(rx)
     }
 
-    /// Enqueues one score request with an explicit reply sink (the reactor
-    /// front end's non-blocking entry point).
+    /// Enqueues one score request with an explicit reply sink (the
+    /// reactors' non-blocking entry point).
     pub(crate) fn submit_sink(
         &self,
         model: Arc<ServableModel>,

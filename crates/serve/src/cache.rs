@@ -236,58 +236,6 @@ impl ScoreCache {
         }
     }
 
-    /// Warms the cache by replaying a recorded request log: a
-    /// line-delimited file of `SCORE <name> <v1> ... <vm>` lines (exactly
-    /// what a client sends over the wire, so a capture of production
-    /// traffic replays unmodified). Each distinct vector is scored once via
-    /// `score`, which resolves the model name to its current generation and
-    /// computes the score — or returns `None` to skip the line (model not
-    /// loaded, wrong arity). Non-`SCORE` lines, malformed vectors and NaN
-    /// vectors are skipped, not errors: a warm-up must tolerate a log
-    /// written under a different model set.
-    ///
-    /// Returns `(replayed, skipped)`: how many lines landed a score in the
-    /// cache (a duplicate of an already-cached vector counts as replayed —
-    /// the line replayed fine) and how many non-empty lines could not be
-    /// used. A truncated or partially binary log — the normal state of a
-    /// capture cut off mid-write — degrades to skipped lines, never to an
-    /// error: the file is read leniently (invalid UTF-8 is replaced, the
-    /// torn final line simply fails to parse) and only a missing/unreadable
-    /// file is an `Err`. Scoring is deterministic, so warmed entries are
-    /// bitwise identical to what the live request path would have cached —
-    /// a warmed server answers its first real request of a logged vector
-    /// from the cache, at cache-hit latency.
-    pub fn warm_from_log(
-        &mut self,
-        path: &std::path::Path,
-        mut score: impl FnMut(&str, &[f64]) -> Option<(u64, f64)>,
-    ) -> std::io::Result<(usize, usize)> {
-        let bytes = std::fs::read(path)?;
-        let text = String::from_utf8_lossy(&bytes);
-        let mut replayed = 0;
-        let mut skipped = 0;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let entry = parse_score_line(line).and_then(|(name, features)| {
-                let (generation, value) = score(name, &features)?;
-                let key = ScoreKey::new(generation, &features)?;
-                Some((key, value))
-            });
-            match entry {
-                Some((key, value)) => {
-                    if self.get(&key).is_none() {
-                        self.insert(key, value);
-                    }
-                    replayed += 1;
-                }
-                None => skipped += 1,
-            }
-        }
-        Ok((replayed, skipped))
-    }
-
     /// Drops every entry (used by tests and operational RESET paths).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -321,23 +269,6 @@ impl ScoreCache {
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
-    }
-}
-
-/// Parses one recorded `SCORE <name> <v1> ... <vm>` line; `None` for any
-/// other verb, a missing name, an empty vector or an unparseable number
-/// (which is what the torn final line of a truncated capture looks like).
-fn parse_score_line(line: &str) -> Option<(&str, Vec<f64>)> {
-    let mut parts = line.split_whitespace();
-    if !parts.next()?.eq_ignore_ascii_case("SCORE") {
-        return None;
-    }
-    let name = parts.next()?;
-    let features: Vec<f64> = parts.map(|v| v.parse().ok()).collect::<Option<_>>()?;
-    if features.is_empty() {
-        None
-    } else {
-        Some((name, features))
     }
 }
 
@@ -417,82 +348,6 @@ mod tests {
         let mut cache = ScoreCache::new(4);
         cache.insert(key(1, &[0.0]), 0.5);
         assert!(cache.get(&key(1, &[-0.0])).is_none());
-    }
-
-    #[test]
-    fn warm_from_log_replays_score_lines_and_skips_garbage() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("pfr_cache_warm_test_{}.log", std::process::id()));
-        std::fs::write(
-            &path,
-            "SCORE risk 1 2 3\n\
-             score risk 1 2 3\n\
-             SCORE other 5 6\n\
-             SCORE risk 4 banana\n\
-             SCORE risk NaN 1 2\n\
-             HEALTH\n\
-             SCORE risk\n\
-             SCORE risk 7 8 9\n",
-        )
-        .unwrap();
-        let mut cache = ScoreCache::new(16);
-        // "risk" resolves at generation 3 and scores sum/10; "other" is not
-        // loaded, mirroring a log recorded under a different model set.
-        let (replayed, skipped) = cache
-            .warm_from_log(&path, |name, features| {
-                (name == "risk").then(|| (3, features.iter().sum::<f64>() / 10.0))
-            })
-            .unwrap();
-        // Three lines replay ([1,2,3], its lowercase duplicate — which
-        // deduplicates in the cache but still replayed — and [7,8,9]); the
-        // unloaded model, malformed vector, NaN vector, non-SCORE verb and
-        // empty vector are all skipped.
-        assert_eq!(replayed, 3);
-        assert_eq!(skipped, 5);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&key(3, &[1.0, 2.0, 3.0])), Some(0.6));
-        assert_eq!(cache.get(&key(3, &[7.0, 8.0, 9.0])), Some(2.4));
-        assert!(cache.get(&key(3, &[5.0, 6.0])).is_none());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn warm_from_log_survives_a_truncated_log() {
-        // A capture cut off mid-write: the final line stops mid-number and
-        // the torn tail even contains invalid UTF-8 — exactly what a log
-        // torn at the block boundary looks like. Warm-up must replay every
-        // complete line and skip the debris, not abort.
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "pfr_cache_warm_truncated_{}.log",
-            std::process::id()
-        ));
-        let mut log: Vec<u8> = b"SCORE risk 1 2 3\nSCORE risk 4 5 6\n".to_vec();
-        log.extend_from_slice(b"SCORE risk 7 8");
-        log.extend_from_slice(&[0xff, 0xfe, 0x00]); // torn binary tail
-        std::fs::write(&path, &log).unwrap();
-        let mut cache = ScoreCache::new(16);
-        // The scorer enforces the model's arity (3 features), as the real
-        // registry closure does: the torn 2-feature line cannot replay.
-        let (replayed, skipped) = cache
-            .warm_from_log(&path, |name, features| {
-                (name == "risk" && features.len() == 3).then(|| (1, features.iter().sum::<f64>()))
-            })
-            .unwrap();
-        assert_eq!(replayed, 2);
-        assert_eq!(skipped, 1);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&key(1, &[1.0, 2.0, 3.0])), Some(6.0));
-        assert_eq!(cache.get(&key(1, &[4.0, 5.0, 6.0])), Some(15.0));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn warm_from_log_reports_missing_files() {
-        let mut cache = ScoreCache::new(4);
-        assert!(cache
-            .warm_from_log(std::path::Path::new("/definitely/not/there"), |_, _| None)
-            .is_err());
     }
 
     #[test]

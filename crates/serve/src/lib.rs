@@ -22,9 +22,10 @@
 //!   expiry and per-model capacity bounds via [`CachePolicy`].
 //! * [`Server`] — a line-delimited TCP protocol (`LOAD` / `SCORE` /
 //!   `TRANSFORM` / `STATS` / `HEALTH` / `EPOCH` / `QUIT`) with per-verb
-//!   latency and hit-rate counters ([`ServerStats`]), one thread per
-//!   connection, and a graceful shutdown that closes and joins every
-//!   connection. `HEALTH` and `EPOCH` exist for the `pfr-router` tier:
+//!   latency and hit-rate counters ([`ServerStats`]), a pool of epoll
+//!   reactor threads multiplexing every connection, and a graceful
+//!   shutdown that closes every connection and joins every thread.
+//!   `HEALTH` and `EPOCH` exist for the `pfr-router` tier:
 //!   liveness/queue-depth probes and cross-process model-content digests.
 //!
 //! Durability is optional: configure [`ServerConfig::journal`] and every
@@ -65,6 +66,7 @@ pub(crate) mod reactor_front;
 pub mod registry;
 pub mod server;
 pub mod stats;
+pub(crate) mod verbs;
 
 pub use batcher::{BatcherConfig, MicroBatcher};
 pub use cache::{CachePolicy, ScoreCache, ScoreKey};
@@ -74,7 +76,7 @@ pub use pool::WorkerPool;
 pub use protocol::Request;
 pub use registry::ModelRegistry;
 pub use server::{Frontend, RecoveryReport, Server, ServerConfig};
-pub use stats::{InflightGuard, ServerStats, VerbStats};
+pub use stats::{ServerStats, VerbStats};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

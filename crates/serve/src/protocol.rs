@@ -295,7 +295,12 @@ pub fn parse_request(line: &str) -> Result<Request> {
             }
             Ok(Request::Sync { nbytes })
         }
-        "QUIT" => Ok(Request::Quit),
+        "QUIT" => {
+            if !parts.is_empty() {
+                return Err(ServeError::Protocol("QUIT takes no arguments".to_string()));
+            }
+            Ok(Request::Quit)
+        }
         other => Err(ServeError::Protocol(format!("unknown verb '{other}'"))),
     }
 }
@@ -431,6 +436,7 @@ mod tests {
             "SYNC 0",
             "SYNC -1",
             "SYNC 1 2",
+            "QUIT now",
             "FROB risk 1 2",
         ] {
             assert!(parse_request(bad).is_err(), "'{bad}' should be rejected");

@@ -1,20 +1,25 @@
-//! The event-driven serving front end: a pool of reactor threads, each
-//! multiplexing a share of the client connections over its own epoll
-//! instance (`pfr-net`), so an idle client costs a few hundred bytes of
-//! buffer state instead of an OS thread and accept/parse work scales
-//! across cores.
+//! The serving front end: a pool of reactor threads, each multiplexing a
+//! share of the client connections over its own epoll instance (`pfr-net`),
+//! so an idle client costs a few hundred bytes of buffer state instead of
+//! an OS thread and accept/parse work scales across cores.
 //!
 //! ```text
 //!                    ┌────────────────────── reactor thread ──┐ × N
 //! clients ──epoll──► │ accept / LineConn fill / parse         │
-//!                    │  inline: cache hit, STATS, HEALTH,     │──► replies
-//!                    │          EPOCH, parse errors, QUIT     │
-//!                    │  async:  SCORE miss ► MicroBatcher ┐   │
-//!                    │          TRANSFORM/LOAD/PUSH ► pool │ │
-//!                    └──────────▲───────────────────────────┼─┘
-//!                               │ eventfd wake + completion │
-//!                               └──────────────────────────-┘
+//!                    │  verbs::Call::execute                  │──► replies
+//!                    │   Done:  emitted in request order      │
+//!                    │   Batch: SCORE miss ► MicroBatcher ┐   │
+//!                    │   Pool:  TRANSFORM/LOAD/PUSH ► pool │  │
+//!                    └──────────▲──────────────────────────┼──┘
+//!                               │ eventfd wake + completion│
+//!                               └──────────────────────────┘
 //! ```
+//!
+//! A reactor owns connections, not verbs: accept, framing (request lines
+//! and the counted payloads of `PUSH`/`SYNC`), per-connection sequencing,
+//! backpressure, idle deadlines and the completion queue live here; what a
+//! request *does*, and every counter and span it touches, lives in
+//! [`crate::verbs`].
 //!
 //! **Accept hand-off.** Every reactor registers its own (level-triggered)
 //! clone of the shared listener and calls `accept` when epoll reports a
@@ -34,13 +39,13 @@
 //! cost of keeping the admission check lock-free.
 //!
 //! Work that can block (scoring, transforms, disk loads) never runs on the
-//! reactor: it is submitted to the existing micro-batcher/worker pool with
-//! a [`NetSink`] that records a completion and rings the reactor's eventfd.
+//! reactor: the verb layer hands it back as a deferred step, and the
+//! reactor submits it to the micro-batcher or the worker pool with a
+//! [`NetSink`] that records a completion and rings the reactor's eventfd.
 //! Because completions finish out of order while the protocol promises
 //! in-order responses per connection, each connection carries a sequence
 //! counter and a reorder buffer: responses are emitted strictly in request
-//! order, which is what keeps pipelined clients and the thread-per-
-//! connection front end bitwise interchangeable.
+//! order, which is what lets clients pipeline.
 //!
 //! Backpressure: a connection whose unsent output exceeds the high
 //! watermark stops being **read** (and therefore parsed) until the peer
@@ -48,23 +53,20 @@
 //! flow control throttles the sender, so a client that pipelines requests
 //! without reading responses cannot balloon server memory.
 
-use crate::cache::ScoreKey;
-use crate::error::ServeError;
+use crate::batcher::ScoreSink;
 use crate::protocol::{self, Request};
-use crate::server::{self, ServeContext};
-use crate::stats::VerbStats;
+use crate::server::ServeContext;
+use crate::verbs::{Call, Outcome, Step};
 use crate::Result;
-use pfr_journal::Record;
 use pfr_net::poller::{Event, Interest, Poller, Waker};
 use pfr_net::stats::LoopStats;
 use pfr_net::wheel::DeadlineWheel;
 use pfr_net::{Frame, LineConn};
-use pfr_obs::{ActiveSpan, SpanRing};
+use pfr_obs::SpanRing;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -89,27 +91,16 @@ const HIGH_WATER: usize = 256 * 1024;
 /// comfortably; an unbounded line is a protocol violation).
 const MAX_LINE: usize = 1 << 20;
 
-/// Which verb an asynchronous completion belongs to (for stats routing).
-#[derive(Debug, Clone, Copy)]
-enum AsyncVerb {
-    Score,
-    Transform,
-    Load,
-}
+/// Finished spans each reactor's ring retains for `TRACE` lookups. Spans
+/// exist only for sampled requests, so the memory cost is bounded and
+/// small (a few hundred bytes per span).
+const SPAN_RING_CAPACITY: usize = 256;
 
 /// What a worker finished for connection `token`, request `seq`.
 pub(crate) struct Completion {
     token: u64,
     seq: u64,
     outcome: Outcome,
-}
-
-enum Outcome {
-    /// A batched score (the reactor renders the payload with the threshold
-    /// captured at parse time and inserts the cache entry).
-    Score(Result<f64>),
-    /// A fully rendered payload (TRANSFORM / LOAD).
-    Text(Result<String>),
 }
 
 /// The reply-side handle given to the batcher / worker pool: sends one
@@ -122,15 +113,7 @@ pub(crate) struct NetSink {
 }
 
 impl NetSink {
-    pub(crate) fn send_score(self, result: Result<f64>) {
-        self.send(Outcome::Score(result));
-    }
-
-    fn send_text(self, result: Result<String>) {
-        self.send(Outcome::Text(result));
-    }
-
-    fn send(self, outcome: Outcome) {
+    pub(crate) fn send(self, outcome: Outcome) {
         let _ = self.completions.send(Completion {
             token: self.token,
             seq: self.seq,
@@ -138,49 +121,6 @@ impl NetSink {
         });
         let _ = self.waker.wake();
     }
-}
-
-/// Metadata the reactor keeps per in-flight asynchronous request.
-struct PendingMeta {
-    verb: AsyncVerb,
-    start: Instant,
-    /// Captured at parse time so a hot swap mid-request keeps the
-    /// threshold consistent with the scoring model (mirrors the threaded
-    /// path).
-    threshold: f64,
-    key: Option<ScoreKey>,
-    /// The request's trace span, when traced. Events accrue on the
-    /// reactor thread only (dispatch and completion), so the span never
-    /// crosses into the batcher or worker pool.
-    span: Option<ActiveSpan>,
-    /// Wire trace token to echo on the response. `None` for untraced and
-    /// server-sampled requests — either way the response bytes carry no
-    /// token, preserving front-end interchangeability.
-    trace: Option<u64>,
-}
-
-/// A `PUSH` header parsed mid-connection: the response is owed at `seq`
-/// once the counted payload arrives.
-struct PendingPush {
-    seq: u64,
-    name: String,
-    trace: Option<u64>,
-    span: Option<ActiveSpan>,
-}
-
-/// A counted-payload header parsed mid-connection; the connection is in
-/// payload mode until the announced bytes arrive, and the response is
-/// owed at the recorded seq.
-enum PendingPayload {
-    /// `PUSH <name> <nbytes>`: install the bundle on the worker pool.
-    Push(PendingPush),
-    /// `SYNC <nbytes>`: merge the offered placement catalog inline (the
-    /// catalog is a control-plane-sized value; parsing it costs less
-    /// than a pool round trip).
-    Sync {
-        /// Sequence number the response is owed at.
-        seq: u64,
-    },
 }
 
 /// Per-connection reactor state.
@@ -193,11 +133,12 @@ struct ClientConn {
     next_write: u64,
     /// Out-of-order completions waiting for their turn.
     ready: BTreeMap<u64, String>,
-    /// In-flight asynchronous requests.
-    pending: HashMap<u64, PendingMeta>,
+    /// Requests whose deferred step is with the batcher or the pool.
+    pending: HashMap<u64, Call>,
     /// A counted-payload header (`PUSH`/`SYNC`) was parsed; the
-    /// connection is in payload mode until the counted bytes arrive.
-    pending_payload: Option<PendingPayload>,
+    /// connection is in payload mode until the counted bytes arrive, and
+    /// the response is owed at the recorded seq.
+    awaiting_payload: Option<(u64, Request, Call)>,
     /// `QUIT` was parsed at this seq: stop parsing, close once emitted.
     quit_at: Option<u64>,
     /// The peer half-closed; finish in-flight work, flush, then close.
@@ -216,7 +157,7 @@ impl ClientConn {
             next_write: 0,
             ready: BTreeMap::new(),
             pending: HashMap::new(),
-            pending_payload: None,
+            awaiting_payload: None,
             quit_at: None,
             read_closed: false,
             want_read: false,
@@ -243,7 +184,6 @@ pub(crate) fn spawn_pool(
     threads: usize,
     max_connections: Option<usize>,
 ) -> Result<ReactorPool> {
-    let threads = threads.max(1);
     let live = Arc::new(AtomicUsize::new(0));
     let mut handles = Vec::with_capacity(threads);
     let mut wakers = Vec::with_capacity(threads);
@@ -267,7 +207,7 @@ pub(crate) fn spawn_pool(
         // Each reactor records spans into its own ring (no cross-thread
         // contention on the trace path) and publishes its own event-loop
         // health gauges, distinguishable by the `reactor` label.
-        let span_ring = context.traces.new_ring(server::SPAN_RING_CAPACITY);
+        let span_ring = context.traces.new_ring(SPAN_RING_CAPACITY);
         let loop_stats = Arc::new(LoopStats::new());
         register_loop_gauges(&context, index, &loop_stats);
         let reactor = Reactor {
@@ -382,6 +322,12 @@ impl Reactor {
             for token in expired.drain(..) {
                 if token == LISTENER_TOKEN {
                     self.resume_accepting();
+                } else if self.conns.get(&token).is_some_and(|c| !c.drained()) {
+                    // No byte arrived for a whole timeout, but a reply is
+                    // still owed: the request is in the batcher, the pool
+                    // or an fsync, or the peer has output left to read.
+                    // Waiting for the server is not idleness.
+                    self.touch_idle(token);
                 } else {
                     self.close_conn(token);
                 }
@@ -390,8 +336,8 @@ impl Reactor {
         }
         // Shutdown: close every connection (in both directions, so blocked
         // clients observe EOF) and drop the listener. In-flight worker
-        // results land in a channel nobody reads — exactly the threaded
-        // front end's "a line that raced the shutdown is dropped" contract.
+        // results land in a channel nobody reads: a request that raced the
+        // shutdown is dropped, its response could not be delivered anyway.
         for (_, conn) in self.conns.drain() {
             self.live.fetch_sub(1, Ordering::Relaxed);
             let _ = conn.stream.shutdown(Shutdown::Both);
@@ -578,384 +524,91 @@ impl Reactor {
         }
     }
 
-    /// Handles one request line: inline verbs answer immediately, blocking
-    /// verbs are dispatched to the batcher / pool with a completion sink.
+    /// Handles one request line: parse, open its [`Call`], and either
+    /// dispatch it or — for `PUSH`/`SYNC` — switch the connection into
+    /// payload mode until the counted bytes arrive.
     fn process_line(&mut self, token: u64, line: &str) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        let context = Arc::clone(&self.context);
-        let stats = &context.stats;
-        match protocol::parse_request(line) {
+        let request = match protocol::parse_request(line) {
+            Ok(request) => request,
             Err(e) => {
-                stats.record_parse_error();
+                self.context.stats.record_parse_error();
                 self.emit(token, seq, protocol::err_response(&e));
+                return;
             }
-            Ok(Request::Quit) => {
-                conn.quit_at = Some(seq);
-                self.emit(token, seq, protocol::ok_response("bye"));
+        };
+        let call = Call::begin(&self.context, &request);
+        match request {
+            // Nothing else can be parsed before the payload, so the
+            // response owed at `seq` keeps its place by construction.
+            Request::Push { nbytes, .. } | Request::Sync { nbytes } => {
+                conn.line.expect_payload(nbytes);
+                conn.awaiting_payload = Some((seq, request, call));
             }
-            Ok(Request::Stats) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let payload = context.stats_line();
-                stats.inflight_exit();
-                stats.stats.record(start.elapsed(), true);
-                self.emit(token, seq, protocol::ok_response(&payload));
-            }
-            Ok(Request::Health) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let payload = server::handle_health(&context);
-                stats.inflight_exit();
-                stats.health.record(start.elapsed(), true);
-                self.emit(token, seq, protocol::ok_response(&payload));
-            }
-            Ok(Request::Epoch { name }) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let outcome = server::handle_epoch(&context, &name);
-                stats.inflight_exit();
-                stats.epoch.record(start.elapsed(), outcome.is_ok());
-                self.emit(token, seq, render(outcome));
-            }
-            Ok(Request::Metrics) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let payload = context.metrics_payload();
-                stats.inflight_exit();
-                stats.stats.record(start.elapsed(), true);
-                self.emit(token, seq, protocol::ok_response(&payload));
-            }
-            Ok(Request::Trace { id }) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let outcome = context.trace_payload(id);
-                stats.inflight_exit();
-                stats.stats.record(start.elapsed(), outcome.is_ok());
-                self.emit(token, seq, render(outcome));
-            }
-            Ok(Request::Catalog { full }) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let payload = server::handle_catalog(&context, full);
-                stats.inflight_exit();
-                stats.catalog.record(start.elapsed(), true);
-                self.emit(token, seq, protocol::ok_response(&payload));
-            }
-            Ok(Request::Sync { nbytes }) => {
-                // Header parsed; switch the connection into payload mode.
-                // The merge itself runs when the bytes arrive.
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.pending_payload = Some(PendingPayload::Sync { seq });
-                    conn.line.expect_payload(nbytes);
+            _ => {
+                if matches!(request, Request::Quit) {
+                    // Stop parsing; close once this response is flushed.
+                    conn.quit_at = Some(seq);
                 }
-            }
-            Ok(Request::Score {
-                name,
-                features,
-                trace,
-            }) => self.dispatch_score(token, seq, &name, features, trace),
-            Ok(Request::Transform {
-                name,
-                features,
-                trace,
-            }) => self.dispatch_transform(token, seq, &name, features, trace),
-            Ok(Request::Load { name, path }) => self.dispatch_load(token, seq, name, path),
-            Ok(Request::Push {
-                name,
-                nbytes,
-                trace,
-            }) => {
-                // Header parsed; switch the connection into payload mode.
-                // The response is owed at this seq once the bytes arrive
-                // (nothing else can be parsed in between, so ordering is
-                // preserved by construction).
-                let span = context.begin_span(trace, "serve/PUSH");
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.pending_payload = Some(PendingPayload::Push(PendingPush {
-                        seq,
-                        name,
-                        trace,
-                        span,
-                    }));
-                    conn.line.expect_payload(nbytes);
-                }
+                self.dispatch(token, seq, call, request, Vec::new());
             }
         }
     }
 
     /// The counted payload a `PUSH`/`SYNC` header announced has fully
-    /// arrived. `SYNC` merges the catalog inline; `PUSH` registers the
-    /// bundle on the worker pool (parsing bundle text is real work that
-    /// must not stall the reactor).
+    /// arrived: the request can execute.
     fn process_payload(&mut self, token: u64, payload: Vec<u8>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let Some(pending) = conn.pending_payload.take() else {
-            // A payload frame without a pending header cannot happen — the
-            // only expect_payload call sites set pending_payload first —
-            // but dropping it beats emitting a response at a phantom seq.
+        // A payload frame without a pending header cannot happen — the one
+        // expect_payload call site sets awaiting_payload — but dropping it
+        // beats emitting a response at a phantom seq.
+        let Some((seq, request, mut call)) = conn.awaiting_payload.take() else {
             return;
         };
-        let push = match pending {
-            PendingPayload::Sync { seq } => {
-                let context = Arc::clone(&self.context);
-                let start = Instant::now();
-                context.stats.inflight_enter();
-                let outcome = server::handle_sync(&context, &payload);
-                context.stats.inflight_exit();
-                context
-                    .stats
-                    .catalog
-                    .record(start.elapsed(), outcome.is_ok());
-                self.emit(token, seq, render(outcome));
-                return;
-            }
-            PendingPayload::Push(push) => push,
-        };
-        let PendingPush {
-            seq,
-            name,
-            trace,
-            mut span,
-        } = push;
-        if let Some(s) = span.as_mut() {
-            s.event("payload-read");
-        }
-        let context = Arc::clone(&self.context);
-        context.stats.inflight_enter();
-        let meta = PendingMeta {
-            verb: AsyncVerb::Load,
-            start: Instant::now(),
-            threshold: 0.0,
-            key: None,
-            span,
-            trace,
-        };
-        let sink = self.sink(token, seq);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.pending.insert(seq, meta);
-        }
-        let job_context = Arc::clone(&context);
-        let job = move || {
-            // The span stays on the reactor (in `PendingMeta`), so the
-            // worker-side journal/install events are folded into the
-            // single "install" event recorded at completion.
-            let outcome = server::handle_push(&job_context, &name, &payload, None);
-            sink.send_text(outcome);
-        };
-        if let Err(e) = context.pool.execute(job) {
-            self.apply(Completion {
-                token,
-                seq,
-                outcome: Outcome::Text(Err(e)),
-            });
-        }
+        call.event("payload-read");
+        self.dispatch(token, seq, call, request, payload);
     }
 
-    /// `SCORE`: cache hits answer inline; misses go through the batcher.
-    fn dispatch_score(
+    /// Runs one request through the verb layer. An inline answer is
+    /// emitted at once; a deferred step goes to the batcher or the pool
+    /// with a completion sink, and its `Call` waits in `pending` for
+    /// [`Reactor::apply_completions`].
+    fn dispatch(
         &mut self,
         token: u64,
         seq: u64,
-        name: &str,
-        features: Vec<f64>,
-        trace: Option<u64>,
+        mut call: Call,
+        request: Request,
+        payload: Vec<u8>,
     ) {
-        let context = Arc::clone(&self.context);
-        let stats = &context.stats;
-        let start = Instant::now();
-        stats.inflight_enter();
-        let mut span = context.begin_span(trace, "serve/SCORE");
-        let model = match context.registry.resolve(name) {
-            Ok(model) => model,
-            Err(e) => {
-                stats.inflight_exit();
-                stats.score.record(start.elapsed(), false);
-                if let Some(span) = span {
-                    context.finish_span(span, &self.span_ring);
+        let submitted = match call.execute(request, payload) {
+            Step::Done(result) => return self.answer(token, seq, call, Outcome::Text(result)),
+            Step::Batch { model, features } => {
+                let sink = ScoreSink::Net(self.sink(token, seq));
+                self.context.batcher.submit_sink(model, features, sink)
+            }
+            Step::Pool(job) => {
+                let sink = self.sink(token, seq);
+                self.context
+                    .pool
+                    .execute(move || sink.send(Outcome::Text(job())))
+            }
+        };
+        match submitted {
+            Ok(()) => {
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.pending.insert(seq, call);
                 }
-                self.emit(token, seq, with_echo(protocol::err_response(&e), trace));
-                return;
             }
-        };
-        if let Some(s) = span.as_mut() {
-            s.event("resolve");
-        }
-        // Journaled before execution so replay reproduces the request order.
-        // Under `FsyncPolicy::PerRecord` the append blocks the reactor on an
-        // fsync; journaling reactor deployments should prefer `Interval`.
-        if let Err(e) = context.journal_append(|| Record::Score {
-            model: name.to_string(),
-            features: features.clone(),
-        }) {
-            stats.inflight_exit();
-            stats.score.record(start.elapsed(), false);
-            if let Some(span) = span {
-                context.finish_span(span, &self.span_ring);
-            }
-            self.emit(token, seq, with_echo(protocol::err_response(&e), trace));
-            return;
-        }
-        if context.journal.is_some() {
-            if let Some(s) = span.as_mut() {
-                s.event("journal-append");
-            }
-        }
-        let key = ScoreKey::new(model.generation(), &features);
-        if let Some(key) = &key {
-            let cached = context.cache.lock().expect("cache lock poisoned").get(key);
-            if let Some(score) = cached {
-                stats.record_cache_hit();
-                if let Some(s) = span.as_mut() {
-                    s.event("cache-hit");
-                }
-                stats.inflight_exit();
-                stats.score.record(start.elapsed(), true);
-                if let Some(span) = span {
-                    context.finish_span(span, &self.span_ring);
-                }
-                let payload = server::score_payload(score, model.threshold());
-                self.emit(
-                    token,
-                    seq,
-                    with_echo(protocol::ok_response(&payload), trace),
-                );
-                return;
-            }
-        }
-        stats.record_cache_miss();
-        if let Some(s) = span.as_mut() {
-            s.event("cache-miss");
-        }
-        let meta = PendingMeta {
-            verb: AsyncVerb::Score,
-            start,
-            threshold: model.threshold(),
-            key,
-            span,
-            trace,
-        };
-        let sink = self.sink(token, seq);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.pending.insert(seq, meta);
-        }
-        if let Err(e) =
-            context
-                .batcher
-                .submit_sink(model, features, crate::batcher::ScoreSink::Net(sink))
-        {
-            // Shutdown race: answer inline instead of leaking the pending.
-            self.apply(Completion {
-                token,
-                seq,
-                outcome: Outcome::Score(Err(e)),
-            });
-        }
-    }
-
-    /// `TRANSFORM`: runs on the worker pool, completes via the sink.
-    fn dispatch_transform(
-        &mut self,
-        token: u64,
-        seq: u64,
-        name: &str,
-        features: Vec<f64>,
-        trace: Option<u64>,
-    ) {
-        let context = Arc::clone(&self.context);
-        let stats = &context.stats;
-        let start = Instant::now();
-        stats.inflight_enter();
-        let mut span = context.begin_span(trace, "serve/TRANSFORM");
-        let model = match context.registry.resolve(name) {
-            Ok(model) => model,
-            Err(e) => {
-                stats.inflight_exit();
-                stats.transform.record(start.elapsed(), false);
-                if let Some(span) = span {
-                    context.finish_span(span, &self.span_ring);
-                }
-                self.emit(token, seq, with_echo(protocol::err_response(&e), trace));
-                return;
-            }
-        };
-        if let Some(s) = span.as_mut() {
-            s.event("resolve");
-        }
-        if let Err(e) = context.journal_append(|| Record::Transform {
-            model: name.to_string(),
-            features: features.clone(),
-        }) {
-            stats.inflight_exit();
-            stats.transform.record(start.elapsed(), false);
-            if let Some(span) = span {
-                context.finish_span(span, &self.span_ring);
-            }
-            self.emit(token, seq, with_echo(protocol::err_response(&e), trace));
-            return;
-        }
-        let meta = PendingMeta {
-            verb: AsyncVerb::Transform,
-            start,
-            threshold: 0.0,
-            key: None,
-            span,
-            trace,
-        };
-        let sink = self.sink(token, seq);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.pending.insert(seq, meta);
-        }
-        let job = move || {
-            let outcome = (|| -> Result<String> {
-                let x = pfr_linalg::Matrix::from_vec(1, features.len(), features)
-                    .map_err(ServeError::model)?;
-                let z = model.transform_batch(&x)?;
-                Ok(protocol::format_numbers(z.row(0)))
-            })();
-            sink.send_text(outcome);
-        };
-        if let Err(e) = context.pool.execute(job) {
-            self.apply(Completion {
-                token,
-                seq,
-                outcome: Outcome::Text(Err(e)),
-            });
-        }
-    }
-
-    /// `LOAD`: disk io runs on the worker pool, not the reactor.
-    fn dispatch_load(&mut self, token: u64, seq: u64, name: String, path: String) {
-        let context = Arc::clone(&self.context);
-        context.stats.inflight_enter();
-        let meta = PendingMeta {
-            verb: AsyncVerb::Load,
-            start: Instant::now(),
-            threshold: 0.0,
-            key: None,
-            span: None,
-            trace: None,
-        };
-        let sink = self.sink(token, seq);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.pending.insert(seq, meta);
-        }
-        let job_context = Arc::clone(&context);
-        let job = move || {
-            let outcome = server::handle_load(&job_context, &name, Path::new(&path));
-            sink.send_text(outcome);
-        };
-        if let Err(e) = context.pool.execute(job) {
-            self.apply(Completion {
-                token,
-                seq,
-                outcome: Outcome::Text(Err(e)),
-            });
+            // Shutdown race: the batcher or the pool is gone. Answer now
+            // instead of leaving the request pending forever.
+            Err(e) => self.answer(token, seq, call, Outcome::Text(Err(e))),
         }
     }
 
@@ -970,78 +623,27 @@ impl Reactor {
 
     fn apply_completions(&mut self) {
         while let Ok(completion) = self.completions_rx.try_recv() {
-            let token = completion.token;
-            self.apply(completion);
+            let Completion {
+                token,
+                seq,
+                outcome,
+            } = completion;
+            // A completion whose connection died while the job ran has
+            // nobody to answer; its `Call` went with the connection.
+            let pending = self.conns.get_mut(&token);
+            if let Some(call) = pending.and_then(|conn| conn.pending.remove(&seq)) {
+                self.answer(token, seq, call, outcome);
+            }
             // The emitted response may have drained the output below the
             // watermark; resume any reads and parsing paused behind it.
             self.pump(token);
         }
     }
 
-    /// Applies one finished asynchronous request: stats, cache fill,
-    /// response rendering and ordered emission.
-    fn apply(&mut self, completion: Completion) {
-        let Some(conn) = self.conns.get_mut(&completion.token) else {
-            // The connection died while the job ran. Its request still
-            // entered the in-flight gauge at parse time, so it must still
-            // leave — otherwise every abandoned request inflates `queue=`
-            // (the load signal the routing tier reads) forever.
-            self.context.stats.inflight_exit();
-            return;
-        };
-        let Some(mut meta) = conn.pending.remove(&completion.seq) else {
-            // Unreachable with monotonic tokens and one completion per
-            // sink, but the gauge invariant (one exit per enter) must hold
-            // on every path a completion can take.
-            self.context.stats.inflight_exit();
-            return;
-        };
-        let stats = Arc::clone(&self.context.stats);
-        stats.inflight_exit();
-        let response = match completion.outcome {
-            Outcome::Score(Ok(score)) => {
-                if let Some(s) = meta.span.as_mut() {
-                    // Queue wait, batch assembly and the GEMM all sit
-                    // between "cache-miss" and this event.
-                    s.event("batch-scored");
-                }
-                if let Some(key) = meta.key.take() {
-                    self.context
-                        .cache
-                        .lock()
-                        .expect("cache lock poisoned")
-                        .insert(key, score);
-                    if let Some(s) = meta.span.as_mut() {
-                        s.event("cache-insert");
-                    }
-                }
-                verb_stats(&stats, meta.verb).record(meta.start.elapsed(), true);
-                protocol::ok_response(&server::score_payload(score, meta.threshold))
-            }
-            Outcome::Score(Err(e)) => {
-                verb_stats(&stats, meta.verb).record(meta.start.elapsed(), false);
-                protocol::err_response(&e)
-            }
-            Outcome::Text(outcome) => {
-                if let Some(s) = meta.span.as_mut() {
-                    s.event(match meta.verb {
-                        AsyncVerb::Load => "install",
-                        AsyncVerb::Transform => "pool-exec",
-                        AsyncVerb::Score => "batch-scored",
-                    });
-                }
-                verb_stats(&stats, meta.verb).record(meta.start.elapsed(), outcome.is_ok());
-                render(outcome)
-            }
-        };
-        if let Some(span) = meta.span.take() {
-            self.context.finish_span(span, &self.span_ring);
-        }
-        self.emit(
-            completion.token,
-            completion.seq,
-            with_echo(response, meta.trace),
-        );
+    /// Closes `call` with `outcome` and emits its response at `seq`.
+    fn answer(&mut self, token: u64, seq: u64, call: Call, outcome: Outcome) {
+        let response = call.complete(outcome, &self.span_ring);
+        self.emit(token, seq, response);
     }
 
     /// Queues `response` for `seq`, then moves every now-contiguous
@@ -1090,48 +692,22 @@ impl Reactor {
     }
 }
 
-fn render(outcome: Result<String>) -> String {
-    match outcome {
-        Ok(payload) => protocol::ok_response(&payload),
-        Err(e) => protocol::err_response(&e),
-    }
-}
-
-/// Appends the trace echo when the request carried a wire token.
-/// Server-sampled traces never alter response bytes, so both front ends
-/// stay bitwise interchangeable for untraced callers.
-fn with_echo(mut response: String, trace: Option<u64>) -> String {
-    if let Some(id) = trace {
-        response.push(' ');
-        response.push_str(&pfr_obs::trace_token(id));
-    }
-    response
-}
-
-fn verb_stats(stats: &crate::stats::ServerStats, verb: AsyncVerb) -> &VerbStats {
-    match verb {
-        AsyncVerb::Score => &stats.score,
-        AsyncVerb::Transform => &stats.transform,
-        AsyncVerb::Load => &stats.load,
-    }
-}
-
-/// The reactor front end shares every protocol test with the threaded one
-/// (the `server` module's tests run under the default = reactor config, and
-/// the end-to-end suites run under both). The tests here cover what only
-/// exists in reactor mode: idle timeouts and pipelined reordering.
+/// The `server` module's tests cover the protocol; the tests here cover
+/// the connection machinery: idle timeouts, shedding, backpressure and
+/// pipelined reordering.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::BatcherConfig;
     use crate::model::tests::toy_bundle;
-    use crate::server::{Server, ServerConfig};
+    use crate::server::{Frontend, Server, ServerConfig};
     use pfr_core::persistence;
     use std::io::{BufRead, BufReader, Read, Write};
 
     fn reactor_server(idle: Option<Duration>) -> (Server, pfr_linalg::Matrix) {
         let (bundle, x) = toy_bundle();
         let server = Server::spawn(ServerConfig {
-            frontend: crate::server::Frontend::reactor(1),
+            frontend: Frontend::reactor(1),
             idle_timeout: idle,
             ..ServerConfig::default()
         })
@@ -1216,11 +792,11 @@ mod tests {
     #[test]
     fn connections_past_the_limit_are_shed_with_a_busy_line() {
         let (bundle, x) = toy_bundle();
-        let server = Server::spawn(
-            ServerConfig::new()
-                .with_frontend(crate::server::Frontend::reactor(1))
-                .with_max_connections(Some(1)),
-        )
+        let server = Server::spawn(ServerConfig {
+            frontend: Frontend::reactor(1),
+            max_connections: Some(1),
+            ..ServerConfig::default()
+        })
         .unwrap();
         let text = persistence::bundle_to_string(&bundle);
         server.registry().load_from_str("risk", &text).unwrap();
@@ -1281,9 +857,11 @@ mod tests {
     #[test]
     fn a_reactor_pool_serves_connections_on_every_thread() {
         let (bundle, x) = toy_bundle();
-        let server =
-            Server::spawn(ServerConfig::new().with_frontend(crate::server::Frontend::reactor(4)))
-                .unwrap();
+        let server = Server::spawn(ServerConfig {
+            frontend: Frontend::reactor(4),
+            ..ServerConfig::default()
+        })
+        .unwrap();
         let text = persistence::bundle_to_string(&bundle);
         server.registry().load_from_str("risk", &text).unwrap();
         let model = server.registry().get("risk").unwrap();
@@ -1340,6 +918,36 @@ mod tests {
         let mut buf = [0u8; 1];
         let n = idle.read(&mut buf).unwrap_or(0);
         assert_eq!(n, 0, "idle connection should see EOF");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_client_waiting_for_its_reply_is_not_idle() {
+        // The batcher lingers six idle timeouts before scoring: the
+        // connection reads no byte for all that time, but it is owed a
+        // reply, so the deadline must re-arm rather than close it.
+        let (bundle, x) = toy_bundle();
+        let server = Server::spawn(ServerConfig {
+            idle_timeout: Some(Duration::from_millis(100)),
+            batcher: BatcherConfig {
+                linger: Duration::from_millis(600),
+                ..BatcherConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let text = persistence::bundle_to_string(&bundle);
+        server.registry().load_from_str("risk", &text).unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        writeln!(writer, "SCORE risk {}", protocol::format_numbers(x.row(0))).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        assert!(
+            response.starts_with("OK "),
+            "want a score, got '{response}'"
+        );
         server.shutdown();
     }
 }

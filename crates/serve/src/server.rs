@@ -1,73 +1,59 @@
-//! The TCP serving front end: accept loop, per-connection protocol threads,
-//! and the request paths that tie registry, cache, batcher and pool together.
+//! The serving instance: configuration, the state every request shares
+//! ([`ServeContext`]), start-up and shutdown of the reactor pool, and
+//! journal recovery.
 //!
 //! ```text
 //!            ┌────────────┐   SCORE    ┌─────────────┐      ┌────────────┐
-//! client ──► │ conn thread│ ──miss───► │ MicroBatcher│ ───► │ WorkerPool │
-//!            │ (protocol) │ ◄──reply── │  (coalesce) │      │  (GEMM)    │
+//! client ──► │  reactor   │ ──miss───► │ MicroBatcher│ ───► │ WorkerPool │
+//!            │ (framing)  │ ◄──reply── │  (coalesce) │      │  (GEMM)    │
 //!            └─────┬──────┘            └─────────────┘      └────────────┘
-//!                  │ hit                       ▲
+//!                  │ verbs                     ▲
 //!                  ▼                           │
 //!            ┌────────────┐              ┌───────────┐
-//!            │ ScoreCache │              │ Registry  │ (LOAD hot-swap)
+//!            │ ScoreCache │              │ Registry  │ (LOAD/PUSH hot-swap)
 //!            └────────────┘              └───────────┘
 //! ```
 //!
-//! The cache sits in front of the batcher: a hit answers on the connection
-//! thread without touching the pool; a miss pays one batched scoring pass
-//! and populates the cache for every identical future request against the
-//! same model generation.
+//! Connections live in `reactor_front`; every wire verb executes in
+//! `verbs`. The cache sits in front of the batcher: a hit answers on the
+//! reactor thread without touching the pool; a miss pays one batched
+//! scoring pass and populates the cache for every identical future request
+//! against the same model generation.
 
 use crate::batcher::{BatcherConfig, MicroBatcher};
 use crate::cache::{CachePolicy, ScoreCache, ScoreKey};
 use crate::error::ServeError;
-use crate::protocol::{self, Request};
 use crate::registry::ModelRegistry;
 use crate::stats::ServerStats;
 use crate::Result;
 use pfr_journal::{Journal, JournalConfig, Record};
-use pfr_obs::{ActiveSpan, MetricsRegistry, Sampler, SpanRing, TraceStore};
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use pfr_obs::{MetricsRegistry, Sampler, TraceStore};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Which connection-handling architecture the front end runs.
-///
-/// Both speak the identical protocol and produce bitwise-identical
-/// responses — the end-to-end tests run under both and diff them — but
-/// they scale differently: `Threaded` pays one OS thread (stack, kernel
-/// task, scheduler slot) per *connected* client, `Reactor` pays `threads`
-/// event-loop threads total and a few hundred bytes of state per client.
+/// The width of the front end: how many epoll reactor threads (`crates/net`)
+/// multiplex the client connections. Accepted connections distribute across
+/// the pool via the shared listener, and an idle client costs a few hundred
+/// bytes of buffer state, not a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Frontend {
-    /// A pool of `threads` epoll reactor threads multiplexing every
-    /// connection (`crates/net`); accepted connections distribute across
-    /// the pool via the shared listener, and idle clients cost buffer
-    /// space, not threads. `threads` is clamped to at least 1.
-    Reactor {
-        /// Number of reactor event-loop threads sharing the listener.
-        threads: usize,
-    },
-    /// One blocking thread per accepted connection — the original front
-    /// end, kept selectable as the differential-testing baseline.
-    Threaded,
+pub struct Frontend {
+    /// Number of reactor event-loop threads sharing the listener (≥ 1).
+    threads: usize,
 }
 
 impl Default for Frontend {
     fn default() -> Self {
-        Frontend::Reactor { threads: 1 }
+        Frontend::reactor(1)
     }
 }
 
 impl Frontend {
     /// A reactor pool of `threads` event loops (clamped to at least 1).
     pub fn reactor(threads: usize) -> Frontend {
-        Frontend::Reactor {
+        Frontend {
             threads: threads.max(1),
         }
     }
@@ -78,7 +64,7 @@ impl Frontend {
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Connection-handling architecture (see [`Frontend`]).
+    /// Reactor pool width (see [`Frontend`]).
     pub frontend: Frontend,
     /// Worker threads executing scoring/transform jobs.
     pub workers: usize,
@@ -98,10 +84,10 @@ pub struct ServerConfig {
     /// verb otherwise lets any client probe arbitrary filesystem paths).
     /// In-process loading via [`Server::registry`] is never restricted.
     pub bundle_dir: Option<std::path::PathBuf>,
-    /// Drop connections idle longer than this (`None` = never). Only the
-    /// reactor front end enforces it — with thread-per-connection an idle
-    /// client already holds the thread, which is the resource the timeout
-    /// would protect.
+    /// Drop connections idle longer than this (`None` = never). A
+    /// connection that is still owed a reply — a request in the batcher,
+    /// the pool or an fsync, or output the peer has not read yet — is not
+    /// idle, however long ago its last byte arrived.
     pub idle_timeout: Option<Duration>,
     /// Write-ahead journal configuration (`None` = no journaling). When
     /// set, every accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is appended to
@@ -114,14 +100,12 @@ pub struct ServerConfig {
     /// [`Server::registry`] bypass the wire handlers and are **not**
     /// journaled; use `LOAD`/`PUSH` for installs that must survive a crash.
     pub journal: Option<JournalConfig>,
-    /// Most simultaneously connected clients the reactor front end serves
+    /// Most simultaneously connected clients the server admits
     /// (`None` = unlimited). A connection accepted past the limit is
     /// **shed**: answered with one [`protocol::BUSY`] line and closed, and
     /// counted under `sheds=` on the `STATS` line. Load-shedding protects
     /// tail latency for the connections already admitted; the routing tier
-    /// treats `BUSY` as "walk on to another replica". The threaded front
-    /// end ignores the limit (each connection already costs a thread,
-    /// which is its own natural limiter).
+    /// treats `BUSY` as "walk on to another replica".
     pub max_connections: Option<usize>,
     /// Trace one in every `trace_sample_every` otherwise-untraced requests
     /// (0 disables server-initiated sampling). Requests arriving with a
@@ -155,155 +139,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Builder-style constructors so call sites read as intent instead of
-/// positional struct literals: `ServerConfig::new().with_frontend(
-/// Frontend::reactor(4)).with_max_connections(Some(10_000))`.
-impl ServerConfig {
-    /// The default configuration (same as [`ServerConfig::default`]).
-    pub fn new() -> ServerConfig {
-        ServerConfig::default()
-    }
-
-    /// Sets the bind address.
-    pub fn with_addr(mut self, addr: impl Into<String>) -> ServerConfig {
-        self.addr = addr.into();
-        self
-    }
-
-    /// Selects the connection-handling architecture.
-    pub fn with_frontend(mut self, frontend: Frontend) -> ServerConfig {
-        self.frontend = frontend;
-        self
-    }
-
-    /// Sets the scoring worker-pool size.
-    pub fn with_workers(mut self, workers: usize) -> ServerConfig {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the micro-batching parameters.
-    pub fn with_batcher(mut self, batcher: BatcherConfig) -> ServerConfig {
-        self.batcher = batcher;
-        self
-    }
-
-    /// Sets the score-cache capacity (0 disables caching).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> ServerConfig {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Restricts the wire-facing `LOAD` verb to bundles under `dir`.
-    pub fn with_bundle_dir(mut self, dir: Option<std::path::PathBuf>) -> ServerConfig {
-        self.bundle_dir = dir;
-        self
-    }
-
-    /// Sets the reactor front end's idle-connection timeout.
-    pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> ServerConfig {
-        self.idle_timeout = timeout;
-        self
-    }
-
-    /// Enables write-ahead journaling.
-    pub fn with_journal(mut self, journal: Option<JournalConfig>) -> ServerConfig {
-        self.journal = journal;
-        self
-    }
-
-    /// Sets the reactor front end's connection limit (see
-    /// [`ServerConfig::max_connections`]).
-    pub fn with_max_connections(mut self, limit: Option<usize>) -> ServerConfig {
-        self.max_connections = limit;
-        self
-    }
-
-    /// Traces one in every `every` untraced requests (0 disables
-    /// server-initiated sampling; wire-token traces are always recorded).
-    pub fn with_trace_sampling(mut self, every: u64) -> ServerConfig {
-        self.trace_sample_every = every;
-        self
-    }
-
-    /// Journals the span breakdown of traced requests slower than
-    /// `threshold` (see [`ServerConfig::slow_trace_threshold`]).
-    pub fn with_slow_trace_threshold(mut self, threshold: Option<Duration>) -> ServerConfig {
-        self.slow_trace_threshold = threshold;
-        self
-    }
-}
-
-/// How often the accept loop re-checks the shutdown flag while no
-/// connection is pending. Bounds both shutdown latency and the worst-case
-/// extra accept latency of the non-blocking loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// Finished spans each front-end ring retains for `TRACE` lookups. Spans
-/// exist only for sampled requests, so the memory cost is bounded and
-/// small (a few hundred bytes per span).
-pub(crate) const SPAN_RING_CAPACITY: usize = 256;
-
-/// Live client connections: their streams (so shutdown can unblock the
-/// reads) and their thread handles (so shutdown can join instead of leak).
-#[derive(Debug, Default)]
-struct ConnectionTable {
-    next_id: AtomicU64,
-    streams: Mutex<HashMap<u64, TcpStream>>,
-    threads: Mutex<Vec<(u64, JoinHandle<()>)>>,
-}
-
-impl ConnectionTable {
-    /// Registers a connection; returns its id for deregistration.
-    fn register(&self, stream: TcpStream) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams
-            .lock()
-            .expect("connection table lock poisoned")
-            .insert(id, stream);
-        id
-    }
-
-    /// Removes a finished connection's stream (called by its own thread).
-    fn deregister(&self, id: u64) {
-        self.streams
-            .lock()
-            .expect("connection table lock poisoned")
-            .remove(&id);
-    }
-
-    /// Records a connection thread's handle and drops already-finished
-    /// handles (dropping a finished thread's handle just detaches it), so
-    /// the table stays bounded by the number of *live* connections, not the
-    /// number ever accepted.
-    fn track(&self, id: u64, handle: JoinHandle<()>) {
-        let mut threads = self.threads.lock().expect("connection table lock poisoned");
-        threads.retain(|(_, h)| !h.is_finished());
-        threads.push((id, handle));
-    }
-
-    /// Half-closes every live connection so blocked `read_line`s return,
-    /// then joins every connection thread.
-    fn close_and_join(&self) {
-        for stream in self
-            .streams
-            .lock()
-            .expect("connection table lock poisoned")
-            .values()
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        let handles: Vec<_> = {
-            let mut threads = self.threads.lock().expect("connection table lock poisoned");
-            threads.drain(..).collect()
-        };
-        for (_, handle) in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Everything the request paths share (both front ends).
+/// Everything the request paths share.
 pub(crate) struct ServeContext {
     pub(crate) registry: ModelRegistry,
     pub(crate) cache: Mutex<ScoreCache>,
@@ -318,14 +154,10 @@ pub(crate) struct ServeContext {
     /// Extra `key=value` stats sources attached by co-located subsystems
     /// (e.g. an in-process refit worker riding the `STATS` line).
     extra_stats: Mutex<Vec<Arc<dyn Fn() -> String + Send + Sync>>>,
-    connections: ConnectionTable,
     /// Every counter/gauge/histogram this process exposes via `METRICS`.
     pub(crate) metrics: Arc<MetricsRegistry>,
-    /// Span rings the `TRACE` verb reads back (one per front-end thread
-    /// group; the threaded front end shares [`ServeContext::span_ring`]).
+    /// Span rings the `TRACE` verb reads back (one per reactor).
     pub(crate) traces: Arc<TraceStore>,
-    /// The threaded front end's shared span ring.
-    pub(crate) span_ring: Arc<SpanRing>,
     /// Decides which untraced requests get a server-minted span.
     pub(crate) sampler: Sampler,
     /// Slow-request log threshold (see
@@ -368,80 +200,6 @@ impl ServeContext {
             }
         }
         line
-    }
-
-    /// Appends a journal record if journaling is configured. The record is
-    /// built lazily so the non-journaling hot path pays nothing. An append
-    /// failure fails the request: a server that promised durability must
-    /// not serve what it could not record.
-    pub(crate) fn journal_append(&self, record: impl FnOnce() -> Record) -> Result<()> {
-        if let Some(journal) = &self.journal {
-            journal
-                .append(&record())
-                .map_err(|e| ServeError::Journal(e.to_string()))?;
-        }
-        Ok(())
-    }
-
-    /// Starts a span when this request should be traced: always when it
-    /// arrived with a wire token (`wire_trace`), otherwise when the
-    /// sampler fires. Untraced requests pay one relaxed atomic add in the
-    /// sampler and nothing else.
-    pub(crate) fn begin_span(
-        &self,
-        wire_trace: Option<u64>,
-        name: &'static str,
-    ) -> Option<ActiveSpan> {
-        match wire_trace {
-            Some(id) => Some(ActiveSpan::new(id, name)),
-            None if self.sampler.fire() => Some(ActiveSpan::new(pfr_obs::mint_trace_id(), name)),
-            None => None,
-        }
-    }
-
-    /// Closes a span into `ring` and, when the request breached the slow
-    /// threshold, writes its breakdown through the journal as a
-    /// slow-trace record (best effort: a full disk must not fail a
-    /// request that already succeeded).
-    pub(crate) fn finish_span(&self, span: ActiveSpan, ring: &SpanRing) {
-        let trace_id = span.trace_id();
-        let total_ns = span.finish(ring);
-        let Some(threshold) = self.slow_threshold else {
-            return;
-        };
-        if total_ns < u64::try_from(threshold.as_nanos()).unwrap_or(u64::MAX) {
-            return;
-        }
-        self.stats.record_slow_request();
-        if let Some(journal) = &self.journal {
-            if let Some(record) = ring.find(trace_id).into_iter().next_back() {
-                let _ = journal.append(&Record::SlowTrace {
-                    trace_id,
-                    total_ns,
-                    text: record.render(0),
-                });
-            }
-        }
-    }
-
-    /// The `METRICS` payload: the full exposition, escaped onto one line.
-    pub(crate) fn metrics_payload(&self) -> String {
-        pfr_obs::escape_multiline(&self.metrics.render())
-    }
-
-    /// The `TRACE <id>` payload: every recorded span under `id`, escaped
-    /// onto one line. Unknown ids are an error — either the id was never
-    /// sampled here or its spans have been evicted.
-    pub(crate) fn trace_payload(&self, id: u64) -> Result<String> {
-        let spans = self.traces.find(id);
-        if spans.is_empty() {
-            return Err(ServeError::Protocol(format!("no recorded trace {id:016x}")));
-        }
-        let mut text = String::new();
-        for span in &spans {
-            text.push_str(&span.render(0));
-        }
-        Ok(pfr_obs::escape_multiline(&text))
     }
 }
 
@@ -489,23 +247,14 @@ impl RecoveryReport {
     }
 }
 
-/// The running front end's handles — whichever architecture was selected.
-enum Front {
-    Threaded {
-        accept_thread: Option<JoinHandle<()>>,
-    },
-    Reactor {
-        threads: Vec<JoinHandle<()>>,
-        wakers: Vec<Arc<pfr_net::Waker>>,
-    },
-}
-
 /// A running server: address, shared state handles, and shutdown control.
 pub struct Server {
     addr: SocketAddr,
     context: Arc<ServeContext>,
     shutdown: Arc<AtomicBool>,
-    front: Front,
+    /// The reactor pool: one thread and one waker per event loop.
+    reactors: Vec<JoinHandle<()>>,
+    wakers: Vec<Arc<pfr_net::Waker>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -515,13 +264,11 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds, spawns the selected front end and returns the running server.
+    /// Binds, spawns the reactor pool and returns the running server.
     pub fn spawn(config: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        // A non-blocking listener lets the threaded accept loop poll the
-        // shutdown flag (and is mandatory for the reactor, which must never
-        // block in accept).
+        // A reactor must never block in accept.
         listener.set_nonblocking(true)?;
         let stats = Arc::new(ServerStats::new());
         let pool = Arc::new(crate::pool::WorkerPool::new(config.workers));
@@ -543,7 +290,6 @@ impl Server {
             journal.register_metrics(&metrics);
         }
         let traces = Arc::new(TraceStore::new());
-        let span_ring = traces.new_ring(SPAN_RING_CAPACITY);
         {
             let traces = Arc::clone(&traces);
             metrics.gauge(
@@ -566,44 +312,27 @@ impl Server {
             journal,
             recovery: Mutex::new(None),
             extra_stats: Mutex::new(Vec::new()),
-            connections: ConnectionTable::default(),
             metrics,
             traces,
-            span_ring,
             sampler: Sampler::new(config.trace_sample_every),
             slow_threshold: config.slow_trace_threshold,
             catalog: Mutex::new(None),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
-        let front = match config.frontend {
-            Frontend::Threaded => {
-                let context = Arc::clone(&context);
-                let shutdown = Arc::clone(&shutdown);
-                let accept_thread = std::thread::Builder::new()
-                    .name("pfr-serve-accept".to_string())
-                    .spawn(move || accept_loop(listener, &context, &shutdown))
-                    .expect("spawning the accept thread never fails on this platform");
-                Front::Threaded {
-                    accept_thread: Some(accept_thread),
-                }
-            }
-            Frontend::Reactor { threads } => {
-                let (threads, wakers) = crate::reactor_front::spawn_pool(
-                    listener,
-                    Arc::clone(&context),
-                    Arc::clone(&shutdown),
-                    config.idle_timeout,
-                    threads.max(1),
-                    config.max_connections,
-                )?;
-                Front::Reactor { threads, wakers }
-            }
-        };
+        let (reactors, wakers) = crate::reactor_front::spawn_pool(
+            listener,
+            Arc::clone(&context),
+            Arc::clone(&shutdown),
+            config.idle_timeout,
+            config.frontend.threads,
+            config.max_connections,
+        )?;
         Ok(Server {
             addr,
             context,
             shutdown,
-            front,
+            reactors,
+            wakers,
         })
     }
 
@@ -634,28 +363,6 @@ impl Server {
     /// The recorded trace spans backing the `TRACE` verb.
     pub fn traces(&self) -> &TraceStore {
         &self.context.traces
-    }
-
-    /// Warms the score cache from an externally recorded request log
-    /// (line-delimited `SCORE <name> ...` lines — a wire capture replays
-    /// unmodified). Call after loading models and before exposing the
-    /// address. Returns `(replayed, skipped)` line counts; truncated or
-    /// partially binary logs degrade to skipped lines, never errors. See
-    /// [`ScoreCache::warm_from_log`].
-    ///
-    /// A server running with a journal does not need this: journal replay
-    /// ([`Server::recover_from_journal`]) warms the cache from the
-    /// server's *own* durable request record instead of an external
-    /// capture.
-    pub fn warm_from_log(&self, path: &Path) -> Result<(usize, usize)> {
-        let registry = &self.context.registry;
-        let mut cache = self.context.cache.lock().expect("cache lock poisoned");
-        let counts = cache.warm_from_log(path, |name, features| {
-            let model = registry.get(name)?;
-            let score = model.score_one(features).ok()?;
-            Some((model.generation(), score))
-        })?;
-        Ok(counts)
     }
 
     /// The write-ahead journal, if one is configured.
@@ -773,9 +480,10 @@ impl Server {
     }
 
     /// Gracefully shuts the server down: stops accepting, closes every
-    /// established connection (in-flight requests finish; blocked reads are
-    /// unblocked by the socket close) and joins the accept and connection
-    /// threads. No thread or socket outlives this call.
+    /// established connection (clients blocked in a read observe EOF; a
+    /// request that raced the close is dropped, since its response could
+    /// not reach the client anyway) and joins the reactor threads. No
+    /// thread or socket outlives this call.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -784,23 +492,13 @@ impl Server {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        match &mut self.front {
-            Front::Threaded { accept_thread } => {
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                self.context.connections.close_and_join();
-            }
-            Front::Reactor { threads, wakers } => {
-                // Every reactor notices the flag on its wake, closes the
-                // connections it owns and exits.
-                for waker in wakers.iter() {
-                    let _ = waker.wake();
-                }
-                for t in threads.drain(..) {
-                    let _ = t.join();
-                }
-            }
+        // Every reactor notices the flag on its wake, closes the
+        // connections it owns and exits.
+        for waker in &self.wakers {
+            let _ = waker.wake();
+        }
+        for reactor in self.reactors.drain(..) {
+            let _ = reactor.join();
         }
     }
 }
@@ -811,454 +509,14 @@ impl Drop for Server {
     }
 }
 
-/// Accepts connections until the shutdown flag flips, polling every
-/// [`ACCEPT_POLL`] while idle; each accepted stream gets a registered,
-/// joinable connection thread.
-fn accept_loop(listener: TcpListener, context: &Arc<ServeContext>, shutdown: &Arc<AtomicBool>) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(_) => {
-                // Persistent accept errors (EMFILE under fd exhaustion)
-                // return without consuming the pending connection; retrying
-                // immediately would busy-spin a core.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        // Accepted sockets must block: the connection thread parks in
-        // read_line between requests. (Linux does not inherit O_NONBLOCK
-        // across accept, but other platforms may.)
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
-        // The protocol is one short line each way per request; Nagle +
-        // delayed ACK would serialize that into ~40ms round trips.
-        let _ = stream.set_nodelay(true);
-        let Ok(tracked) = stream.try_clone() else {
-            continue;
-        };
-        context.stats.record_connection();
-        let id = context.connections.register(tracked);
-        let thread_context = Arc::clone(context);
-        let thread_shutdown = Arc::clone(shutdown);
-        let spawned = std::thread::Builder::new()
-            .name("pfr-serve-conn".to_string())
-            .spawn(move || {
-                handle_connection(stream, &thread_context, &thread_shutdown);
-                thread_context.connections.deregister(id);
-            });
-        match spawned {
-            Ok(handle) => context.connections.track(id, handle),
-            Err(_) => context.connections.deregister(id),
-        }
-    }
-}
-
-/// Reads request lines until EOF/QUIT/shutdown, writing one response line
-/// each.
-fn handle_connection(stream: TcpStream, context: &ServeContext, shutdown: &AtomicBool) {
-    let Ok(peer_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(peer_half);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return, // client closed (or shutdown closed us)
-            Ok(_) => {}
-        }
-        // A line that raced the shutdown close is dropped rather than
-        // served: the socket is already shut in both directions, so the
-        // response could not reach the client anyway.
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = protocol::parse_request(&line);
-        // PUSH is the one verb the line-oriented `respond` cannot execute:
-        // its counted payload must be read off this connection's stream
-        // before the next request line.
-        let (response, quit) = match parsed {
-            Ok(Request::Push {
-                name,
-                nbytes,
-                trace,
-            }) => {
-                let start = Instant::now();
-                let _inflight = context.stats.track_inflight();
-                let mut span = context.begin_span(trace, "serve/PUSH");
-                let mut payload = vec![0u8; nbytes];
-                if reader.read_exact(&mut payload).is_err() {
-                    // A truncated payload leaves the stream unframeable;
-                    // close rather than misparse payload bytes as lines.
-                    return;
-                }
-                if let Some(s) = span.as_mut() {
-                    s.event("payload-read");
-                }
-                let outcome = handle_push(context, &name, &payload, span.as_mut());
-                context.stats.load.record(start.elapsed(), outcome.is_ok());
-                if let Some(span) = span {
-                    context.finish_span(span, &context.span_ring);
-                }
-                let mut response = match outcome {
-                    Ok(payload) => protocol::ok_response(&payload),
-                    Err(e) => protocol::err_response(&e),
-                };
-                if let Some(id) = trace {
-                    response.push(' ');
-                    response.push_str(&pfr_obs::trace_token(id));
-                }
-                (response, false)
-            }
-            // SYNC carries a counted payload too: read it off the stream
-            // here for the same framing reason as PUSH.
-            Ok(Request::Sync { nbytes }) => {
-                let start = Instant::now();
-                let _inflight = context.stats.track_inflight();
-                let mut payload = vec![0u8; nbytes];
-                if reader.read_exact(&mut payload).is_err() {
-                    return;
-                }
-                let outcome = handle_sync(context, &payload);
-                context
-                    .stats
-                    .catalog
-                    .record(start.elapsed(), outcome.is_ok());
-                let response = match outcome {
-                    Ok(payload) => protocol::ok_response(&payload),
-                    Err(e) => protocol::err_response(&e),
-                };
-                (response, false)
-            }
-            parsed => respond(parsed, context, &context.span_ring),
-        };
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-            || quit
-        {
-            return;
-        }
-    }
-}
-
-/// Executes one parsed request; returns the response and whether to close.
-/// `PUSH` never reaches here — the connection loop intercepts it to read
-/// the counted payload off the stream. Finished spans land in `ring` (the
-/// calling front-end thread group's ring).
-fn respond(parsed: Result<Request>, context: &ServeContext, ring: &SpanRing) -> (String, bool) {
-    match parsed {
-        Ok(Request::Quit) => (protocol::ok_response("bye"), true),
-        Ok(request) => {
-            let start = Instant::now();
-            let _inflight = context.stats.track_inflight();
-            // The wire token is echoed on the response; a server-sampled
-            // span is recorded locally but never changes response bytes.
-            let wire_trace = match &request {
-                Request::Score { trace, .. } | Request::Transform { trace, .. } => *trace,
-                _ => None,
-            };
-            let mut span = match &request {
-                Request::Score { .. } => context.begin_span(wire_trace, "serve/SCORE"),
-                Request::Transform { .. } => context.begin_span(wire_trace, "serve/TRANSFORM"),
-                _ => None,
-            };
-            let (verb_stats, outcome) = match request {
-                Request::Load { name, path } => (
-                    &context.stats.load,
-                    handle_load(context, &name, Path::new(&path)),
-                ),
-                Request::Score { name, features, .. } => (
-                    &context.stats.score,
-                    handle_score(context, &name, features, span.as_mut()),
-                ),
-                Request::Transform { name, features, .. } => (
-                    &context.stats.transform,
-                    handle_transform(context, &name, features, span.as_mut()),
-                ),
-                Request::Stats => (&context.stats.stats, Ok(context.stats_line())),
-                Request::Health => (&context.stats.health, Ok(handle_health(context))),
-                Request::Epoch { name } => (&context.stats.epoch, handle_epoch(context, &name)),
-                Request::Metrics => (&context.stats.stats, Ok(context.metrics_payload())),
-                Request::Trace { id } => (&context.stats.stats, context.trace_payload(id)),
-                Request::Catalog { full } => {
-                    (&context.stats.catalog, Ok(handle_catalog(context, full)))
-                }
-                Request::Quit => unreachable!("handled above"),
-                Request::Push { .. } | Request::Sync { .. } => {
-                    unreachable!("intercepted by the connection loop")
-                }
-            };
-            verb_stats.record(start.elapsed(), outcome.is_ok());
-            if let Some(span) = span {
-                context.finish_span(span, ring);
-            }
-            let mut response = match outcome {
-                Ok(payload) => protocol::ok_response(&payload),
-                Err(e) => protocol::err_response(&e),
-            };
-            if let Some(id) = wire_trace {
-                response.push(' ');
-                response.push_str(&pfr_obs::trace_token(id));
-            }
-            (response, false)
-        }
-        Err(e) => {
-            context.stats.record_parse_error();
-            (protocol::err_response(&e), false)
-        }
-    }
-}
-
-/// `HEALTH`: liveness plus the signals a routing tier keys decisions on —
-/// how many models are loaded, how often they have been swapped, and the
-/// instantaneous queue depth. The `queue=` figure includes this HEALTH
-/// request itself, so an idle server reports `queue=1`.
-pub(crate) fn handle_health(context: &ServeContext) -> String {
-    format!(
-        "up models={} swaps={} queue={}",
-        context.registry.len(),
-        context.registry.hot_swaps(),
-        context.stats.queue_depth(),
-    )
-}
-
-/// `EPOCH <name>`: the model's process-local generation and its
-/// cross-process-comparable content digest.
-pub(crate) fn handle_epoch(context: &ServeContext, name: &str) -> Result<String> {
-    let model = context.registry.resolve(name)?;
-    Ok(format!(
-        "{name} generation={} digest={}",
-        model.generation(),
-        pfr_core::persistence::digest_hex(model.digest()),
-    ))
-}
-
-pub(crate) fn handle_load(context: &ServeContext, name: &str, path: &Path) -> Result<String> {
-    if let Some(dir) = &context.bundle_dir {
-        // Canonicalize both sides so `..` segments and symlinks cannot
-        // escape the configured bundle directory.
-        let canonical = path
-            .canonicalize()
-            .map_err(|_| ServeError::Model(format!("no bundle at '{}'", path.display())))?;
-        let dir = dir
-            .canonicalize()
-            .map_err(|_| ServeError::Model("bundle directory is unavailable".to_string()))?;
-        if !canonical.starts_with(&dir) {
-            return Err(ServeError::Model(format!(
-                "'{}' is outside the served bundle directory",
-                path.display()
-            )));
-        }
-    }
-    let model = if context.journal.is_some() {
-        // Journaling inlines the bundle text so replay needs no filesystem:
-        // read and validate first (garbage never lands in the journal),
-        // append the frame, then install from the already-read text.
-        let text = std::fs::read_to_string(path)?;
-        pfr_core::persistence::bundle_from_string(&text).map_err(ServeError::model)?;
-        context.journal_append(|| Record::Load {
-            model: name.to_string(),
-            bundle_text: text.clone(),
-        })?;
-        context.registry.load_from_str(name, &text)?
-    } else {
-        context.registry.load_from_file(name, path)?
-    };
-    Ok(loaded_payload(&model))
-}
-
-/// `PUSH <name> <nbytes>` + payload: registers the bundle text shipped
-/// over the wire — `LOAD` without the shared-filesystem assumption, so a
-/// router can place replicas on backends that cannot read its disks. The
-/// `bundle_dir` restriction does not apply: no server-side path is read.
-pub(crate) fn handle_push(
-    context: &ServeContext,
-    name: &str,
-    payload: &[u8],
-    mut span: Option<&mut ActiveSpan>,
-) -> Result<String> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ServeError::Protocol("PUSH payload is not valid utf-8".to_string()))?;
-    if context.journal.is_some() {
-        // Validate before journaling so a garbage payload never occupies a
-        // frame; the install below re-parses, but pushes are rare and
-        // bundles are small.
-        pfr_core::persistence::bundle_from_string(text).map_err(ServeError::model)?;
-        context.journal_append(|| Record::Push {
-            model: name.to_string(),
-            bundle_text: text.to_string(),
-        })?;
-        if let Some(s) = span.as_deref_mut() {
-            s.event("journal-append");
-        }
-    }
-    let model = context.registry.load_from_str(name, text)?;
-    if let Some(s) = span {
-        s.event("install");
-    }
-    Ok(loaded_payload(&model))
-}
-
-/// `CATALOG [FULL]`: reports the stored placement catalog's version
-/// summary (digest-first anti-entropy probes this), or — with `FULL` —
-/// hands over the whole catalog text escaped onto one line so a peer
-/// router can bootstrap from it. A backend that has never been `SYNC`ed
-/// answers `none`.
-pub(crate) fn handle_catalog(context: &ServeContext, full: bool) -> String {
-    let guard = context.catalog.lock().expect("catalog lock poisoned");
-    match guard.as_ref() {
-        None => "none".to_string(),
-        Some(catalog) if full => pfr_control::escape(&catalog.to_text()),
-        Some(catalog) => catalog.version().summary(),
-    }
-}
-
-/// `SYNC <nbytes>` + payload: offers a catalog to this backend. The
-/// offered value replaces the stored one only when it supersedes it under
-/// the [`pfr_control::Version`] total order — highest version wins, so
-/// concurrent routers pushing stale catalogs can never roll the store
-/// back. The response reports the post-merge holder state and whether the
-/// offer was applied.
-pub(crate) fn handle_sync(context: &ServeContext, payload: &[u8]) -> Result<String> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ServeError::Protocol("SYNC payload is not valid utf-8".to_string()))?;
-    let offered =
-        pfr_control::Catalog::from_text(text).map_err(|e| ServeError::Protocol(e.to_string()))?;
-    let mut guard = context.catalog.lock().expect("catalog lock poisoned");
-    let applied = match guard.as_ref() {
-        Some(held) if !offered.supersedes(held) => false,
-        _ => {
-            *guard = Some(offered);
-            true
-        }
-    };
-    let version = guard
-        .as_ref()
-        .expect("catalog present after merge")
-        .version();
-    Ok(format!(
-        "{} applied={}",
-        version.summary(),
-        u8::from(applied)
-    ))
-}
-
-/// The shared `LOAD`/`PUSH` success payload.
-fn loaded_payload(model: &crate::model::ServableModel) -> String {
-    format!(
-        "loaded {} features={} dim={}",
-        model.version(),
-        model.num_features(),
-        model.dim()
-    )
-}
-
-fn handle_score(
-    context: &ServeContext,
-    name: &str,
-    features: Vec<f64>,
-    mut span: Option<&mut ActiveSpan>,
-) -> Result<String> {
-    let model = context.registry.resolve(name)?;
-    if let Some(s) = span.as_deref_mut() {
-        s.event("resolve");
-    }
-    // Journaled before execution — cache hits included — so replay
-    // reproduces the exact request order (and thus the LRU state).
-    context.journal_append(|| Record::Score {
-        model: name.to_string(),
-        features: features.clone(),
-    })?;
-    if context.journal.is_some() {
-        if let Some(s) = span.as_deref_mut() {
-            s.event("journal-append");
-        }
-    }
-    let key = ScoreKey::new(model.generation(), &features);
-    if let Some(key) = &key {
-        let cached = context.cache.lock().expect("cache lock poisoned").get(key);
-        if let Some(score) = cached {
-            context.stats.record_cache_hit();
-            if let Some(s) = span.as_deref_mut() {
-                s.event("cache-hit");
-            }
-            return Ok(score_payload(score, model.threshold()));
-        }
-    }
-    context.stats.record_cache_miss();
-    if let Some(s) = span.as_deref_mut() {
-        s.event("cache-miss");
-    }
-    let threshold = model.threshold();
-    let score = context.batcher.score(model, features)?;
-    if let Some(s) = span.as_deref_mut() {
-        // Queue wait, batch assembly and the GEMM itself all sit between
-        // the previous event and this one.
-        s.event("batch-scored");
-    }
-    if let Some(key) = key {
-        context
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .insert(key, score);
-        if let Some(s) = span {
-            s.event("cache-insert");
-        }
-    }
-    Ok(score_payload(score, threshold))
-}
-
-pub(crate) fn score_payload(score: f64, threshold: f64) -> String {
-    format!("{score} {}", u8::from(score >= threshold))
-}
-
-fn handle_transform(
-    context: &ServeContext,
-    name: &str,
-    features: Vec<f64>,
-    mut span: Option<&mut ActiveSpan>,
-) -> Result<String> {
-    let model = context.registry.resolve(name)?;
-    if let Some(s) = span.as_deref_mut() {
-        s.event("resolve");
-    }
-    context.journal_append(|| Record::Transform {
-        model: name.to_string(),
-        features: features.clone(),
-    })?;
-    // Transforms are not micro-batched (they are an offline/debugging verb);
-    // they still run on the pool so connection threads never do linear
-    // algebra.
-    let receiver = context.pool.submit(move || -> Result<Vec<f64>> {
-        let x =
-            pfr_linalg::Matrix::from_vec(1, features.len(), features).map_err(ServeError::model)?;
-        let z = model.transform_batch(&x)?;
-        Ok(z.row(0).to_vec())
-    })?;
-    let z = receiver.recv().map_err(|_| ServeError::Shutdown)??;
-    if let Some(s) = span {
-        s.event("pool-exec");
-    }
-    Ok(protocol::format_numbers(&z))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::tests::toy_bundle;
+    use crate::protocol;
     use pfr_core::persistence;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     fn start_with_model() -> (Server, String, pfr_linalg::Matrix) {
         let (bundle, x) = toy_bundle();
@@ -1285,23 +543,36 @@ mod tests {
     }
 
     #[test]
-    fn score_over_tcp_matches_offline_inference_bitwise() {
-        let (server, _, x) = start_with_model();
-        let model = server.registry().get("risk").unwrap();
-        let expected = model.score_batch(&x).unwrap();
+    fn score_over_tcp_matches_offline_inference_bitwise_at_both_pool_widths() {
+        let (bundle, x) = toy_bundle();
+        let text = persistence::bundle_to_string(&bundle);
         let lines: Vec<String> = (0..x.rows())
             .map(|i| format!("SCORE risk {}", protocol::format_numbers(x.row(i))))
             .collect();
-        let responses = request(server.addr(), &lines);
-        for (i, response) in responses.iter().enumerate() {
-            let mut parts = response.split_whitespace();
-            assert_eq!(parts.next(), Some("OK"), "response {response}");
-            let score: f64 = parts.next().unwrap().parse().unwrap();
-            assert_eq!(score.to_bits(), expected[i].to_bits(), "row {i}");
-            let label: u8 = parts.next().unwrap().parse().unwrap();
-            assert_eq!(label, u8::from(expected[i] >= model.threshold()));
+        let mut transcripts = Vec::new();
+        for frontend in [Frontend::reactor(1), Frontend::reactor(4)] {
+            let server = Server::spawn(ServerConfig {
+                frontend,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            server.registry().load_from_str("risk", &text).unwrap();
+            // The oracle is offline inference, not the other width.
+            let model = server.registry().get("risk").unwrap();
+            let expected = model.score_batch(&x).unwrap();
+            let responses = request(server.addr(), &lines);
+            for (i, response) in responses.iter().enumerate() {
+                let mut parts = response.split_whitespace();
+                assert_eq!(parts.next(), Some("OK"), "{frontend:?}: {response}");
+                let score: f64 = parts.next().unwrap().parse().unwrap();
+                assert_eq!(score.to_bits(), expected[i].to_bits(), "row {i}");
+                let label: u8 = parts.next().unwrap().parse().unwrap();
+                assert_eq!(label, u8::from(expected[i] >= model.threshold()));
+            }
+            transcripts.push(responses);
+            server.shutdown();
         }
-        server.shutdown();
+        assert_eq!(transcripts[0], transcripts[1]);
     }
 
     #[test]
@@ -1351,14 +622,10 @@ mod tests {
     }
 
     #[test]
-    fn push_loads_a_bundle_over_the_wire_on_both_front_ends() {
+    fn push_loads_a_bundle_over_the_wire_at_both_pool_widths() {
         let (bundle, x) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
-        for frontend in [
-            Frontend::Threaded,
-            Frontend::reactor(1),
-            Frontend::reactor(4),
-        ] {
+        for frontend in [Frontend::reactor(1), Frontend::reactor(4)] {
             let server = Server::spawn(ServerConfig {
                 frontend,
                 // A bundle_dir that PUSH must ignore: no path is read.
@@ -1397,19 +664,15 @@ mod tests {
     fn push_then_more_requests_on_the_same_connection_stay_framed() {
         let (bundle, x) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
-        for frontend in [
-            Frontend::Threaded,
-            Frontend::reactor(1),
-            Frontend::reactor(4),
-        ] {
+        for frontend in [Frontend::reactor(1), Frontend::reactor(4)] {
             let server = Server::spawn(ServerConfig {
                 frontend,
                 ..ServerConfig::default()
             })
             .unwrap();
-            // Pre-load so the pipelined PUSH below is a hot swap: the
-            // reactor executes PUSH asynchronously (like LOAD), so a
-            // same-burst SCORE may run before the push lands — it must
+            // Pre-load so the pipelined PUSH below is a hot swap: PUSH
+            // installs on the worker pool (like LOAD), so a same-burst
+            // SCORE may run before the push lands — it must
             // still resolve a model. What this test pins down is the
             // *framing*: payload bytes followed immediately by more
             // request lines in one write must not desync the parser.
@@ -1613,86 +876,21 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_closes_established_connections_and_joins_their_threads() {
+    fn shutdown_closes_established_connections() {
         let (server, _, _) = start_with_model();
-        // Park two idle connections in read_line.
         let idle: Vec<TcpStream> = (0..2)
             .map(|_| TcpStream::connect(server.addr()).unwrap())
             .collect();
-        // Give the accept loop time to register both.
+        // Give the reactor time to accept both.
         std::thread::sleep(std::time::Duration::from_millis(50));
         server.shutdown();
-        // shutdown() returned, which means it joined the connection threads
-        // — only possible because it closed their sockets. The clients see
-        // EOF rather than a hang.
+        // The clients see EOF rather than a hang.
         for stream in idle {
             let mut reader = BufReader::new(stream);
             let mut buf = String::new();
             let n = reader.read_line(&mut buf).unwrap_or(0);
             assert_eq!(n, 0, "expected EOF after shutdown, got '{buf}'");
         }
-    }
-
-    #[test]
-    fn threaded_and_reactor_front_ends_serve_bitwise_identically() {
-        let (bundle, x) = toy_bundle();
-        let text = persistence::bundle_to_string(&bundle);
-        let mut responses = Vec::new();
-        for frontend in [
-            Frontend::Threaded,
-            Frontend::reactor(1),
-            Frontend::reactor(4),
-        ] {
-            let server = Server::spawn(ServerConfig {
-                frontend,
-                ..ServerConfig::default()
-            })
-            .unwrap();
-            server.registry().load_from_str("risk", &text).unwrap();
-            let lines: Vec<String> = (0..x.rows())
-                .map(|i| format!("SCORE risk {}", protocol::format_numbers(x.row(i))))
-                .collect();
-            responses.push(request(server.addr(), &lines));
-            server.shutdown();
-        }
-        assert_eq!(
-            responses[0], responses[1],
-            "the two front ends must be byte-for-byte interchangeable"
-        );
-    }
-
-    #[test]
-    fn warm_from_log_preloads_the_cache_for_first_requests() {
-        let (server, _, x) = start_with_model();
-        let log_path =
-            std::env::temp_dir().join(format!("pfr_serve_warm_log_{}.log", std::process::id()));
-        let mut log = String::new();
-        for i in 0..x.rows() {
-            log.push_str(&format!(
-                "SCORE risk {}\n",
-                protocol::format_numbers(x.row(i))
-            ));
-        }
-        log.push_str("SCORE ghost 1 2 3\n"); // unloaded model: skipped
-        std::fs::write(&log_path, log).unwrap();
-        let (replayed, skipped) = server.warm_from_log(&log_path).unwrap();
-        assert_eq!(replayed, x.rows());
-        assert_eq!(skipped, 1, "the ghost-model line is skipped");
-        // Every first real request of a logged vector hits the cache.
-        let lines: Vec<String> = (0..x.rows())
-            .map(|i| format!("SCORE risk {}", protocol::format_numbers(x.row(i))))
-            .collect();
-        let responses = request(server.addr(), &lines);
-        let model = server.registry().get("risk").unwrap();
-        let expected = model.score_batch(&x).unwrap();
-        for (i, response) in responses.iter().enumerate() {
-            let score: f64 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
-            assert_eq!(score.to_bits(), expected[i].to_bits(), "row {i}");
-        }
-        assert_eq!(server.stats().cache_misses(), 0, "warmed requests must hit");
-        assert_eq!(server.stats().cache_hits(), x.rows() as u64);
-        let _ = std::fs::remove_file(&log_path);
-        server.shutdown();
     }
 
     /// Writes a `SYNC` frame (header + counted catalog payload) and reads
@@ -1710,18 +908,14 @@ mod tests {
     }
 
     #[test]
-    fn catalog_and_sync_replicate_the_control_plane_on_both_front_ends() {
+    fn catalog_and_sync_replicate_the_control_plane_at_both_pool_widths() {
         let (bundle, _) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
         let mut catalog = pfr_control::Catalog::new(9);
         catalog.add_member(9, 0, "127.0.0.1:9000".to_string());
         catalog.upsert_placement(9, "risk", &text).unwrap();
         let mut transcripts = Vec::new();
-        for frontend in [
-            Frontend::Threaded,
-            Frontend::reactor(1),
-            Frontend::reactor(4),
-        ] {
+        for frontend in [Frontend::reactor(1), Frontend::reactor(4)] {
             let server = Server::spawn(ServerConfig {
                 frontend,
                 ..ServerConfig::default()
@@ -1777,9 +971,8 @@ mod tests {
         }
         assert_eq!(
             transcripts[0], transcripts[1],
-            "the front ends must replicate the catalog byte-for-byte identically"
+            "the pool width must not change a byte of the catalog exchange"
         );
-        assert_eq!(transcripts[1], transcripts[2]);
     }
 
     #[test]
@@ -1792,6 +985,145 @@ mod tests {
         let line = format!("SCORE risk {}", protocol::format_numbers(x.row(0)));
         let responses = request(server.addr(), &[line]);
         assert!(responses[0].starts_with("OK "));
+        server.shutdown();
+    }
+
+    #[test]
+    fn every_verb_is_counted_once_and_leaves_the_gauge_at_zero() {
+        let (bundle, x) = toy_bundle();
+        let text = persistence::bundle_to_string(&bundle);
+        let path =
+            std::env::temp_dir().join(format!("pfr_serve_accounting_{}", std::process::id()));
+        persistence::save_bundle(&bundle, &path).unwrap();
+        // A long linger keeps a cache miss in the batcher long enough for
+        // the second connection below to die with requests in flight.
+        let server = Server::spawn(ServerConfig {
+            batcher: BatcherConfig {
+                linger: Duration::from_millis(300),
+                ..BatcherConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        server.registry().load_from_str("risk", &text).unwrap();
+        let row = protocol::format_numbers(x.row(0));
+        let catalog = pfr_control::Catalog::new(9).to_text();
+        let junk = "not a bundle\n";
+        // One pipelined session: (bytes sent, counter the request lands in,
+        // prefix its response must have).
+        let session: Vec<(String, &str, &str)> = vec![
+            (
+                format!("LOAD a {}\n", path.display()),
+                "load",
+                "OK loaded a@",
+            ),
+            (
+                format!("PUSH b {}\n{text}", text.len()),
+                "load",
+                "OK loaded b@",
+            ),
+            (format!("PUSH c {}\n{junk}", junk.len()), "load", "ERR"),
+            (format!("SCORE risk {row}\n"), "score", "OK "),
+            (format!("SCORE risk {row}\n"), "score", "OK "),
+            (
+                "SCORE ghost 1 2 3\n".to_string(),
+                "score",
+                "ERR no model named",
+            ),
+            (format!("TRANSFORM risk {row}\n"), "transform", "OK "),
+            ("TRANSFORM risk 1\n".to_string(), "transform", "ERR"),
+            ("STATS\n".to_string(), "stats", "OK connections="),
+            ("METRICS\n".to_string(), "stats", "OK pfr_"),
+            (
+                "TRACE 00000000000000ff\n".to_string(),
+                "stats",
+                "ERR protocol error: no recorded",
+            ),
+            ("HEALTH\n".to_string(), "health", "OK up"),
+            ("EPOCH risk\n".to_string(), "epoch", "OK risk generation="),
+            ("EPOCH ghost\n".to_string(), "epoch", "ERR no model named"),
+            ("CATALOG\n".to_string(), "catalog", "OK none"),
+            (
+                format!("SYNC {}\n{catalog}", catalog.len()),
+                "catalog",
+                "OK epoch=",
+            ),
+            ("CATALOG FULL\n".to_string(), "catalog", "OK "),
+            ("GIBBERISH\n".to_string(), "parse", "ERR"),
+            ("SCORE risk notanumber\n".to_string(), "parse", "ERR"),
+            ("QUIT\n".to_string(), "quit", "OK bye"),
+        ];
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let burst: String = session.iter().map(|(bytes, _, _)| bytes.as_str()).collect();
+        writer.write_all(burst.as_bytes()).unwrap();
+        // Responses come back in request order, whichever thread ran them.
+        for (i, (sent, _, prefix)) in session.iter().enumerate() {
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            assert!(
+                response.starts_with(prefix),
+                "#{i} {sent:?} -> {response:?}"
+            );
+        }
+        // Every request is counted exactly once, under its own verb.
+        let scrape = server.metrics().render();
+        for verb in [
+            "load",
+            "score",
+            "transform",
+            "stats",
+            "health",
+            "epoch",
+            "catalog",
+        ] {
+            let sent = session.iter().filter(|(_, counter, _)| *counter == verb);
+            let errors = sent
+                .clone()
+                .filter(|(_, _, p)| p.starts_with("ERR"))
+                .count();
+            for (series, want) in [
+                ("pfr_serve_requests_total", sent.count()),
+                ("pfr_serve_verb_errors_total", errors),
+            ] {
+                let line = format!("{series}{{verb=\"{verb}\"}} {want}\n");
+                assert!(scrape.contains(&line), "want {line:?} in:\n{scrape}");
+            }
+        }
+        assert!(
+            scrape.contains("pfr_serve_errors_total{kind=\"parse\"} 2\n"),
+            "{scrape}"
+        );
+        assert!(
+            scrape.contains("pfr_serve_errors_total{kind=\"exec\"} 5\n"),
+            "{scrape}"
+        );
+        assert_eq!(server.stats().queue_depth(), 0, "one exit per enter");
+
+        // A second connection dies with five scores still in the batcher:
+        // closing with the HEALTH reply unread resets the socket, so the
+        // reactor drops the connection and its pending requests at once.
+        let mut doomed = TcpStream::connect(server.addr()).unwrap();
+        doomed.write_all(b"HEALTH\n").unwrap();
+        doomed.peek(&mut [0u8; 1]).unwrap();
+        for i in 0..5 {
+            writeln!(doomed, "SCORE risk {i} 0.5 1").unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while server.stats().queue_depth() < 5 {
+            assert!(std::time::Instant::now() < deadline, "scores never parsed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(doomed);
+        while server.stats().queue_depth() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "in-flight gauge leaked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = std::fs::remove_file(&path);
         server.shutdown();
     }
 }

@@ -148,18 +148,10 @@ impl ServerStats {
         self.slow_requests.load(Ordering::Relaxed)
     }
 
-    /// Marks one request as entering the serving path. Returns a guard that
-    /// decrements the gauge when dropped, so early returns and panics cannot
-    /// leak queue depth.
-    pub fn track_inflight(&self) -> InflightGuard<'_> {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
-        InflightGuard { stats: self }
-    }
-
-    /// Raises the in-flight gauge without a guard — the reactor front end
-    /// tracks a request from parse to asynchronous completion, which no
-    /// borrow-scoped guard can span. Every `inflight_enter` must be paired
-    /// with exactly one [`ServerStats::inflight_exit`].
+    /// Raises the in-flight gauge. A request is tracked from parse to
+    /// asynchronous completion, which no borrow-scoped guard can span:
+    /// `verbs::Call` enters when it begins and exits when it drops, and
+    /// nothing else may call either.
     pub(crate) fn inflight_enter(&self) {
         self.inflight.fetch_add(1, Ordering::Relaxed);
     }
@@ -351,35 +343,9 @@ fn pick_verb(name: &str) -> fn(&ServerStats) -> &VerbStats {
     }
 }
 
-/// RAII guard for the in-flight request gauge (see
-/// [`ServerStats::track_inflight`]).
-#[derive(Debug)]
-pub struct InflightGuard<'a> {
-    stats: &'a ServerStats,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.stats.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inflight_gauge_rises_and_falls_with_guards() {
-        let s = ServerStats::new();
-        assert_eq!(s.queue_depth(), 0);
-        let a = s.track_inflight();
-        let b = s.track_inflight();
-        assert_eq!(s.queue_depth(), 2);
-        drop(a);
-        assert_eq!(s.queue_depth(), 1);
-        drop(b);
-        assert_eq!(s.queue_depth(), 0);
-    }
 
     #[test]
     fn verb_stats_accumulate_and_average() {

@@ -81,8 +81,7 @@ fn main() {
 
     // 3. Serve it on an ephemeral port — an event-driven reactor *pool*
     //    sized to the machine (one epoll loop per thread, accepted
-    //    connections spread across them); set `frontend: Frontend::Threaded`
-    //    for the thread-per-connection baseline. `--journal <dir>` adds a
+    //    connections spread across them). `--journal <dir>` adds a
     //    write-ahead journal: every accepted request becomes durable before
     //    its response, and a crashed server can be rebuilt from the log.
     let reactors = std::thread::available_parallelism()
@@ -136,20 +135,6 @@ fn main() {
         reader.read_line(&mut response).expect("response reads");
         println!("LOAD -> {}", response.trim_end());
     }
-
-    // 4b. Warm the score cache from a recorded request log (a wire capture
-    //     of SCORE lines), so day-one traffic starts at cache-hit latency.
-    let log_path = std::env::temp_dir().join("pfr_serve_demo_requests.log");
-    let mut log = String::new();
-    for i in 0..raw.rows().min(32) {
-        log.push_str(&format!(
-            "SCORE admissions {}\n",
-            format_numbers(raw.row(i))
-        ));
-    }
-    std::fs::write(&log_path, log).expect("request log writes");
-    let (warmed, skipped) = server.warm_from_log(&log_path).expect("warm-up succeeds");
-    println!("cache warmed with {warmed} entries from a recorded request log ({skipped} skipped)");
 
     // 5. ... and four client threads score the whole test split concurrently.
     let rows: Arc<Vec<Vec<f64>>> = Arc::new((0..raw.rows()).map(|i| raw.row(i).to_vec()).collect());
@@ -390,5 +375,4 @@ fn main() {
         server.shutdown();
     }
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&log_path);
 }

@@ -1,7 +1,7 @@
 //! The reactor front end's acceptance test: 1 000 concurrently connected
 //! *idle* clients plus 100 *active* scoring connections against one
-//! `pfr-serve` instance in reactor mode, run under a 1-thread and a
-//! 4-thread reactor pool. Two assertions, held at both pool widths:
+//! `pfr-serve` instance, run under a 1-thread and a 4-thread reactor
+//! pool. Two assertions, held at both pool widths:
 //!
 //! 1. **Thread count stays O(1)**: the process thread count remains below a
 //!    fixed bound (reactor pool + worker pool + batcher + the test's own
@@ -60,7 +60,7 @@ fn idle_load_scenario(
     rows: &Arc<Vec<Vec<f64>>>,
     expected: &[f64],
 ) -> Vec<(usize, f64)> {
-    // --- One reactor-mode server at the requested pool width. --------------
+    // --- One server at the requested pool width. ---------------------------
     let server = Server::spawn(ServerConfig {
         frontend: Frontend::reactor(threads),
         workers: 4,

@@ -6,19 +6,14 @@
 //! routing events, the backend's `serve/SCORE` span nested below it with
 //! per-stage events, both under the same trace id that travelled on the
 //! wire as a `T=<id>` token.
-//!
-//! The scenario runs against both connection architectures (reactor front
-//! end + reactor transport, thread-per-connection front end + threaded
-//! transport): the exposition and the trace tree are wire formats, so both
-//! stacks must produce them identically.
 
 use pfr::core::persistence::bundle_to_string;
 use pfr::journal::JournalConfig;
 use pfr::obs::Scrape;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
 use pfr::refit::{RefitConfig, RefitLoop, RefitWorker, SwapTarget};
-use pfr::router::{LocalCluster, RouterConfig, TransportMode};
-use pfr::serve::{Frontend, ServerConfig};
+use pfr::router::{LocalCluster, RouterConfig};
+use pfr::serve::ServerConfig;
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::path::PathBuf;
@@ -35,8 +30,8 @@ fn fairness_graph(ds: &Dataset) -> SparseGraph {
 
 /// A fresh private journal directory per backend — two servers must never
 /// append to the same write-ahead journal.
-fn journal_dir(tag: &str, i: usize) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pfr_obs_e2e_{tag}_{}_{i}", std::process::id()));
+fn journal_dir(i: usize) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pfr_obs_e2e_{}_{i}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -44,27 +39,6 @@ fn journal_dir(tag: &str, i: usize) -> PathBuf {
 
 #[test]
 fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
-    one_scrape_and_one_trace_tree_span_every_tier(
-        Frontend::reactor(1),
-        TransportMode::Reactor,
-        "reactor",
-    );
-}
-
-#[test]
-fn one_scrape_and_one_trace_tree_span_every_tier_threaded() {
-    one_scrape_and_one_trace_tree_span_every_tier(
-        Frontend::Threaded,
-        TransportMode::Threaded,
-        "threaded",
-    );
-}
-
-fn one_scrape_and_one_trace_tree_span_every_tier(
-    frontend: Frontend,
-    transport: TransportMode,
-    tag: &str,
-) {
     // --- Offline ground truth and a 3-backend journaling cluster. ----------
     let dataset = synthetic::generate_default(91).unwrap();
     let split = split::train_test_split(&dataset, 0.3, 91).unwrap();
@@ -83,10 +57,9 @@ fn one_scrape_and_one_trace_tree_span_every_tier(
     let mut cluster = LocalCluster::boot(0, ServerConfig::default()).unwrap();
     let mut dirs = Vec::new();
     for i in 0..3 {
-        let dir = journal_dir(tag, i);
+        let dir = journal_dir(i);
         cluster
             .add_backend_with(ServerConfig {
-                frontend,
                 journal: Some(JournalConfig::new(dir.clone())),
                 ..ServerConfig::default()
             })
@@ -96,7 +69,6 @@ fn one_scrape_and_one_trace_tree_span_every_tier(
     let router = cluster
         .router(RouterConfig {
             replication: 2,
-            transport,
             ..RouterConfig::default()
         })
         .unwrap();

@@ -120,7 +120,7 @@ fn drifted_traffic_triggers_gated_hot_swap_with_bitwise_consistency() {
     let mut journal_config = JournalConfig::new(journal_dir.clone());
     journal_config.fsync = FsyncPolicy::Never;
     let server = Server::spawn(ServerConfig {
-        frontend: Frontend::Threaded,
+        frontend: Frontend::reactor(1),
         workers: 2,
         journal: Some(journal_config),
         ..ServerConfig::default()

@@ -18,7 +18,7 @@
 //! crosses the network — this is a transport stress test, not a cache test.
 
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::router::{LocalCluster, RouterConfig, TransportMode};
+use pfr::router::{LocalCluster, RouterConfig};
 use pfr::serve::{Frontend, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
@@ -71,7 +71,6 @@ fn one_caller_thread_sustains_thousands_of_in_flight_tickets() {
     let router = cluster
         .router(RouterConfig {
             replication: 2,
-            transport: TransportMode::Reactor,
             // Every request must cross the wire: this is a transport
             // concurrency test, and cache hits would fake the in-flight
             // count.

@@ -23,7 +23,7 @@
 
 use pfr::core::persistence::ModelBundle;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, Router, RouterConfig, TransportMode};
+use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, Router, RouterConfig};
 use pfr::serve::{Frontend, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
@@ -81,7 +81,6 @@ fn test_config() -> RouterConfig {
             io_timeout: Duration::from_secs(5),
             max_idle: 8,
         },
-        transport: TransportMode::Reactor,
         health_interval: Some(Duration::from_millis(25)),
         // Scenarios drive anti-entropy explicitly via `sync_now` so every
         // assertion is deterministic; the first scenario re-enables the

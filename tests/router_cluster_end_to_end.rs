@@ -5,15 +5,13 @@
 //! `FittedFairPipeline` predictions — a backend loss degrades capacity,
 //! never correctness.
 //!
-//! The scenario runs across the architecture matrix: the event-driven
-//! stack at two reactor-pool widths (1-thread and 4-thread serve front
-//! ends behind a reactor-transport router) and the original
-//! thread-per-connection stack. All architectures must stay bitwise
-//! interchangeable under concurrent load *and* mid-stream failure; CI runs
-//! the full matrix to enforce the differential.
+//! The scenario runs at two reactor-pool widths (1-thread and 4-thread
+//! serve front ends behind the router): every score must equal offline
+//! inference bit for bit under concurrent load *and* mid-stream failure,
+//! whatever the width.
 
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, RouterConfig, TransportMode};
+use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, RouterConfig};
 use pfr::serve::{Frontend, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
@@ -32,20 +30,15 @@ fn fairness_graph(ds: &Dataset) -> SparseGraph {
 
 #[test]
 fn cluster_survives_a_backend_kill_with_bitwise_identical_scores_reactor() {
-    cluster_survives_a_backend_kill(Frontend::reactor(1), TransportMode::Reactor);
+    cluster_survives_a_backend_kill(Frontend::reactor(1));
 }
 
 #[test]
 fn cluster_survives_a_backend_kill_with_bitwise_identical_scores_reactor_pool() {
-    cluster_survives_a_backend_kill(Frontend::reactor(4), TransportMode::Reactor);
+    cluster_survives_a_backend_kill(Frontend::reactor(4));
 }
 
-#[test]
-fn cluster_survives_a_backend_kill_with_bitwise_identical_scores_threaded() {
-    cluster_survives_a_backend_kill(Frontend::Threaded, TransportMode::Threaded);
-}
-
-fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode) {
+fn cluster_survives_a_backend_kill(frontend: Frontend) {
     // --- Offline ground truth. ---------------------------------------------
     let dataset = synthetic::generate_default(91).unwrap();
     let split = split::train_test_split(&dataset, 0.3, 91).unwrap();
@@ -83,7 +76,6 @@ fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode)
                     io_timeout: Duration::from_secs(5),
                     max_idle: 8,
                 },
-                transport,
                 health_interval: Some(Duration::from_millis(25)),
                 ..RouterConfig::default()
             })

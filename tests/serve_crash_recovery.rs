@@ -7,8 +7,6 @@
 //! score cache so the replayed vectors are served as immediate cache hits,
 //! bitwise identical to both the pre-crash responses and offline
 //! `predict_proba`.
-//!
-//! Runs once per front-end architecture, like the other end-to-end tests.
 
 use pfr::journal::JournalConfig;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
@@ -51,15 +49,7 @@ fn scratch_journal_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn hard_crash_then_journal_replay_restores_state_reactor() {
-    hard_crash_then_journal_replay_restores_state(Frontend::reactor(1));
-}
-
-#[test]
-fn hard_crash_then_journal_replay_restores_state_threaded() {
-    hard_crash_then_journal_replay_restores_state(Frontend::Threaded);
-}
-
-fn hard_crash_then_journal_replay_restores_state(frontend: Frontend) {
+    let frontend = Frontend::reactor(1);
     // --- Offline ground truth. ---------------------------------------------
     let dataset = synthetic::generate_default(79).unwrap();
     let fitted = FairPipeline::new(FairPipelineConfig {
