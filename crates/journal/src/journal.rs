@@ -1,30 +1,39 @@
 //! The journal proper: segmented append-only log with a group-commit writer
 //! thread, size-based rotation, retention, and torn-write-safe recovery.
 //!
-//! All appends funnel through one writer thread. Callers block on an ack
-//! channel, so when several threads append concurrently their frames are
-//! written — and, under [`FsyncPolicy::PerRecord`], made durable — by a
-//! *single* batched flush+fsync: classic group commit. The durability
-//! guarantee is per policy:
+//! All appends funnel through one writer thread. [`Journal::submit`]
+//! enqueues a frame and returns; the writer runs the caller's completion
+//! once the frame is acknowledged per policy. [`Journal::append`] is
+//! `submit` plus a blocking wait. Whatever queued while the previous group
+//! was being flushed is written with a *single* `write` and — under
+//! [`FsyncPolicy::PerRecord`] — made durable by a *single* fsync: classic
+//! group commit, and it groups exactly as well as callers keep appends in
+//! flight. The durability guarantee is per policy:
 //!
-//! * [`FsyncPolicy::PerRecord`] — `append` returns only after the frame is
-//!   fsynced. Survives machine crash.
-//! * [`FsyncPolicy::Interval`] — `append` returns once the frame reaches the
+//! * [`FsyncPolicy::PerRecord`] — an append is acknowledged only after the
+//!   frame is fsynced. Survives machine crash.
+//! * [`FsyncPolicy::Interval`] — acknowledged once the frame reaches the
 //!   OS page cache; fsync happens at least every interval. Survives process
 //!   crash; a machine crash may lose the last interval.
 //! * [`FsyncPolicy::Never`] — never fsyncs. Survives process crash only.
+//!
+//! A failed write or fsync is **sticky**: the kernel may already have
+//! dropped the dirty pages, so no later fsync can vouch for them. The
+//! group that met the failure, everything queued behind it and every later
+//! append fail with that error until the journal is reopened (which
+//! re-scans the segments and truncates the tail).
 
 use crate::cursor::checkpoint_positions;
 use crate::error::JournalError;
 use crate::frame::{decode_frame, encode_frame, FrameOutcome, SEGMENT_MAGIC};
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,6 +86,9 @@ pub struct JournalConfig {
     pub retain_segments: usize,
     /// Durability policy (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
+    /// Test seam on the writer's `sync_data` call (see [`SyncHook`]).
+    #[doc(hidden)]
+    pub sync_hook: Option<SyncHook>,
 }
 
 impl JournalConfig {
@@ -88,6 +100,95 @@ impl JournalConfig {
             segment_bytes: 8 << 20,
             retain_segments: 0,
             fsync: FsyncPolicy::PerRecord,
+            sync_hook: None,
+        }
+    }
+}
+
+/// A fault-injection seam on the writer thread's `sync_data` call: tests
+/// *hold* it (the writer parks with frames written but not yet durable),
+/// *fail* it (it reports an OS error without touching the file) and
+/// *count* it. Clones share state, so a test keeps one clone and hands the
+/// other to [`JournalConfig::sync_hook`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct SyncHook(Arc<HookShared>);
+
+#[derive(Debug, Default)]
+struct HookShared {
+    state: Mutex<HookState>,
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct HookState {
+    /// `Some(n)`: the next `n` syncs pass, every later one parks.
+    hold_after: Option<u64>,
+    /// A sync is parked right now.
+    parked: bool,
+    /// Every sync fails with this OS error number.
+    fail: Option<i32>,
+    /// Syncs that reached the hook.
+    calls: u64,
+}
+
+impl SyncHook {
+    fn state(&self) -> std::sync::MutexGuard<'_, HookState> {
+        self.0.state.lock().expect("sync hook lock poisoned")
+    }
+
+    /// Parks every sync from the next one on, until [`SyncHook::release`].
+    pub fn hold(&self) {
+        self.hold_after(0);
+    }
+
+    /// Lets `passes` more syncs through, then parks every later one.
+    pub fn hold_after(&self, passes: u64) {
+        self.state().hold_after = Some(passes);
+    }
+
+    /// Blocks until a sync is parked — the writer has written a group and
+    /// is waiting for its fsync.
+    pub fn wait_parked(&self) {
+        let mut state = self.state();
+        while !state.parked {
+            state = self.0.changed.wait(state).expect("sync hook lock poisoned");
+        }
+    }
+
+    /// Ends the hold; a parked sync proceeds.
+    pub fn release(&self) {
+        self.state().hold_after = None;
+        self.0.changed.notify_all();
+    }
+
+    /// Makes every sync from now on fail with OS error `errno`.
+    pub fn fail_with(&self, errno: i32) {
+        self.state().fail = Some(errno);
+    }
+
+    /// Syncs that reached the hook so far (passed, parked or failed).
+    pub fn calls(&self) -> u64 {
+        self.state().calls
+    }
+
+    /// The writer's side: called in place of going straight to `sync_data`.
+    fn enter(&self) -> io::Result<()> {
+        let mut state = self.state();
+        state.calls += 1;
+        while let Some(passes) = state.hold_after {
+            if passes > 0 {
+                state.hold_after = Some(passes - 1);
+                break;
+            }
+            state.parked = true;
+            self.0.changed.notify_all();
+            state = self.0.changed.wait(state).expect("sync hook lock poisoned");
+            state.parked = false;
+        }
+        match state.fail {
+            Some(errno) => Err(io::Error::from_raw_os_error(errno)),
+            None => Ok(()),
         }
     }
 }
@@ -102,6 +203,7 @@ pub struct JournalStats {
     appends: AtomicU64,
     fsyncs: AtomicU64,
     unsynced: AtomicU64,
+    failed: AtomicBool,
     /// Wall-clock latency of each fsync — the component that dominates
     /// durable append tails, kept as a full distribution because fsync
     /// latency is bimodal on most filesystems.
@@ -141,6 +243,12 @@ impl JournalStats {
         self.unsynced.load(Ordering::Relaxed)
     }
 
+    /// Whether a write or fsync has failed. The failure is sticky: every
+    /// append fails from then on, until the journal is reopened.
+    pub fn failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
+    }
+
     /// The live fsync-latency histogram (nanoseconds per fsync call).
     pub fn fsync_histogram(&self) -> &Arc<pfr_obs::LatencyHisto> {
         &self.fsync_ns
@@ -177,11 +285,32 @@ pub struct ReplaySummary {
     pub truncated_bytes: u64,
 }
 
-/// One append in flight to the writer thread.
+/// The completion of one submitted append, owed exactly one call.
+type Done = Box<dyn FnOnce(Result<u64, JournalError>) + Send>;
+
+/// One append in flight to the writer thread. Dropping it unacknowledged —
+/// the journal was already closed, or the writer died with it queued —
+/// completes it with [`JournalError::Closed`], so no caller waits forever.
 struct Append {
     kind: u8,
     body: Vec<u8>,
-    ack: SyncSender<Result<u64, String>>,
+    done: Option<Done>,
+}
+
+impl Append {
+    fn complete(mut self, result: Result<u64, JournalError>) {
+        if let Some(done) = self.done.take() {
+            done(result);
+        }
+    }
+}
+
+impl Drop for Append {
+    fn drop(&mut self) {
+        if let Some(done) = self.done.take() {
+            done(Err(JournalError::Closed));
+        }
+    }
 }
 
 /// A durable, append-only, segmented request journal.
@@ -274,6 +403,7 @@ impl Journal {
             segment_bytes: config.segment_bytes,
             retain_segments: config.retain_segments,
             fsync: config.fsync,
+            sync_hook: config.sync_hook.clone(),
             segments: segment_paths,
             active_len: fs::metadata(&active.0)?.len(),
             active: active.1,
@@ -282,6 +412,7 @@ impl Journal {
             pins: Arc::clone(&pins),
             last_sync: Instant::now(),
             buffer: Vec::with_capacity(64 << 10),
+            failed: None,
         };
         let writer = std::thread::Builder::new()
             .name("pfr-journal-writer".into())
@@ -313,26 +444,40 @@ impl Journal {
         }
     }
 
-    /// Appends one record and blocks until it is acknowledged per the
-    /// journal's [`FsyncPolicy`]. Returns the assigned sequence number.
-    pub fn append(&self, record: &Record) -> Result<u64, JournalError> {
-        let mut body = Vec::with_capacity(64);
+    /// Enqueues one record for the writer thread and returns at once.
+    /// `done` runs on the writer thread, exactly once, when the frame is
+    /// acknowledged per the journal's [`FsyncPolicy`] — with its sequence
+    /// number, or with why it could not be recorded — and completions run
+    /// in sequence order. It must not block: every later append waits
+    /// behind it.
+    pub fn submit(
+        &self,
+        record: RecordRef<'_>,
+        done: impl FnOnce(Result<u64, JournalError>) + Send + 'static,
+    ) {
+        let mut body = Vec::with_capacity(record.body_len());
         record.encode_body(&mut body);
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        self.tx
-            .as_ref()
-            .ok_or(JournalError::Closed)?
-            .send(Append {
-                kind: record.kind(),
-                body,
-                ack: ack_tx,
-            })
-            .map_err(|_| JournalError::Closed)?;
-        match ack_rx.recv() {
-            Ok(Ok(seq)) => Ok(seq),
-            Ok(Err(msg)) => Err(JournalError::Append(msg)),
-            Err(_) => Err(JournalError::Closed),
+        let append = Append {
+            kind: record.kind(),
+            body,
+            done: Some(Box::new(done)),
+        };
+        // A closed journal hands the append back (or never took it), and
+        // dropping it reports `Closed`.
+        if let Some(tx) = &self.tx {
+            let _ = tx.send(append);
         }
+    }
+
+    /// Appends one record and blocks until it is acknowledged per the
+    /// journal's [`FsyncPolicy`]: [`Journal::submit`], then a wait for its
+    /// completion. Returns the assigned sequence number.
+    pub fn append(&self, record: &Record) -> Result<u64, JournalError> {
+        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
+        self.submit(record.as_ref(), move |ack| {
+            let _ = ack_tx.send(ack);
+        });
+        ack_rx.recv().unwrap_or(Err(JournalError::Closed))
     }
 
     /// Replays every valid frame currently on disk, oldest first. Tolerant
@@ -377,6 +522,9 @@ impl Journal {
         gauge!("pfr_journal_fsyncs_total", |s: &JournalStats| s.fsyncs());
         gauge!("pfr_journal_unsynced_bytes", |s: &JournalStats| s
             .unsynced());
+        gauge!("pfr_journal_failed", |s: &JournalStats| u8::from(
+            s.failed()
+        ));
         registry.histogram(
             "pfr_journal_fsync_ns",
             &[],
@@ -559,14 +707,20 @@ struct Writer {
     segment_bytes: u64,
     retain_segments: usize,
     fsync: FsyncPolicy,
+    sync_hook: Option<SyncHook>,
     segments: Vec<PathBuf>,
     active: File,
+    /// Length of the active segment counting frames still in `buffer`.
     active_len: u64,
     next_seq: u64,
     stats: Arc<JournalStats>,
     pins: PinSet,
     last_sync: Instant,
+    /// Encoded frames of the current group, not yet written.
     buffer: Vec<u8>,
+    /// The first write or fsync error, once there has been one (sticky;
+    /// see the module docs).
+    failed: Option<String>,
 }
 
 /// Cap on how many queued appends one flush+fsync may cover.
@@ -574,6 +728,7 @@ const MAX_GROUP: usize = 512;
 
 impl Writer {
     fn run(mut self, rx: Receiver<Append>) {
+        let mut group: Vec<Append> = Vec::new();
         loop {
             // Block for the first append; under an interval policy, wake up
             // in time to honor the fsync deadline even when traffic stops.
@@ -589,100 +744,103 @@ impl Writer {
                 },
             };
             let Some(first) = first else {
-                self.sync_if_due(true);
+                if let Err(e) = self.sync_if_due(true) {
+                    self.fail(e);
+                }
                 continue;
             };
 
-            // Group commit: drain whatever else is already queued.
-            let mut batch = vec![first];
-            while batch.len() < MAX_GROUP {
+            // Group commit: drain whatever queued while the previous group
+            // was being flushed. No hold timer — waiting for a fuller group
+            // would be a knob, and it would cost every lone append.
+            group.push(first);
+            while group.len() < MAX_GROUP {
                 match rx.try_recv() {
-                    Ok(append) => batch.push(append),
+                    Ok(append) => group.push(append),
                     Err(_) => break,
                 }
             }
-            self.commit(batch);
+            self.commit(&mut group);
         }
         // Graceful close: everything queued was already committed (the
         // channel only disconnects after the last sender is gone and the
         // queue is drained above); push the tail to the platter.
-        let _ = self.active.flush();
-        if self.fsync != FsyncPolicy::Never {
-            self.fsync_active();
+        if self.fsync != FsyncPolicy::Never && self.failed.is_none() {
+            let _ = self.sync_active();
         }
     }
 
-    /// Writes a batch of appends, flushes once, fsyncs per policy, then
-    /// acknowledges every append.
-    fn commit(&mut self, batch: Vec<Append>) {
-        let mut done: Vec<(u64, SyncSender<Result<u64, String>>)> = Vec::with_capacity(batch.len());
-        let mut failure: Option<String> = None;
-        for append in batch {
-            if failure.is_some() {
-                let _ = append.ack.send(Err(failure.clone().unwrap()));
-                continue;
-            }
-            match self.write_frame(append.kind, &append.body) {
-                Ok(seq) => done.push((seq, append.ack)),
-                Err(e) => {
-                    let msg = e.to_string();
-                    let _ = append.ack.send(Err(msg.clone()));
-                    failure = Some(msg);
-                }
+    /// Writes a group of appends with one `write`, fsyncs per policy, then
+    /// acknowledges every append in sequence order — or, once anything has
+    /// failed, fails them all.
+    fn commit(&mut self, group: &mut Vec<Append>) {
+        if self.failed.is_none() {
+            if let Err(e) = self.write_group(group) {
+                self.fail(e);
             }
         }
-        if let Err(e) = self.active.flush() {
-            let msg = e.to_string();
-            for (_, ack) in done {
-                let _ = ack.send(Err(msg.clone()));
+        if let Some(reason) = &self.failed {
+            for append in group.drain(..) {
+                append.complete(Err(JournalError::Append(reason.clone())));
             }
             return;
         }
-        if self.fsync == FsyncPolicy::PerRecord {
-            if !self.fsync_active() {
-                for (_, ack) in done {
-                    let _ = ack.send(Err("fsync failed".into()));
-                }
-                return;
-            }
-        } else {
-            self.sync_if_due(false);
-        }
-        for (seq, ack) in done {
+        let first_seq = self.next_seq - group.len() as u64;
+        self.stats
+            .last_seq
+            .fetch_max(self.next_seq - 1, Ordering::Relaxed);
+        for (seq, append) in (first_seq..).zip(group.drain(..)) {
             self.stats.appends.fetch_add(1, Ordering::Relaxed);
-            self.stats.last_seq.fetch_max(seq, Ordering::Relaxed);
-            let _ = ack.send(Ok(seq));
+            append.complete(Ok(seq));
         }
     }
 
-    /// Encodes and writes one frame, rolling the segment first if the
-    /// active one is full. Returns the assigned sequence number.
-    fn write_frame(&mut self, kind: u8, body: &[u8]) -> std::io::Result<u64> {
-        if self.active_len >= self.segment_bytes && self.active_len > SEGMENT_MAGIC.len() as u64 {
-            self.roll()?;
+    /// Records the first write or fsync error; see the module docs for why
+    /// it is never cleared.
+    fn fail(&mut self, error: io::Error) {
+        self.stats.failed.store(true, Ordering::Relaxed);
+        self.failed = Some(error.to_string());
+    }
+
+    /// Encodes every frame of the group into the buffer, writes it once and
+    /// applies the fsync policy. Frames stay whole within one segment: the
+    /// buffer is written out before a roll.
+    fn write_group(&mut self, group: &[Append]) -> io::Result<()> {
+        for append in group {
+            if self.active_len >= self.segment_bytes && self.active_len > SEGMENT_MAGIC.len() as u64
+            {
+                self.roll()?;
+            }
+            let frame_len =
+                encode_frame(self.next_seq, append.kind, &append.body, &mut self.buffer);
+            self.next_seq += 1;
+            self.active_len += frame_len as u64;
         }
-        let seq = self.next_seq;
-        self.buffer.clear();
-        let frame_len = encode_frame(seq, kind, body, &mut self.buffer) as u64;
+        self.write_buffer()?;
+        if self.fsync == FsyncPolicy::PerRecord {
+            self.sync_active()
+        } else {
+            self.sync_if_due(false)
+        }
+    }
+
+    /// Writes the buffered frames to the active segment.
+    fn write_buffer(&mut self) -> io::Result<()> {
         self.active.write_all(&self.buffer)?;
-        self.next_seq += 1;
-        self.active_len += frame_len;
-        self.stats.bytes.fetch_add(frame_len, Ordering::Relaxed);
-        self.stats.unsynced.fetch_add(frame_len, Ordering::Relaxed);
-        Ok(seq)
+        let written = self.buffer.len() as u64;
+        self.buffer.clear();
+        self.stats.bytes.fetch_add(written, Ordering::Relaxed);
+        self.stats.unsynced.fetch_add(written, Ordering::Relaxed);
+        Ok(())
     }
 
-    /// Seals the active segment (flush + fsync unless policy is `Never`),
-    /// starts a new one named after the next sequence number, and applies
-    /// retention.
-    fn roll(&mut self) -> std::io::Result<()> {
-        self.active.flush()?;
+    /// Seals the active segment (written out, and fsynced unless policy is
+    /// `Never`), starts a new one named after the next sequence number, and
+    /// applies retention.
+    fn roll(&mut self) -> io::Result<()> {
+        self.write_buffer()?;
         if self.fsync != FsyncPolicy::Never {
-            let started = Instant::now();
-            self.active.sync_data()?;
-            self.stats.fsync_ns.record_duration(started.elapsed());
-            self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            self.stats.unsynced.store(0, Ordering::Relaxed);
+            self.sync_active()?;
         }
         let path = segment_path(&self.dir, self.next_seq);
         let mut file = File::create(&path)?;
@@ -738,31 +896,32 @@ impl Writer {
     }
 
     /// Fsyncs the active segment under an interval policy when the deadline
-    /// has passed (or when `force`d by an idle wake-up with pending bytes).
-    fn sync_if_due(&mut self, idle: bool) {
+    /// has passed (or on an `idle` wake-up with pending bytes) — unless the
+    /// journal has failed: an fsync that succeeded then would vouch for
+    /// pages the kernel may have dropped.
+    fn sync_if_due(&mut self, idle: bool) -> io::Result<()> {
         if let FsyncPolicy::Interval(interval) = self.fsync {
             let due = self.last_sync.elapsed() >= interval;
             let pending = self.stats.unsynced.load(Ordering::Relaxed) > 0;
-            if pending && (due || idle) {
-                let _ = self.active.flush();
-                self.fsync_active();
+            if pending && (due || idle) && self.failed.is_none() {
+                return self.sync_active();
             }
         }
+        Ok(())
     }
 
-    /// Fsyncs the active segment, updating telemetry. Returns success.
-    fn fsync_active(&mut self) -> bool {
+    /// Fsyncs the active segment, updating telemetry.
+    fn sync_active(&mut self) -> io::Result<()> {
         let started = Instant::now();
-        match self.active.sync_data() {
-            Ok(()) => {
-                self.stats.fsync_ns.record_duration(started.elapsed());
-                self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                self.stats.unsynced.store(0, Ordering::Relaxed);
-                self.last_sync = Instant::now();
-                true
-            }
-            Err(_) => false,
+        if let Some(hook) = &self.sync_hook {
+            hook.enter()?;
         }
+        self.active.sync_data()?;
+        self.stats.fsync_ns.record_duration(started.elapsed());
+        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.stats.unsynced.store(0, Ordering::Relaxed);
+        self.last_sync = Instant::now();
+        Ok(())
     }
 }
 
@@ -1024,42 +1183,186 @@ mod tests {
         assert_eq!(segment_first_seq(Path::new("/tmp/j/seg-xyz.wal")), None);
     }
 
+    /// A journal whose fsyncs go through a hook the test keeps a clone of.
+    fn hooked(dir: &Path) -> (Journal, SyncHook) {
+        let hook = SyncHook::default();
+        let journal = Journal::open(JournalConfig {
+            sync_hook: Some(hook.clone()),
+            ..JournalConfig::new(dir)
+        })
+        .expect("opens");
+        (journal, hook)
+    }
+
     #[test]
     fn concurrent_appends_group_commit_under_per_record_fsync() {
         let dir = scratch_dir("group");
-        let journal = Arc::new(
-            Journal::open(JournalConfig {
-                fsync: FsyncPolicy::PerRecord,
-                ..JournalConfig::new(&dir)
-            })
-            .expect("opens"),
-        );
+        let (journal, hook) = hooked(&dir);
+        let journal = Arc::new(journal);
+        // With the fsync held, the writer parks on whatever group it took
+        // first and everything else queues behind it.
+        hook.hold();
+        let (acks_tx, acks) = mpsc::channel();
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let journal = Arc::clone(&journal);
+                let acks_tx = acks_tx.clone();
                 std::thread::spawn(move || {
                     for i in 0..25 {
-                        journal
-                            .append(&score("m", &[t as f64, i as f64]))
-                            .expect("appends");
+                        let acks_tx = acks_tx.clone();
+                        journal.submit(score("m", &[t as f64, i as f64]).as_ref(), move |ack| {
+                            let _ = acks_tx.send(ack);
+                        });
                     }
                 })
             })
             .collect();
         for handle in handles {
-            handle.join().expect("appender joins");
+            handle.join().expect("submitter joins");
+        }
+        hook.wait_parked();
+        assert_eq!(
+            journal.stats().appends(),
+            0,
+            "nothing is acknowledged early"
+        );
+        assert!(
+            acks.try_recv().is_err(),
+            "no completion ran before its fsync"
+        );
+        hook.release();
+        // Completions run in sequence order, each exactly once.
+        for want in 1..=100 {
+            let seq = acks
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every submit completes")
+                .expect("appends");
+            assert_eq!(seq, want);
         }
         let stats = journal.stats();
         assert_eq!(stats.appends(), 100);
         assert_eq!(stats.last_seq(), 100);
-        assert!(stats.fsyncs() >= 1);
+        // The parked group, then one group for everything queued behind it.
         assert!(
-            stats.fsyncs() <= 100,
-            "group commit must not fsync more than once per append"
+            (1..=2).contains(&stats.fsyncs()),
+            "100 appends in flight took {} fsyncs",
+            stats.fsyncs()
         );
+        assert_eq!(hook.calls(), stats.fsyncs());
         assert_eq!(stats.unsynced(), 0, "per-record policy leaves no lag");
         Arc::try_unwrap(journal).expect("sole owner").close();
         assert_eq!(collect(&dir).len(), 100);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_fsync_fails_its_group_and_every_later_append() {
+        let dir = scratch_dir("eio");
+        let (journal, hook) = hooked(&dir);
+        let durable: Vec<Record> = (0..3).map(|i| score("m", &[i as f64])).collect();
+        for record in &durable {
+            journal.append(record).expect("appends");
+        }
+        // Park the writer on a group, queue more behind it, then make the
+        // parked fsync come back with EIO.
+        hook.hold();
+        let (acks_tx, acks) = mpsc::channel();
+        for i in 0..4 {
+            let acks_tx = acks_tx.clone();
+            journal.submit(score("m", &[10.0 + i as f64]).as_ref(), move |ack| {
+                let _ = acks_tx.send(ack);
+            });
+        }
+        hook.wait_parked();
+        hook.fail_with(5);
+        hook.release();
+        for _ in 0..4 {
+            match acks
+                .recv_timeout(Duration::from_secs(10))
+                .expect("completes")
+            {
+                Err(JournalError::Append(reason)) => {
+                    assert!(reason.contains("os error 5"), "{reason}")
+                }
+                other => panic!("expected the OS error, got {other:?}"),
+            }
+        }
+        assert!(journal.stats().failed());
+        assert_eq!(
+            journal.stats().appends(),
+            3,
+            "only acknowledged appends count"
+        );
+
+        // Sticky: the next append fails with the same error, and neither
+        // the file nor the fsync is touched for it.
+        let on_disk = |dir: &Path| -> u64 {
+            let segments = list_segments(dir).expect("lists");
+            segments
+                .iter()
+                .map(|p| fs::metadata(p).unwrap().len())
+                .sum()
+        };
+        let (bytes, calls) = (on_disk(&dir), hook.calls());
+        match journal.append(&score("m", &[99.0])) {
+            Err(JournalError::Append(reason)) => assert!(reason.contains("os error 5"), "{reason}"),
+            other => panic!("expected the sticky failure, got {other:?}"),
+        }
+        assert_eq!((on_disk(&dir), hook.calls()), (bytes, calls));
+        journal.close();
+
+        // Reopening re-scans: a clean, consecutive prefix that holds every
+        // acknowledged frame, and appends resume after it.
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("reopens");
+        assert!(!journal.stats().failed());
+        let replayed = collect(&dir);
+        assert!(replayed.len() >= durable.len());
+        for (i, (seq, record)) in replayed.iter().enumerate() {
+            assert_eq!(*seq, i as u64 + 1);
+            if let Some(want) = durable.get(i) {
+                assert!(record.bitwise_eq(want), "frame {i} differs");
+            }
+        }
+        let next = journal.append(&score("m", &[7.0])).expect("appends again");
+        assert_eq!(next, replayed.len() as u64 + 1);
+        journal.close();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_submit_completes_across_close_or_reports_closed() {
+        let dir = scratch_dir("submit_close");
+        let mut journal = Journal::open(JournalConfig {
+            fsync: FsyncPolicy::Never,
+            ..JournalConfig::new(&dir)
+        })
+        .expect("opens");
+        let (acks_tx, acks) = mpsc::channel();
+        let submit = |journal: &Journal, value: f64| {
+            let acks_tx = acks_tx.clone();
+            journal.submit(score("m", &[value]).as_ref(), move |ack| {
+                let _ = acks_tx.send(ack);
+            });
+        };
+        // Queued before the close: the writer drains them before it exits.
+        for i in 0..50 {
+            submit(&journal, i as f64);
+        }
+        journal.shutdown();
+        for want in 1..=50 {
+            assert_eq!(
+                acks.try_recv().expect("completed by close").expect("ok"),
+                want
+            );
+        }
+        // After it: completed on the spot, with `Closed`.
+        submit(&journal, 0.5);
+        match acks.try_recv().expect("completed at once") {
+            Err(JournalError::Closed) => {}
+            other => panic!("expected Closed, got {other:?}"),
+        }
+        drop(journal);
+        assert_eq!(collect(&dir).len(), 50);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,10 +3,11 @@
 //! A std-only, segmented, append-only journal for the PFR serving tier.
 //! Every accepted request (`SCORE`, `TRANSFORM`, `LOAD`, `PUSH`) becomes a
 //! checksummed, length-prefixed binary frame; a group-commit writer thread
-//! batches concurrent appends between fsyncs; recovery truncates at the
-//! first torn tail frame and replays everything before it, which is enough
-//! to rebuild the model registry and re-warm the score cache to the exact
-//! pre-crash state.
+//! covers every append in flight with one write and one fsync
+//! ([`Journal::submit`] enqueues without waiting, [`Journal::append`]
+//! waits); recovery truncates at the first torn tail frame and replays
+//! everything before it, which is enough to rebuild the model registry and
+//! re-warm the score cache to the exact pre-crash state.
 //!
 //! See `DESIGN.md` in this crate for the frame format, the torn-write
 //! argument, and the recovery invariants.
@@ -44,7 +45,9 @@ mod record;
 
 pub use cursor::JournalCursor;
 pub use error::JournalError;
+#[doc(hidden)]
+pub use journal::SyncHook;
 pub use journal::{
     replay_dir, FsyncPolicy, Journal, JournalConfig, JournalStats, PinGuard, ReplaySummary,
 };
-pub use record::Record;
+pub use record::{Record, RecordRef};

@@ -53,35 +53,73 @@ pub enum Record {
     },
 }
 
-/// Frame kind tags (one byte on disk).
-const KIND_SCORE: u8 = 1;
-const KIND_TRANSFORM: u8 = 2;
-const KIND_LOAD: u8 = 3;
-const KIND_PUSH: u8 = 4;
-const KIND_SLOW_TRACE: u8 = 5;
+/// A [`Record`] over borrowed parts: what the write path encodes from, so
+/// a caller that already holds the model name and the feature vector (the
+/// serving tier, per request) journals them without cloning either. The
+/// bytes are [`Record`]'s — there is one encoder, and it is this type's.
+#[derive(Debug, Clone, Copy)]
+#[allow(missing_docs)] // field for field the variants of `Record`
+pub enum RecordRef<'a> {
+    Score {
+        model: &'a str,
+        features: &'a [f64],
+    },
+    Transform {
+        model: &'a str,
+        features: &'a [f64],
+    },
+    Load {
+        model: &'a str,
+        bundle_text: &'a str,
+    },
+    Push {
+        model: &'a str,
+        bundle_text: &'a str,
+    },
+    SlowTrace {
+        trace_id: u64,
+        total_ns: u64,
+        text: &'a str,
+    },
+}
 
-impl Record {
+impl<'a> RecordRef<'a> {
     /// The one-byte kind tag written into the frame header.
     pub fn kind(&self) -> u8 {
         match self {
-            Record::Score { .. } => KIND_SCORE,
-            Record::Transform { .. } => KIND_TRANSFORM,
-            Record::Load { .. } => KIND_LOAD,
-            Record::Push { .. } => KIND_PUSH,
-            Record::SlowTrace { .. } => KIND_SLOW_TRACE,
+            RecordRef::Score { .. } => KIND_SCORE,
+            RecordRef::Transform { .. } => KIND_TRANSFORM,
+            RecordRef::Load { .. } => KIND_LOAD,
+            RecordRef::Push { .. } => KIND_PUSH,
+            RecordRef::SlowTrace { .. } => KIND_SLOW_TRACE,
         }
     }
 
     /// The model name this record addresses (empty for diagnostics like
     /// [`Record::SlowTrace`], which address no model).
-    pub fn model(&self) -> &str {
+    pub fn model(&self) -> &'a str {
         match self {
-            Record::Score { model, .. }
-            | Record::Transform { model, .. }
-            | Record::Load { model, .. }
-            | Record::Push { model, .. } => model,
-            Record::SlowTrace { .. } => "",
+            RecordRef::Score { model, .. }
+            | RecordRef::Transform { model, .. }
+            | RecordRef::Load { model, .. }
+            | RecordRef::Push { model, .. } => model,
+            RecordRef::SlowTrace { .. } => "",
         }
+    }
+
+    /// Exactly how many bytes [`RecordRef::encode_body`] appends, so the
+    /// body buffer is allocated once at its final size.
+    pub fn body_len(&self) -> usize {
+        2 + self.model().len()
+            + match self {
+                RecordRef::Score { features, .. } | RecordRef::Transform { features, .. } => {
+                    4 + 8 * features.len()
+                }
+                RecordRef::Load { bundle_text, .. } | RecordRef::Push { bundle_text, .. } => {
+                    4 + bundle_text.len()
+                }
+                RecordRef::SlowTrace { text, .. } => 8 + 8 + 4 + text.len(),
+            }
     }
 
     /// Serializes the frame body (everything between the header and the
@@ -91,17 +129,17 @@ impl Record {
         out.extend_from_slice(&(model.len() as u16).to_le_bytes());
         out.extend_from_slice(model);
         match self {
-            Record::Score { features, .. } | Record::Transform { features, .. } => {
+            RecordRef::Score { features, .. } | RecordRef::Transform { features, .. } => {
                 out.extend_from_slice(&(features.len() as u32).to_le_bytes());
-                for value in features {
+                for value in *features {
                     out.extend_from_slice(&value.to_bits().to_le_bytes());
                 }
             }
-            Record::Load { bundle_text, .. } | Record::Push { bundle_text, .. } => {
+            RecordRef::Load { bundle_text, .. } | RecordRef::Push { bundle_text, .. } => {
                 out.extend_from_slice(&(bundle_text.len() as u32).to_le_bytes());
                 out.extend_from_slice(bundle_text.as_bytes());
             }
-            Record::SlowTrace {
+            RecordRef::SlowTrace {
                 trace_id,
                 total_ns,
                 text,
@@ -112,6 +150,51 @@ impl Record {
                 out.extend_from_slice(text.as_bytes());
             }
         }
+    }
+}
+
+/// Frame kind tags (one byte on disk).
+const KIND_SCORE: u8 = 1;
+const KIND_TRANSFORM: u8 = 2;
+const KIND_LOAD: u8 = 3;
+const KIND_PUSH: u8 = 4;
+const KIND_SLOW_TRACE: u8 = 5;
+
+impl Record {
+    /// The one-byte kind tag written into the frame header.
+    pub fn kind(&self) -> u8 {
+        self.as_ref().kind()
+    }
+
+    /// The model name this record addresses (empty for diagnostics like
+    /// [`Record::SlowTrace`], which address no model).
+    pub fn model(&self) -> &str {
+        self.as_ref().model()
+    }
+
+    /// The borrowed view of this record (see [`RecordRef`]).
+    pub fn as_ref(&self) -> RecordRef<'_> {
+        match self {
+            Record::Score { model, features } => RecordRef::Score { model, features },
+            Record::Transform { model, features } => RecordRef::Transform { model, features },
+            Record::Load { model, bundle_text } => RecordRef::Load { model, bundle_text },
+            Record::Push { model, bundle_text } => RecordRef::Push { model, bundle_text },
+            Record::SlowTrace {
+                trace_id,
+                total_ns,
+                text,
+            } => RecordRef::SlowTrace {
+                trace_id: *trace_id,
+                total_ns: *total_ns,
+                text,
+            },
+        }
+    }
+
+    /// Serializes the frame body (everything between the header and the
+    /// checksum) into `out`.
+    pub fn encode_body(&self, out: &mut Vec<u8>) {
+        self.as_ref().encode_body(out);
     }
 
     /// Parses a frame body back into a [`Record`]. The checksum has already
@@ -271,6 +354,7 @@ mod tests {
     fn roundtrip(record: &Record) -> Record {
         let mut body = Vec::new();
         record.encode_body(&mut body);
+        assert_eq!(body.len(), record.as_ref().body_len(), "{record:?}");
         Record::decode_body(record.kind(), &body).expect("decodes")
     }
 

@@ -29,8 +29,10 @@
 //!   liveness/queue-depth probes and cross-process model-content digests.
 //!
 //! Durability is optional: configure [`ServerConfig::journal`] and every
-//! accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is appended to a `pfr-journal`
-//! write-ahead log before it executes; after a crash,
+//! accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is enqueued to a `pfr-journal`
+//! write-ahead log before it executes and answered only once durable — the
+//! response waits for the fsync, the reactor does not, so one fsync covers
+//! every request in flight; after a crash,
 //! [`Server::recover_from_journal`] replays the log to rebuild the registry
 //! and re-warm the score cache to the exact pre-crash state.
 //!

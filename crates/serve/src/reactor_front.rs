@@ -13,6 +13,7 @@
 //!                    └──────────▲──────────────────────────┼──┘
 //!                               │ eventfd wake + completion│
 //!                               └──────────────────────────┘
+//!                                 (and the journal's acks)
 //! ```
 //!
 //! A reactor owns connections, not verbs: accept, framing (request lines
@@ -47,22 +48,32 @@
 //! counter and a reorder buffer: responses are emitted strictly in request
 //! order, which is what lets clients pipeline.
 //!
+//! The journal's acknowledgement is one more completion through the same
+//! sink. On a journaling server the reactor never waits for an fsync: a
+//! journaled call stays in `pending` — also when it was answered inline —
+//! until both its outcome and its acknowledgement have arrived, and only
+//! then is its response emitted. Order, backpressure and idle handling
+//! need nothing new for that: a parked call is a pending one.
+//!
 //! Backpressure: a connection whose unsent output exceeds the high
-//! watermark stops being **read** (and therefore parsed) until the peer
-//! drains its socket — its bytes back up into the kernel buffers and TCP
-//! flow control throttles the sender, so a client that pipelines requests
-//! without reading responses cannot balloon server memory.
+//! watermark, or which has [`MAX_PARKED`] requests pending, stops being
+//! **read** (and therefore parsed) until the peer drains its socket or the
+//! completions drain the backlog — its bytes back up into the kernel
+//! buffers and TCP flow control throttles the sender, so a client that
+//! pipelines requests without reading responses cannot balloon server
+//! memory.
 
 use crate::batcher::ScoreSink;
 use crate::protocol::{self, Request};
 use crate::server::ServeContext;
-use crate::verbs::{Call, Outcome, Step};
+use crate::verbs::{Arrival, Call, Outcome, Step};
 use crate::Result;
 use pfr_net::poller::{Event, Interest, Poller, Waker};
 use pfr_net::stats::LoopStats;
 use pfr_net::wheel::DeadlineWheel;
 use pfr_net::{Frame, LineConn};
 use pfr_obs::SpanRing;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -87,6 +98,18 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// response bytes; parsing resumes once the peer drains below it.
 const HIGH_WATER: usize = 256 * 1024;
 
+/// Stop reading and parsing a connection with this many requests parked in
+/// `pending` — with the batcher, the pool or the journal's fsync. Nothing
+/// has been rendered for them yet, so `HIGH_WATER` cannot see them, and a
+/// peer that pipelines without reading would otherwise queue requests (and
+/// their journal frames) without bound. Far above any sane pipelining
+/// depth; reading resumes as completions drain the backlog.
+const MAX_PARKED: usize = 1024;
+
+/// The most requests any one connection has had parked at once.
+#[cfg(test)]
+static PARKED_HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+
 /// Longest tolerated request line (a SCORE with thousands of features fits
 /// comfortably; an unbounded line is a protocol violation).
 const MAX_LINE: usize = 1 << 20;
@@ -96,15 +119,17 @@ const MAX_LINE: usize = 1 << 20;
 /// small (a few hundred bytes per span).
 const SPAN_RING_CAPACITY: usize = 256;
 
-/// What a worker finished for connection `token`, request `seq`.
+/// What arrived for connection `token`, request `seq`: a worker's outcome
+/// or the journal's acknowledgement.
 pub(crate) struct Completion {
     token: u64,
     seq: u64,
-    outcome: Outcome,
+    arrival: Arrival,
 }
 
-/// The reply-side handle given to the batcher / worker pool: sends one
-/// completion and rings the reactor awake. One sink, one send.
+/// The reply-side handle given to the batcher, the worker pool or the
+/// journal's writer: sends one completion and rings the reactor awake. One
+/// sink, one delivery.
 pub(crate) struct NetSink {
     completions: Sender<Completion>,
     waker: Arc<Waker>,
@@ -114,10 +139,14 @@ pub(crate) struct NetSink {
 
 impl NetSink {
     pub(crate) fn send(self, outcome: Outcome) {
+        self.deliver(Arrival::Outcome(outcome));
+    }
+
+    pub(crate) fn deliver(self, arrival: Arrival) {
         let _ = self.completions.send(Completion {
             token: self.token,
             seq: self.seq,
-            outcome,
+            arrival,
         });
         let _ = self.waker.wake();
     }
@@ -133,7 +162,8 @@ struct ClientConn {
     next_write: u64,
     /// Out-of-order completions waiting for their turn.
     ready: BTreeMap<u64, String>,
-    /// Requests whose deferred step is with the batcher or the pool.
+    /// Requests still owed something: a deferred step with the batcher or
+    /// the pool, the journal's acknowledgement, or both.
     pending: HashMap<u64, Call>,
     /// A counted-payload header (`PUSH`/`SYNC`) was parsed; the
     /// connection is in payload mode until the counted bytes arrive, and
@@ -144,7 +174,7 @@ struct ClientConn {
     /// The peer half-closed; finish in-flight work, flush, then close.
     read_closed: bool,
     /// A readable edge arrived but was not yet drained (reads pause while
-    /// the output backlog is above the high watermark).
+    /// the connection is backed up; see [`ClientConn::backed_up`]).
     want_read: bool,
 }
 
@@ -162,6 +192,14 @@ impl ClientConn {
             read_closed: false,
             want_read: false,
         }
+    }
+
+    /// Whether the connection already holds as much unfinished work as it
+    /// may: unsent response bytes above the high watermark, or a full
+    /// complement of parked requests. It is neither read nor parsed until
+    /// the peer or the completions drain it.
+    fn backed_up(&self) -> bool {
+        self.line.pending_out() > HIGH_WATER || self.pending.len() >= MAX_PARKED
     }
 
     /// Whether every accepted request has been answered and flushed.
@@ -459,17 +497,17 @@ impl Reactor {
     }
 
     /// Advances a connection as far as backpressure allows: drains the
-    /// socket **unless** the unsent output sits above the high watermark —
-    /// a peer that pipelines requests without reading responses stops
-    /// being read entirely, so its bytes back up into kernel buffers and
-    /// TCP flow control pushes back on *it*, instead of accumulating in
-    /// server memory — then parses and closes if the session is over.
+    /// socket **unless** the connection is backed up — a peer that
+    /// pipelines requests without reading responses stops being read
+    /// entirely, so its bytes back up into kernel buffers and TCP flow
+    /// control pushes back on *it*, instead of accumulating in server
+    /// memory — then parses and closes if the session is over.
     fn pump(&mut self, token: u64) {
         let filled = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.want_read && conn.line.pending_out() <= HIGH_WATER {
+            if conn.want_read && !conn.backed_up() {
                 conn.want_read = false;
                 let mut stream = &conn.stream;
                 match conn.line.fill(&mut stream) {
@@ -497,14 +535,14 @@ impl Reactor {
 
     /// Parses and dispatches every complete frame the connection has
     /// buffered — request lines, or the counted payload a `PUSH` header
-    /// announced — respecting QUIT and the output high watermark.
+    /// announced — respecting QUIT and backpressure.
     fn parse_available(&mut self, token: u64) {
         loop {
             let frame = {
                 let Some(conn) = self.conns.get_mut(&token) else {
                     return;
                 };
-                if conn.quit_at.is_some() || conn.line.pending_out() > HIGH_WATER {
+                if conn.quit_at.is_some() || conn.backed_up() {
                     return;
                 }
                 match conn.line.next_frame() {
@@ -575,10 +613,10 @@ impl Reactor {
         self.dispatch(token, seq, call, request, payload);
     }
 
-    /// Runs one request through the verb layer. An inline answer is
-    /// emitted at once; a deferred step goes to the batcher or the pool
-    /// with a completion sink, and its `Call` waits in `pending` for
-    /// [`Reactor::apply_completions`].
+    /// Runs one request through the verb layer. A deferred step goes to
+    /// the batcher or the pool with a completion sink. The call is answered
+    /// at once if it has its outcome and owes the journal nothing;
+    /// otherwise it waits in `pending` for [`Reactor::apply_completions`].
     fn dispatch(
         &mut self,
         token: u64,
@@ -587,28 +625,39 @@ impl Reactor {
         request: Request,
         payload: Vec<u8>,
     ) {
-        let submitted = match call.execute(request, payload) {
-            Step::Done(result) => return self.answer(token, seq, call, Outcome::Text(result)),
+        // A step that cannot be submitted met the shutdown race — the
+        // batcher or the pool is gone — and the error is its inline answer,
+        // instead of a request pending forever.
+        let inline = match call.execute(request, payload, || self.sink(token, seq)) {
+            Step::Done(result) => Some(result),
             Step::Batch { model, features } => {
                 let sink = ScoreSink::Net(self.sink(token, seq));
-                self.context.batcher.submit_sink(model, features, sink)
+                self.context
+                    .batcher
+                    .submit_sink(model, features, sink)
+                    .err()
+                    .map(Err)
             }
             Step::Pool(job) => {
                 let sink = self.sink(token, seq);
                 self.context
                     .pool
                     .execute(move || sink.send(Outcome::Text(job())))
+                    .err()
+                    .map(Err)
             }
         };
-        match submitted {
-            Ok(()) => {
+        let released =
+            inline.and_then(|result| call.arrive(Arrival::Outcome(Outcome::Text(result))));
+        match released {
+            Some(outcome) => self.answer(token, seq, call, outcome),
+            None => {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.pending.insert(seq, call);
+                    #[cfg(test)]
+                    PARKED_HIGH_WATER.fetch_max(conn.pending.len(), Ordering::Relaxed);
                 }
             }
-            // Shutdown race: the batcher or the pool is gone. Answer now
-            // instead of leaving the request pending forever.
-            Err(e) => self.answer(token, seq, call, Outcome::Text(Err(e))),
         }
     }
 
@@ -626,17 +675,26 @@ impl Reactor {
             let Completion {
                 token,
                 seq,
-                outcome,
+                arrival,
             } = completion;
-            // A completion whose connection died while the job ran has
-            // nobody to answer; its `Call` went with the connection.
-            let pending = self.conns.get_mut(&token);
-            if let Some(call) = pending.and_then(|conn| conn.pending.remove(&seq)) {
+            // A completion whose connection died meanwhile has nobody to
+            // answer; its `Call` went with the connection.
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            let Entry::Occupied(mut parked) = conn.pending.entry(seq) else {
+                continue;
+            };
+            // A journaled call needs both its outcome and its
+            // acknowledgement; the first of the two leaves it parked.
+            if let Some(outcome) = parked.get_mut().arrive(arrival) {
+                let call = parked.remove();
                 self.answer(token, seq, call, outcome);
+                // The emitted response may have drained the output below
+                // the watermark, and the call no longer counts as parked;
+                // resume any reads and parsing paused behind either.
+                self.pump(token);
             }
-            // The emitted response may have drained the output below the
-            // watermark; resume any reads and parsing paused behind it.
-            self.pump(token);
         }
     }
 
@@ -749,16 +807,11 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn a_flooding_client_is_throttled_not_buffered() {
-        // 20k pipelined requests written before a single response is read:
-        // the responses (> HIGH_WATER bytes) back the output up, the
-        // reactor pauses reading the connection, and TCP pushes back on
-        // the writer — instead of the server buffering the whole flood.
-        // Every request is still answered, in order, once the client
-        // starts reading.
-        let (server, x) = reactor_server(None);
-        let n = 20_000usize;
+    /// Pipelines `n` identical requests from a writer thread that never
+    /// reads (it blocks once kernel buffers fill — that is the throttle),
+    /// runs `before_reading`, then reads every response: all of them must
+    /// come back, in order.
+    fn flood(server: &Server, x: &pfr_linalg::Matrix, n: usize, before_reading: impl FnOnce()) {
         let line = format!("SCORE risk {}\n", protocol::format_numbers(x.row(0)));
         let stream = TcpStream::connect(server.addr()).unwrap();
         stream.set_nodelay(true).unwrap();
@@ -767,13 +820,11 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let mut writer_stream = writer_stream;
             for _ in 0..n {
-                // Blocks once kernel buffers fill — that is the throttle.
                 writer_stream.write_all(line.as_bytes()).unwrap();
             }
             writer_stream.flush().unwrap();
         });
-        // Let the flood hit the watermark before draining anything.
-        std::thread::sleep(Duration::from_millis(100));
+        before_reading();
         let mut first = String::new();
         for i in 0..n {
             let mut response = String::new();
@@ -786,7 +837,61 @@ mod tests {
             }
         }
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn a_flooding_client_is_throttled_not_buffered() {
+        // 20k pipelined requests written before a single response is read:
+        // the responses (> HIGH_WATER bytes) back the output up, the
+        // reactor pauses reading the connection, and TCP pushes back on
+        // the writer — instead of the server buffering the whole flood.
+        // Every request is still answered, in order, once the client
+        // starts reading.
+        let (server, x) = reactor_server(None);
+        // Let the flood hit the watermark before draining anything.
+        flood(&server, &x, 20_000, || {
+            std::thread::sleep(Duration::from_millis(100))
+        });
         server.shutdown();
+    }
+
+    #[test]
+    fn a_flooding_client_parks_a_bounded_backlog_on_a_journaling_server() {
+        // The same flood while the journal's fsync is held: nothing can be
+        // answered, so nothing is rendered and the output watermark sees
+        // nothing. The parked-request bound is what stops the reactor from
+        // reading (and journaling) the whole flood into memory.
+        let (bundle, x) = toy_bundle();
+        let dir =
+            std::env::temp_dir().join(format!("pfr_serve_flood_journal_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let hook = pfr_journal::SyncHook::default();
+        let mut journal = pfr_journal::JournalConfig::new(&dir);
+        journal.sync_hook = Some(hook.clone());
+        let server = Server::spawn(ServerConfig {
+            journal: Some(journal),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let text = persistence::bundle_to_string(&bundle);
+        server.registry().load_from_str("risk", &text).unwrap();
+        hook.hold();
+        flood(&server, &x, 20_000, || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while server.stats().queue_depth() < MAX_PARKED as u64 {
+                assert!(Instant::now() < deadline, "the flood never backed up");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // No reads for 100 ms: the backlog sits at the bound.
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(server.stats().queue_depth(), MAX_PARKED as u64);
+            hook.release();
+        });
+        assert!(PARKED_HIGH_WATER.load(Ordering::Relaxed) <= MAX_PARKED);
+        assert_eq!(server.stats().queue_depth(), 0, "one exit per enter");
+        assert_eq!(server.journal().unwrap().stats().appends(), 20_000);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

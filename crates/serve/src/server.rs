@@ -90,12 +90,18 @@ pub struct ServerConfig {
     /// idle, however long ago its last byte arrived.
     pub idle_timeout: Option<Duration>,
     /// Write-ahead journal configuration (`None` = no journaling). When
-    /// set, every accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is appended to
+    /// set, every accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is enqueued to
     /// the journal *before* it executes (bundle text inlined for `LOAD` and
-    /// `PUSH`, so replay needs no filesystem), and
-    /// [`Server::recover_from_journal`] can rebuild the registry and
-    /// re-warm the score cache to the exact pre-crash state. A request the
-    /// journal cannot record fails with an `ERR` — durability is part of
+    /// `PUSH`, so replay needs no filesystem) and answered only once the
+    /// journal has acknowledged it — under the default per-record policy,
+    /// once the fsync covering its frame has returned. Execution does not
+    /// wait for that: a `SCORE` is scored while its frame is being flushed,
+    /// and one fsync covers every request admitted meanwhile, so a durable
+    /// server costs about the CPU of journaling rather than a disk flush
+    /// per request. [`Server::recover_from_journal`] can rebuild the
+    /// registry and re-warm the score cache to the exact pre-crash state. A
+    /// request the journal cannot record fails with an `ERR`, whatever it
+    /// computed, and its score is not cached — durability is part of
     /// accepting it. Note that models installed in-process via
     /// [`Server::registry`] bypass the wire handlers and are **not**
     /// journaled; use `LOAD`/`PUSH` for installs that must survive a crash.
@@ -990,10 +996,30 @@ mod tests {
 
     #[test]
     fn every_verb_is_counted_once_and_leaves_the_gauge_at_zero() {
+        every_verb_session(None);
+    }
+
+    /// The same session when every `SCORE`/`TRANSFORM` also waits for its
+    /// journal acknowledgement and every install for a blocking append.
+    #[test]
+    fn every_verb_is_counted_once_on_a_journaling_server() {
+        let dir = std::env::temp_dir().join(format!(
+            "pfr_serve_accounting_journal_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        every_verb_session(Some(JournalConfig::new(&dir)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn every_verb_session(journal: Option<JournalConfig>) {
         let (bundle, x) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
-        let path =
-            std::env::temp_dir().join(format!("pfr_serve_accounting_{}", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "pfr_serve_accounting_{}_{}",
+            journal.is_some(),
+            std::process::id()
+        ));
         persistence::save_bundle(&bundle, &path).unwrap();
         // A long linger keeps a cache miss in the batcher long enough for
         // the second connection below to die with requests in flight.
@@ -1002,6 +1028,7 @@ mod tests {
                 linger: Duration::from_millis(300),
                 ..BatcherConfig::default()
             },
+            journal,
             ..ServerConfig::default()
         })
         .unwrap();

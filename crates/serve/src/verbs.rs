@@ -8,29 +8,44 @@
 //!
 //! * [`Step::Done`] — answered on the calling thread: `STATS`, `HEALTH`,
 //!   `EPOCH`, `METRICS`, `TRACE`, `CATALOG`, `SYNC`, `QUIT`, a `SCORE` the
-//!   cache holds, and every early error (unknown model, journal failure);
+//!   cache holds, and every early error (unknown model);
 //! * [`Step::Batch`] — a `SCORE` cache miss, for the micro-batcher;
 //! * [`Step::Pool`] — work that may block (`TRANSFORM`'s linear algebra,
 //!   `LOAD`'s disk read, the bundle parse of `LOAD` and `PUSH`), for a pool
 //!   thread.
 //!
-//! Whoever runs a deferred step hands its [`Outcome`] back to
-//! [`Call::complete`], which is also where an inline answer goes. What
-//! every request owes besides its answer happens once around that pair
-//! rather than once per verb: [`Call::begin`] takes the start time, raises
-//! the in-flight gauge and opens the trace span; [`Call::complete`] records
-//! the verb's latency and error count, closes the span, renders `OK`/`ERR`
-//! and echoes the wire trace token; dropping the `Call` — completed, or
-//! abandoned with its connection — lowers the gauge.
+//! Whoever runs a deferred step hands its [`Outcome`] back through
+//! [`Call::arrive`], which is also where an inline answer goes; the
+//! outcome it releases goes to [`Call::complete`]. What every request owes
+//! besides its answer happens once around that pair rather than once per
+//! verb: [`Call::begin`] takes the start time, raises the in-flight gauge
+//! and opens the trace span; [`Call::complete`] records the verb's latency
+//! and error count, closes the span, renders `OK`/`ERR` and echoes the wire
+//! trace token; dropping the `Call` — completed, or abandoned with its
+//! connection — lowers the gauge.
+//!
+//! **Answered and durable.** On a journaling server a `SCORE`/`TRANSFORM`
+//! is *enqueued* to the journal at admission ([`Call::admit`]) and executes
+//! at once — the fsync overlaps the batcher's linger and the GEMM instead
+//! of preceding them, and because the reactor never waits, the journal's
+//! writer finds every request admitted meanwhile queued behind the frame it
+//! is flushing: that is what makes group commit group. Such a call is
+//! complete only when **both** its outcome and the journal's
+//! acknowledgement have arrived ([`Arrival`]), in whichever order, so no
+//! response byte leaves before the fsync that covers its frame. A failed
+//! acknowledgement answers `ERR journal …` whatever was computed and caches
+//! nothing: a server that promised durability must not serve — or
+//! remember — what it could not record.
 
 use crate::cache::ScoreKey;
 use crate::error::ServeError;
 use crate::model::ServableModel;
 use crate::protocol::{self, Request};
+use crate::reactor_front::NetSink;
 use crate::server::ServeContext;
 use crate::stats::{ServerStats, VerbStats};
 use crate::Result;
-use pfr_journal::Record;
+use pfr_journal::{Record, RecordRef};
 use pfr_obs::{ActiveSpan, SpanRing};
 use std::path::Path;
 use std::sync::Arc;
@@ -66,6 +81,26 @@ pub(crate) enum Outcome {
     Text(Result<String>),
 }
 
+/// One of the two things a [`Call`] may wait for.
+pub(crate) enum Arrival {
+    /// Its answer: inline, or from the batcher or the pool.
+    Outcome(Outcome),
+    /// The journal's acknowledgement of the frame [`Call::admit`] enqueued.
+    Durable(Result<()>),
+}
+
+/// What a [`Call`] still owes the journal before it may be answered.
+enum Durability {
+    /// Nothing: not journaled, or already acknowledged.
+    Settled,
+    /// The frame is enqueued; neither half has arrived.
+    Awaited,
+    /// The outcome arrived first and waits for the acknowledgement.
+    Answered(Outcome),
+    /// The journal could not record the request.
+    Failed(ServeError),
+}
+
 /// One request between parse and response (see the module docs).
 pub(crate) struct Call {
     context: Arc<ServeContext>,
@@ -86,6 +121,7 @@ pub(crate) struct Call {
     threshold: f64,
     /// The span event a deferred pool job's completion records.
     pool_stage: Option<&'static str>,
+    durability: Durability,
 }
 
 impl Call {
@@ -126,6 +162,7 @@ impl Call {
             key: None,
             threshold: 0.0,
             pool_stage: None,
+            durability: Durability::Settled,
         }
     }
 
@@ -137,8 +174,15 @@ impl Call {
     }
 
     /// Executes `request`. `payload` is the counted payload of `PUSH` and
-    /// `SYNC`, empty for every other verb.
-    pub(crate) fn execute(&mut self, request: Request, payload: Vec<u8>) -> Step {
+    /// `SYNC`, empty for every other verb. `ack` builds the sink a journal
+    /// acknowledgement comes back through; it is called only if the
+    /// request is journaled, so a volatile server never clones one.
+    pub(crate) fn execute(
+        &mut self,
+        request: Request,
+        payload: Vec<u8>,
+        ack: impl FnOnce() -> NetSink,
+    ) -> Step {
         let context = &*self.context;
         match request {
             Request::Stats => Step::Done(Ok(context.stats_line())),
@@ -154,10 +198,10 @@ impl Call {
             Request::Sync { .. } => Step::Done(sync(context, &payload)),
             Request::Quit => Step::Done(Ok("bye".to_string())),
             Request::Score { name, features, .. } => self
-                .score(&name, features)
+                .score(&name, features, ack)
                 .unwrap_or_else(|e| Step::Done(Err(e))),
             Request::Transform { name, features, .. } => self
-                .transform(&name, features)
+                .transform(&name, features, ack)
                 .unwrap_or_else(|e| Step::Done(Err(e))),
             Request::Load { name, path } => {
                 let context = Arc::clone(&self.context);
@@ -176,25 +220,46 @@ impl Call {
         }
     }
 
-    /// Resolves `name` and journals the request **before** it executes —
-    /// cache hits included — so replay reproduces the exact request order
-    /// (and thus the LRU state).
-    fn admit(&mut self, name: &str, record: impl FnOnce() -> Record) -> Result<Arc<ServableModel>> {
+    /// Resolves `name` and enqueues the request to the journal **before**
+    /// it executes — cache hits included — so journal order is admission
+    /// order and replay reproduces the exact request order (and thus the
+    /// LRU state). The enqueue does not wait: the acknowledgement comes
+    /// back through `ack` as an [`Arrival::Durable`], and until then the
+    /// call may compute its answer but not give it.
+    fn admit(
+        &mut self,
+        name: &str,
+        record: RecordRef<'_>,
+        ack: impl FnOnce() -> NetSink,
+    ) -> Result<Arc<ServableModel>> {
         let model = self.context.registry.resolve(name)?;
         self.event("resolve");
-        journal_append(&self.context, record)?;
-        if self.context.journal.is_some() {
-            self.event("journal-append");
+        if let Some(journal) = &self.context.journal {
+            let sink = ack();
+            journal.submit(record, move |result| {
+                sink.deliver(Arrival::Durable(
+                    result
+                        .map(drop)
+                        .map_err(|e| ServeError::Journal(e.to_string())),
+                ))
+            });
+            self.durability = Durability::Awaited;
         }
         Ok(model)
     }
 
     /// `SCORE`: a cache hit answers here; a miss goes to the batcher.
-    fn score(&mut self, name: &str, features: Vec<f64>) -> Result<Step> {
-        let model = self.admit(name, || Record::Score {
-            model: name.to_string(),
-            features: features.clone(),
-        })?;
+    fn score(
+        &mut self,
+        name: &str,
+        features: Vec<f64>,
+        ack: impl FnOnce() -> NetSink,
+    ) -> Result<Step> {
+        let record = RecordRef::Score {
+            model: name,
+            features: &features,
+        };
+        let model = self.admit(name, record, ack)?;
         let key = ScoreKey::new(model.generation(), &features);
         let cached = key.as_ref().and_then(|key| {
             self.context
@@ -217,11 +282,17 @@ impl Call {
 
     /// `TRANSFORM`: not micro-batched (it is an offline/debugging verb),
     /// but still run on the pool so reactors never do linear algebra.
-    fn transform(&mut self, name: &str, features: Vec<f64>) -> Result<Step> {
-        let model = self.admit(name, || Record::Transform {
-            model: name.to_string(),
-            features: features.clone(),
-        })?;
+    fn transform(
+        &mut self,
+        name: &str,
+        features: Vec<f64>,
+        ack: impl FnOnce() -> NetSink,
+    ) -> Result<Step> {
+        let record = RecordRef::Transform {
+            model: name,
+            features: &features,
+        };
+        let model = self.admit(name, record, ack)?;
         Ok(self.defer("pool-exec", move || {
             let x = pfr_linalg::Matrix::from_vec(1, features.len(), features)
                 .map_err(ServeError::model)?;
@@ -241,14 +312,55 @@ impl Call {
         Step::Pool(Box::new(job))
     }
 
-    /// Closes the books and renders the response line. Finished spans land
-    /// in `ring` (the calling reactor's).
+    /// Takes in one of the things the call waits for, recording its span
+    /// event. Returns the outcome to [`Call::complete`] it with once
+    /// nothing more is owed — at once for a call that is not journaled —
+    /// and `None` while the other half is still out.
+    pub(crate) fn arrive(&mut self, arrival: Arrival) -> Option<Outcome> {
+        match arrival {
+            Arrival::Outcome(outcome) => {
+                match &outcome {
+                    // Queue wait, batch assembly and the GEMM all sit
+                    // between "cache-miss" and this event.
+                    Outcome::Score(Ok(_)) => self.event("batch-scored"),
+                    Outcome::Score(Err(_)) => {}
+                    Outcome::Text(_) => {
+                        if let Some(stage) = self.pool_stage {
+                            self.event(stage);
+                        }
+                    }
+                }
+                match self.durability {
+                    Durability::Awaited => {
+                        self.durability = Durability::Answered(outcome);
+                        None
+                    }
+                    _ => Some(outcome),
+                }
+            }
+            Arrival::Durable(ack) => {
+                self.event("journal-append");
+                let settled = match ack {
+                    Ok(()) => Durability::Settled,
+                    Err(e) => Durability::Failed(e),
+                };
+                match std::mem::replace(&mut self.durability, settled) {
+                    Durability::Answered(outcome) => Some(outcome),
+                    _ => None,
+                }
+            }
+        }
+    }
+
+    /// Closes the books on a call [`Call::arrive`] released and renders
+    /// the response line. Finished spans land in `ring` (the calling
+    /// reactor's).
     pub(crate) fn complete(mut self, outcome: Outcome, ring: &SpanRing) -> String {
-        let result = match outcome {
-            Outcome::Score(Ok(score)) => {
-                // Queue wait, batch assembly and the GEMM all sit between
-                // "cache-miss" and this event.
-                self.event("batch-scored");
+        let durability = std::mem::replace(&mut self.durability, Durability::Settled);
+        let result = match (durability, outcome) {
+            // Unrecorded: no answer, and nothing of it in the cache.
+            (Durability::Failed(e), _) => Err(e),
+            (_, Outcome::Score(Ok(score))) => {
                 if let Some(key) = self.key.take() {
                     self.context
                         .cache
@@ -259,13 +371,8 @@ impl Call {
                 }
                 Ok(score_payload(score, self.threshold))
             }
-            Outcome::Score(Err(e)) => Err(e),
-            Outcome::Text(result) => {
-                if let Some(stage) = self.pool_stage {
-                    self.event(stage);
-                }
-                result
-            }
+            (_, Outcome::Score(Err(e))) => Err(e),
+            (_, Outcome::Text(result)) => result,
         };
         if let Some(bucket) = self.bucket {
             bucket(&self.context.stats).record(self.start.elapsed(), result.is_ok());
@@ -295,25 +402,10 @@ impl Drop for Call {
     }
 }
 
-/// Appends a journal record if journaling is configured. The record is
-/// built lazily so the non-journaling hot path pays nothing. An append
-/// failure fails the request: a server that promised durability must not
-/// serve what it could not record. Under `FsyncPolicy::PerRecord` the
-/// append blocks the calling reactor on an fsync; journaling deployments
-/// should prefer `Interval`.
-fn journal_append(context: &ServeContext, record: impl FnOnce() -> Record) -> Result<()> {
-    if let Some(journal) = &context.journal {
-        journal
-            .append(&record())
-            .map_err(|e| ServeError::Journal(e.to_string()))?;
-    }
-    Ok(())
-}
-
 /// Closes a span into `ring` and, when the request breached the slow
-/// threshold, writes its breakdown through the journal as a slow-trace
-/// record (best effort: a full disk must not fail a request that already
-/// succeeded).
+/// threshold, enqueues its breakdown to the journal as a slow-trace record.
+/// Nobody waits for that frame: it is a diagnostic of a request already
+/// answered, and the reactor must not stall on the disk for it.
 fn finish_span(context: &ServeContext, span: ActiveSpan, ring: &SpanRing) {
     let trace_id = span.trace_id();
     let total_ns = span.finish(ring);
@@ -326,11 +418,12 @@ fn finish_span(context: &ServeContext, span: ActiveSpan, ring: &SpanRing) {
     context.stats.record_slow_request();
     if let Some(journal) = &context.journal {
         if let Some(record) = ring.find(trace_id).into_iter().next_back() {
-            let _ = journal.append(&Record::SlowTrace {
+            let slow = RecordRef::SlowTrace {
                 trace_id,
                 total_ns,
-                text: record.render(0),
-            });
+                text: &record.render(0),
+            };
+            journal.submit(slow, |_| {});
         }
     }
 }
@@ -406,7 +499,9 @@ fn load(context: &ServeContext, name: &str, path: &Path) -> Result<String> {
 /// The one bundle install behind `LOAD` and `PUSH`: the text is validated
 /// before it is journaled, so garbage never occupies a frame (the
 /// registry re-parses, but installs are rare and bundles are small), and
-/// journaled before it is registered. `record` is the verb's journal
+/// journaled before it is registered — with the blocking append, on this
+/// pool thread: the frame must be durable before the registry swap, and an
+/// install the journal cannot record fails. `record` is the verb's journal
 /// record kind.
 fn install(
     context: &ServeContext,
@@ -417,7 +512,11 @@ fn install(
     let text = std::str::from_utf8(bundle)
         .map_err(|_| ServeError::Protocol("bundle text is not valid utf-8".to_string()))?;
     pfr_core::persistence::bundle_from_string(text).map_err(ServeError::model)?;
-    journal_append(context, || record(name.to_string(), text.to_string()))?;
+    if let Some(journal) = &context.journal {
+        journal
+            .append(&record(name.to_string(), text.to_string()))
+            .map_err(|e| ServeError::Journal(e.to_string()))?;
+    }
     let model = context.registry.load_from_str(name, text)?;
     Ok(format!(
         "loaded {} features={} dim={}",
