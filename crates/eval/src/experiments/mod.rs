@@ -3,7 +3,7 @@
 //!
 //! Every driver returns structured results *and* can render them as a text
 //! table, so the same code backs the `pfr-eval` binary, the integration tests
-//! and the Criterion benches.
+//! and the repository benchmark's `fit_refit` workload.
 
 pub mod ablation;
 pub mod gamma;

@@ -15,9 +15,9 @@
 //!    optionally post-processing with Hardt et al. equalized odds.
 //!
 //! Every table and figure of the paper has a driver in [`experiments`]; the
-//! `pfr-eval` binary exposes them on the command line and `pfr-bench` wraps
-//! them in Criterion benches. `EXPERIMENTS.md` records the measured numbers
-//! next to the paper's.
+//! `pfr-eval` binary exposes them on the command line and the repository
+//! benchmark's `fit_refit` workload (`bench/`) runs all of them against
+//! recorded outputs.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -45,7 +45,7 @@
 //! vector micro-kernels fuse multiply-adds; the property suite bounds that
 //! difference at `1e-9` relative.
 //!
-//! Very small products (`k·n` below [`SMALL_KN`]) skip packing entirely and
+//! Very small products (`k·n` below `SMALL_KN`) skip packing entirely and
 //! run a per-row `i-k-j` loop. The dispatch deliberately ignores the row
 //! count `m`, so batches of different heights take the same code path.
 
@@ -300,7 +300,7 @@ fn small_gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mu
 }
 
 /// How many worker threads an `m x n x k` product is worth: one per
-/// [`FLOPS_PER_THREAD`] of its `2·m·n·k` flops, at least one, at most the
+/// `FLOPS_PER_THREAD` of its `2·m·n·k` flops, at least one, at most the
 /// machine's parallelism less one — a kernel on every core ends when the
 /// slowest core does, and on a shared host that spread fit times three to
 /// four times wider between runs (`crates/linalg/DESIGN.md`, guarantee 2).

@@ -21,8 +21,6 @@
 //!   workspace fits; no fit path calls it any more (see its module docs).
 //! * [`cholesky`] — Cholesky factorization and SPD linear solves (used by the
 //!   Newton/IRLS steps of the downstream logistic-regression classifier).
-//! * [`solve`] — LU factorization with partial pivoting for general square
-//!   systems.
 //! * [`stats`] — column statistics, standardization, covariance/correlation
 //!   and quantiles.
 //!
@@ -39,8 +37,6 @@ pub mod eigen;
 pub mod error;
 pub mod gemm;
 pub mod matrix;
-pub mod pca;
-pub mod solve;
 pub mod stats;
 pub mod subspace;
 pub mod vector;
@@ -49,7 +45,6 @@ pub use cholesky::CholeskyDecomposition;
 pub use eigen::Eigen;
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use solve::LuDecomposition;
 pub use subspace::{smallest_eigenpairs_warm, SubspaceEigen, SubspaceOptions};
 
 /// Convenient result alias used across the crate.

@@ -2,12 +2,15 @@
 //! histograms registered once, rendered as Prometheus-style text
 //! (`name{label="v"} value`), and — because both ends of the wire share
 //! the bucket scheme in [`crate::histo`] — parsed back and merged
-//! exactly by an aggregating tier.
+//! exactly by an aggregating tier. The same list also renders as one
+//! line of `name{label="v"}=value` tokens without the bucket series
+//! ([`MetricsRegistry::render_line`], the `STATS` verb).
 
 #[cfg(test)]
 use crate::histo::SUB;
 use crate::histo::{bucket_high, bucket_index, bucket_low, LatencyHisto, Snapshot, BUCKETS};
 use std::collections::BTreeMap;
+use std::fmt::{Arguments, Display, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -38,6 +41,30 @@ impl std::fmt::Debug for MetricsRegistry {
         f.debug_struct("MetricsRegistry")
             .field("entries", &entries.len())
             .finish()
+    }
+}
+
+/// The two ways one series list is written out.
+#[derive(Clone, Copy, PartialEq)]
+enum Form {
+    /// `METRICS`: `name{labels} value`, one series per line.
+    Lines,
+    /// `STATS`: `name{labels}=value` tokens separated by single spaces, and
+    /// no `_bucket` series — a histogram is its `_sum`, `_count` and
+    /// quantiles.
+    Tokens,
+}
+
+impl Form {
+    fn series(self, out: &mut String, key: Arguments<'_>, value: impl Display) {
+        let written = match self {
+            Form::Lines => writeln!(out, "{key} {value}"),
+            Form::Tokens => {
+                let gap = if out.is_empty() { "" } else { " " };
+                write!(out, "{gap}{key}={value}")
+            }
+        };
+        written.expect("writing to a String cannot fail");
     }
 }
 
@@ -96,22 +123,31 @@ impl MetricsRegistry {
         self.push(name, labels, Kind::Histogram(histo));
     }
 
-    /// Renders every registered metric, in registration order.
+    /// Renders every registered metric, in registration order, one series
+    /// per line — the `METRICS` payload.
     pub fn render(&self) -> String {
+        self.render_as(Form::Lines)
+    }
+
+    /// The same series in the same order as [`MetricsRegistry::render`],
+    /// minus the `_bucket` lines, as `name{labels}=value` tokens on a single
+    /// line — the `STATS` payload. A token splits at its last `=`.
+    pub fn render_line(&self) -> String {
+        self.render_as(Form::Tokens)
+    }
+
+    fn render_as(&self, form: Form) -> String {
         let mut out = String::new();
         let entries = self.entries.lock().expect("registry lock never poisons");
-        for entry in entries.iter() {
-            match &entry.kind {
-                Kind::Counter(v) => {
-                    let value = v.load(Ordering::Relaxed);
-                    out.push_str(&format!("{}{} {}\n", entry.name, entry.labels, value));
-                }
-                Kind::Gauge(read) => {
-                    out.push_str(&format!("{}{} {}\n", entry.name, entry.labels, read()));
-                }
-                Kind::Histogram(h) => {
-                    render_histogram(&mut out, &entry.name, &entry.labels, &h.snapshot());
-                }
+        for Entry { name, labels, kind } in entries.iter() {
+            match kind {
+                Kind::Counter(v) => form.series(
+                    &mut out,
+                    format_args!("{name}{labels}"),
+                    v.load(Ordering::Relaxed),
+                ),
+                Kind::Gauge(read) => form.series(&mut out, format_args!("{name}{labels}"), read()),
+                Kind::Histogram(h) => histogram_series(form, &mut out, name, labels, &h.snapshot()),
             }
         }
         out
@@ -121,25 +157,31 @@ impl MetricsRegistry {
 /// Renders one histogram snapshot into `out` using the shared exposition
 /// format ([`Scrape::parse`] is its exact inverse for the bucket data).
 pub fn render_histogram(out: &mut String, name: &str, labels: &str, snap: &Snapshot) {
-    let mut cum = 0u64;
-    for (i, &c) in snap.buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
+    histogram_series(Form::Lines, out, name, labels, snap);
+}
+
+fn histogram_series(form: Form, out: &mut String, name: &str, labels: &str, snap: &Snapshot) {
+    if form == Form::Lines {
+        let mut cum = 0u64;
+        for (i, &c) in snap.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            cum += c;
+            let le = labels_with(labels, "le", &bucket_high(i).to_string());
+            form.series(out, format_args!("{name}_bucket{le}"), cum);
         }
-        cum += c;
-        let le = labels_with(labels, "le", &bucket_high(i).to_string());
-        out.push_str(&format!("{name}_bucket{le} {cum}\n"));
+        let inf = labels_with(labels, "le", "+Inf");
+        form.series(out, format_args!("{name}_bucket{inf}"), snap.count);
     }
-    let inf = labels_with(labels, "le", "+Inf");
-    out.push_str(&format!("{name}_bucket{inf} {}\n", snap.count));
-    out.push_str(&format!("{name}_sum{labels} {}\n", snap.sum));
-    out.push_str(&format!("{name}_count{labels} {}\n", snap.count));
+    form.series(out, format_args!("{name}_sum{labels}"), snap.sum);
+    form.series(out, format_args!("{name}_count{labels}"), snap.count);
     for (q, v) in [
         ("p50", snap.p50()),
         ("p99", snap.p99()),
         ("p999", snap.p999()),
     ] {
-        out.push_str(&format!("{name}_{q}{labels} {v}\n"));
+        form.series(out, format_args!("{name}_{q}{labels}"), v);
     }
 }
 
@@ -353,6 +395,18 @@ mod tests {
         assert!(text.contains("pfr_latency_ns_count{verb=\"score\"} 2\n"));
         assert!(text.contains("pfr_latency_ns_sum{verb=\"score\"} 300\n"));
         assert!(text.contains("pfr_latency_ns_p99{verb=\"score\"}"));
+        // The line form is the same list: every non-bucket line, its last
+        // space turned into `=`.
+        let tokens: Vec<String> = text
+            .lines()
+            .filter(|line| !line.contains("_bucket{"))
+            .map(|line| {
+                let (key, value) = line.rsplit_once(' ').unwrap();
+                format!("{key}={value}")
+            })
+            .collect();
+        assert_eq!(reg.render_line(), tokens.join(" "));
+        assert_eq!(tokens.len(), 2 + 5);
     }
 
     #[test]

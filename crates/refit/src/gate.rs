@@ -15,8 +15,8 @@
 //!   `max_mean_abs_diff` — agreement alone would accept a candidate whose
 //!   probabilities wander right up to the decision boundary.
 //!
-//! A rejection is a normal, reported outcome (`refits_gated` on the STATS
-//! line), not an error: drift that invalidates the serving model also
+//! A rejection is a normal, reported outcome (`pfr_refit_gated_total`),
+//! not an error: drift that invalidates the serving model also
 //! makes "agree with the serving model" the wrong bar, and operators see
 //! the reason string instead of a silent swap.
 

@@ -18,10 +18,10 @@
 //! the existing wire-level `PUSH` path ([`worker::SwapTarget`]) — a single
 //! backend, a list of backends, or a whole routing tier at once.
 //!
-//! Every stage is observable: the worker's counters
-//! (`refits_attempted/gated/swapped`, cursor position, drift checks) ride
-//! the serving STATS line via
-//! [`pfr_serve::Server::attach_stats_source`].
+//! Every stage is observable: [`worker::RefitStats::register_metrics`]
+//! puts the worker's counters (`pfr_refit_attempted/gated/swapped_total`,
+//! cursor position and lag, drift checks) on the serving tier's registry
+//! ([`pfr_serve::Server::metrics`]), which `METRICS` and `STATS` render.
 //!
 //! ```text
 //!   clients ──► serving tier ──► journal segments ──► JournalCursor

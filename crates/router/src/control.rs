@@ -36,12 +36,10 @@
 
 use crate::backend::Backend;
 use crate::ring::HashRing;
-use crate::router::{
-    classify, register_backend_metrics, Membership, Reply, RouterConfig, RouterStats,
-};
+use crate::router::{classify, Membership, Reply, RouterConfig, RouterStats};
 use pfr_control::{Catalog, Version};
 use pfr_core::persistence;
-use pfr_obs::{mint_trace_id, ActiveSpan, MetricsRegistry, SpanRing};
+use pfr_obs::{mint_trace_id, ActiveSpan, SpanRing};
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,7 +79,6 @@ pub(crate) struct ControlPlane {
     /// have missed placements while it was ejected.
     readmission_marks: Mutex<HashMap<usize, u64>>,
     stats: Arc<RouterStats>,
-    metrics: Arc<MetricsRegistry>,
     span_ring: Arc<SpanRing>,
 }
 
@@ -104,7 +101,6 @@ impl ControlPlane {
         catalog: Arc<Mutex<Catalog>>,
         model_ids: Arc<Mutex<HashMap<String, u64>>>,
         stats: Arc<RouterStats>,
-        metrics: Arc<MetricsRegistry>,
         span_ring: Arc<SpanRing>,
     ) -> ControlPlane {
         ControlPlane {
@@ -118,7 +114,6 @@ impl ControlPlane {
             reconcile_gate: Mutex::new(()),
             readmission_marks: Mutex::new(HashMap::new()),
             stats,
-            metrics,
             span_ring,
         }
     }
@@ -305,16 +300,12 @@ impl ControlPlane {
         for (id, addr) in desired {
             let backend = match current.backends.get(&id) {
                 Some(existing) if existing.addr() == addr => Arc::clone(existing),
-                _ => {
-                    let backend = Arc::new(Backend::new(
-                        id,
-                        addr,
-                        Arc::clone(&self.driver),
-                        self.config.breaker,
-                    ));
-                    register_backend_metrics(&self.metrics, &backend);
-                    backend
-                }
+                _ => Arc::new(Backend::new(
+                    id,
+                    addr,
+                    Arc::clone(&self.driver),
+                    self.config.breaker,
+                )),
             };
             ring.add(id);
             backends.insert(id, backend);

@@ -61,8 +61,8 @@ use crate::Result;
 use pfr_core::persistence::{self, ModelBundle};
 use pfr_net::client::BurstResult;
 use pfr_obs::{
-    mint_trace_id, trace_token, unescape_multiline, ActiveSpan, MetricsRegistry, Sampler, Scrape,
-    SpanRing, TraceStore,
+    mint_trace_id, render_histogram, trace_token, unescape_multiline, ActiveSpan, MetricsRegistry,
+    Sampler, Scrape, SpanRing, TraceStore,
 };
 use pfr_serve::cache::{ScoreCache, ScoreKey};
 use std::collections::{BTreeMap, HashMap};
@@ -311,8 +311,10 @@ pub struct Router {
     next_model_id: AtomicU64,
     stats: Arc<RouterStats>,
     health: Option<HealthChecker>,
-    /// Every router-local series [`Router::metrics`] renders: routing
-    /// counters as gauges, per-backend latency histograms, breaker state.
+    /// The router-local series that live as long as the router: routing
+    /// and control-plane counters as gauges. The per-backend series are
+    /// rendered from the membership at scrape time
+    /// ([`render_backend_metrics`]), so they leave with their backend.
     metrics: Arc<MetricsRegistry>,
     /// Recorded router spans backing [`Router::trace`].
     traces: Arc<TraceStore>,
@@ -369,13 +371,6 @@ impl Router {
                 Arc::new(move || catalog.lock().expect("catalog lock poisoned").epoch() as f64),
             );
         }
-        for backend in membership
-            .read()
-            .expect("membership lock poisoned")
-            .backends()
-        {
-            register_backend_metrics(&metrics, &backend);
-        }
         let health = config.health_interval.map(|interval| {
             // The prober reads the live membership every round, so
             // backends added later are probed without a restart.
@@ -405,7 +400,6 @@ impl Router {
             Arc::clone(&catalog),
             Arc::clone(&model_ids),
             Arc::clone(&stats),
-            Arc::clone(&metrics),
             Arc::clone(&span_ring),
         ));
         // Bootstrap: adopt the newest catalog any peer-fed backend holds
@@ -540,10 +534,6 @@ impl Router {
             Arc::clone(&self.driver),
             self.config.breaker,
         ));
-        // Exposition series are append-only: a later `remove_backend` does
-        // not unregister them — ids are never reused, so a departed
-        // backend's series simply stops moving.
-        register_backend_metrics(&self.metrics, &backend);
         {
             let mut current = self.membership.write().expect("membership lock poisoned");
             let mut ring = current.ring.clone();
@@ -1307,9 +1297,11 @@ impl Router {
     /// per-backend quantiles. Unreachable backends are skipped;
     /// `pfr_router_backends_scraped` says how many answered.
     pub fn metrics(&self) -> String {
+        let mut out = self.metrics.render();
         let mut merged = Scrape::default();
         let mut scraped = 0u64;
         for backend in self.membership().backends() {
+            render_backend_metrics(&mut out, &backend);
             let Ok(response) = backend.exchange("METRICS") else {
                 continue;
             };
@@ -1318,7 +1310,6 @@ impl Router {
                 scraped += 1;
             }
         }
-        let mut out = self.metrics.render();
         out.push_str(&format!("pfr_router_backends_scraped {scraped}\n"));
         out.push_str(&merged.render());
         out
@@ -1487,33 +1478,29 @@ fn register_router_gauges(
     );
 }
 
-/// Registers one backend's latency histogram and breaker gauges, labeled
-/// by ring id. Ids are never reused, so series never collide.
-pub(crate) fn register_backend_metrics(metrics: &MetricsRegistry, backend: &Arc<Backend>) {
-    let id = backend.id().to_string();
-    metrics.histogram(
+/// Renders one member backend's latency histogram and breaker gauges,
+/// labeled by ring id. Rendered from the live membership rather than
+/// registered, so a removed backend's series (and the `Backend` behind
+/// them) go with it and a re-addressed id renders once.
+fn render_backend_metrics(out: &mut String, backend: &Backend) {
+    let labels = format!("{{backend=\"{}\"}}", backend.id());
+    render_histogram(
+        out,
         "pfr_router_backend_latency_ns",
-        &[("backend", &id)],
-        Arc::clone(backend.latency_histogram()),
+        &labels,
+        &backend.latency_histogram().snapshot(),
     );
-    let b = Arc::clone(backend);
-    metrics.gauge(
-        "pfr_router_breaker_ejections_total",
-        &[("backend", &id)],
-        Arc::new(move || b.breaker().ejections() as f64),
-    );
-    let b = Arc::clone(backend);
-    metrics.gauge(
-        "pfr_router_breaker_readmissions_total",
-        &[("backend", &id)],
-        Arc::new(move || b.breaker().readmissions() as f64),
-    );
-    let b = Arc::clone(backend);
-    metrics.gauge(
-        "pfr_router_breaker_open",
-        &[("backend", &id)],
-        Arc::new(move || if b.breaker().is_open() { 1.0 } else { 0.0 }),
-    );
+    let breaker = backend.breaker();
+    for (name, value) in [
+        ("pfr_router_breaker_ejections_total", breaker.ejections()),
+        (
+            "pfr_router_breaker_readmissions_total",
+            breaker.readmissions(),
+        ),
+        ("pfr_router_breaker_open", u64::from(breaker.is_open())),
+    ] {
+        out.push_str(&format!("{name}{labels} {value}\n"));
+    }
 }
 
 /// Unwraps a fully scored batch (every row scored or the retry errored).
@@ -1632,5 +1619,44 @@ mod tests {
             Router::connect(&[], RouterConfig::default()),
             Err(RouterError::NoBackends)
         ));
+    }
+
+    #[test]
+    fn per_backend_series_leave_with_their_backend_and_render_once() {
+        let mut cluster = crate::LocalCluster::boot(2, pfr_serve::ServerConfig::default()).unwrap();
+        // No prober and no sync worker: nothing but the membership may hold
+        // a backend, and nothing but this test changes the roster.
+        let router = cluster
+            .router(RouterConfig {
+                health_interval: None,
+                sync_interval: None,
+                ..RouterConfig::default()
+            })
+            .unwrap();
+
+        let id = router.add_backend(cluster.add_backend().unwrap()).unwrap();
+        let departing = Arc::downgrade(&router.membership().backends[&id]);
+        let open = format!("pfr_router_breaker_open{{backend=\"{id}\"}} 0\n");
+        assert!(router.metrics().contains(&open));
+        router.remove_backend(id).unwrap();
+        let scrape = router.metrics();
+        assert!(!scrape.contains(&format!("backend=\"{id}\"")), "{scrape}");
+        assert!(
+            departing.upgrade().is_none(),
+            "a removed backend is dropped"
+        );
+
+        // A catalog that moves id 1 to another address replaces the
+        // backend; its series must not render beside the old one's.
+        let mut remote = router.catalog.lock().unwrap().clone();
+        remote.add_member(router.writer, 1, cluster.add_backend().unwrap().to_string());
+        assert!(router.control.adopt(remote));
+        let scrape = router.metrics();
+        let mut seen = std::collections::HashSet::new();
+        for line in scrape.lines() {
+            let (key, _) = line.rsplit_once(' ').unwrap();
+            assert!(seen.insert(key), "'{key}' renders twice:\n{scrape}");
+        }
+        assert!(seen.contains("pfr_router_breaker_open{backend=\"1\"}"));
     }
 }

@@ -9,7 +9,8 @@
 //!    text — newlines inside the payload are data, not framing)
 //! SCORE <name> v1 v2 ... vm     -> OK <probability> <hard-label>
 //! TRANSFORM <name> v1 ... vm    -> OK z1 z2 ... zd
-//! STATS                         -> OK key=value key=value ...
+//! STATS                         -> OK name{labels}=value name{labels}=value ...
+//!   (the METRICS series without their histogram buckets, on one line)
 //! HEALTH                        -> OK up models=<n> swaps=<s> queue=<q>
 //! EPOCH <name>                  -> OK <name> generation=<g> digest=<hex>
 //! METRICS                       -> OK <escaped Prometheus-style text>

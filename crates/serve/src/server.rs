@@ -1,5 +1,5 @@
 //! The serving instance: configuration, the state every request shares
-//! ([`ServeContext`]), start-up and shutdown of the reactor pool, and
+//! (`ServeContext`), start-up and shutdown of the reactor pool, and
 //! journal recovery.
 //!
 //! ```text
@@ -108,10 +108,10 @@ pub struct ServerConfig {
     pub journal: Option<JournalConfig>,
     /// Most simultaneously connected clients the server admits
     /// (`None` = unlimited). A connection accepted past the limit is
-    /// **shed**: answered with one [`protocol::BUSY`] line and closed, and
-    /// counted under `sheds=` on the `STATS` line. Load-shedding protects
-    /// tail latency for the connections already admitted; the routing tier
-    /// treats `BUSY` as "walk on to another replica".
+    /// **shed**: answered with one [`crate::protocol::BUSY`] line and
+    /// closed, and counted under `pfr_serve_sheds_total`. Load-shedding
+    /// protects tail latency for the connections already admitted; the
+    /// routing tier treats `BUSY` as "walk on to another replica".
     pub max_connections: Option<usize>,
     /// Trace one in every `trace_sample_every` otherwise-untraced requests
     /// (0 disables server-initiated sampling). Requests arriving with a
@@ -148,19 +148,20 @@ impl Default for ServerConfig {
 /// Everything the request paths share.
 pub(crate) struct ServeContext {
     pub(crate) registry: ModelRegistry,
-    pub(crate) cache: Mutex<ScoreCache>,
+    /// Shared with the `pfr_serve_cache_entries` gauge, which locks it at
+    /// scrape time only.
+    pub(crate) cache: Arc<Mutex<ScoreCache>>,
     pub(crate) batcher: MicroBatcher,
     pub(crate) pool: Arc<crate::pool::WorkerPool>,
     pub(crate) stats: Arc<ServerStats>,
     pub(crate) bundle_dir: Option<std::path::PathBuf>,
     pub(crate) journal: Option<Arc<Journal>>,
-    /// What the last [`Server::recover_from_journal`] rebuilt; rendered on
-    /// the `STATS` line so replay truncation/skips are visible at runtime.
-    recovery: Mutex<Option<RecoveryReport>>,
-    /// Extra `key=value` stats sources attached by co-located subsystems
-    /// (e.g. an in-process refit worker riding the `STATS` line).
-    extra_stats: Mutex<Vec<Arc<dyn Fn() -> String + Send + Sync>>>,
-    /// Every counter/gauge/histogram this process exposes via `METRICS`.
+    /// What the last [`Server::recover_from_journal`] rebuilt; the
+    /// `pfr_serve_recovered_*` gauges read it, so replay truncation/skips
+    /// are visible at runtime.
+    recovery: Arc<Mutex<Option<RecoveryReport>>>,
+    /// Every counter/gauge/histogram this process exposes: `METRICS`
+    /// renders it in full, `STATS` as one line of scalars.
     pub(crate) metrics: Arc<MetricsRegistry>,
     /// Span rings the `TRACE` verb reads back (one per reactor).
     pub(crate) traces: Arc<TraceStore>,
@@ -174,39 +175,6 @@ pub(crate) struct ServeContext {
     /// it — it orders, stores and serves the value so that a restarted
     /// router can bootstrap its control-plane state from any backend.
     pub(crate) catalog: Mutex<Option<pfr_control::Catalog>>,
-}
-
-impl ServeContext {
-    /// The `STATS` payload: the atomic counters plus the live cache-entry
-    /// gauge (expired entries are purged before counting, so the gauge
-    /// reflects what the cache actually holds) and, when journaling is on,
-    /// the journal's own counters (seq, segments, bytes, fsync lag), the
-    /// last recovery's replay accounting, and any attached extra sources.
-    pub(crate) fn stats_line(&self) -> String {
-        let entries = self.cache.lock().expect("cache lock poisoned").len();
-        let mut line = format!("{} cache_entries={entries}", self.stats.to_line());
-        if let Some(journal) = &self.journal {
-            line.push(' ');
-            line.push_str(&journal.stats().to_line());
-        }
-        if let Some(report) = *self.recovery.lock().expect("recovery lock poisoned") {
-            line.push(' ');
-            line.push_str(&report.to_line());
-        }
-        for source in self
-            .extra_stats
-            .lock()
-            .expect("extra stats lock poisoned")
-            .iter()
-        {
-            let extra = source();
-            if !extra.is_empty() {
-                line.push(' ');
-                line.push_str(&extra);
-            }
-        }
-        line
-    }
 }
 
 /// What [`Server::recover_from_journal`] rebuilt from the journal.
@@ -234,9 +202,10 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Renders the report as `key=value` pairs for the `STATS` line, so the
-    /// otherwise-invisible replay accounting (notably `skipped` frames and
-    /// `truncated_bytes`) is observable at runtime.
+    /// Renders the report as `key=value` pairs for a log or failure
+    /// message. Nothing in the workspace calls it: the wire carries these
+    /// fields as the `pfr_serve_recovered_*` gauges. It stays because the
+    /// repository benchmark prints it when a recovery is incomplete.
     pub fn to_line(&self) -> String {
         format!(
             "recovered_frames={} recovered_installs={} recovered_scores={} \
@@ -250,6 +219,41 @@ impl RecoveryReport {
             self.last_seq,
             self.truncated_bytes,
         )
+    }
+}
+
+/// Registers the replay accounting of the last recovery as
+/// `pfr_serve_recovered_*` gauges; each reads 0 until
+/// [`Server::recover_from_journal`] has run.
+fn register_recovery_metrics(
+    registry: &MetricsRegistry,
+    recovery: &Arc<Mutex<Option<RecoveryReport>>>,
+) {
+    type FieldReader = fn(&RecoveryReport) -> f64;
+    let fields: [(&str, FieldReader); 7] = [
+        ("pfr_serve_recovered_frames", |r| r.frames as f64),
+        ("pfr_serve_recovered_installs", |r| r.installs as f64),
+        ("pfr_serve_recovered_scores", |r| r.scores as f64),
+        ("pfr_serve_recovered_warmed", |r| r.warmed as f64),
+        ("pfr_serve_recovered_skipped", |r| r.skipped as f64),
+        ("pfr_serve_recovered_last_seq", |r| r.last_seq as f64),
+        ("pfr_serve_recovered_truncated_bytes", |r| {
+            r.truncated_bytes as f64
+        }),
+    ];
+    for (name, read) in fields {
+        let recovery = Arc::clone(recovery);
+        registry.gauge(
+            name,
+            &[],
+            Arc::new(move || {
+                recovery
+                    .lock()
+                    .expect("recovery lock poisoned")
+                    .as_ref()
+                    .map_or(0.0, read)
+            }),
+        );
     }
 }
 
@@ -290,10 +294,27 @@ impl Server {
             )),
             None => None,
         };
+        let cache = Arc::new(Mutex::new(ScoreCache::with_policy(CachePolicy {
+            capacity: config.cache_capacity,
+            ttl: config.cache_ttl,
+            per_model: config.cache_per_model,
+        })));
+        let recovery = Arc::new(Mutex::new(None));
         let metrics = Arc::new(MetricsRegistry::new());
         stats.register_metrics(&metrics);
+        {
+            // Expired entries are purged before counting, so the gauge
+            // reflects what the cache actually holds.
+            let cache = Arc::clone(&cache);
+            metrics.gauge(
+                "pfr_serve_cache_entries",
+                &[],
+                Arc::new(move || cache.lock().expect("cache lock poisoned").len() as f64),
+            );
+        }
         if let Some(journal) = &journal {
             journal.register_metrics(&metrics);
+            register_recovery_metrics(&metrics, &recovery);
         }
         let traces = Arc::new(TraceStore::new());
         {
@@ -306,18 +327,13 @@ impl Server {
         }
         let context = Arc::new(ServeContext {
             registry: ModelRegistry::new(),
-            cache: Mutex::new(ScoreCache::with_policy(CachePolicy {
-                capacity: config.cache_capacity,
-                ttl: config.cache_ttl,
-                per_model: config.cache_per_model,
-            })),
+            cache,
             batcher,
             pool,
             stats,
             bundle_dir: config.bundle_dir.clone(),
             journal,
-            recovery: Mutex::new(None),
-            extra_stats: Mutex::new(Vec::new()),
+            recovery,
             metrics,
             traces,
             sampler: Sampler::new(config.trace_sample_every),
@@ -359,9 +375,9 @@ impl Server {
         &self.context.stats
     }
 
-    /// The metrics registry backing the `METRICS` verb. Co-located
-    /// subsystems (an in-process refit worker, say) register their own
-    /// gauges here to ride the same exposition.
+    /// The metrics registry backing the `METRICS` and `STATS` verbs.
+    /// Co-located subsystems (an in-process refit worker, say) register
+    /// their own gauges here to ride both.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.context.metrics
     }
@@ -472,17 +488,6 @@ impl Server {
             .recovery
             .lock()
             .expect("recovery lock poisoned")
-    }
-
-    /// Attaches an extra stats source whose `key=value` output is appended
-    /// to every `STATS` response — how co-located subsystems (the refit
-    /// worker) ride the serving tier's telemetry line.
-    pub fn attach_stats_source(&self, source: Arc<dyn Fn() -> String + Send + Sync>) {
-        self.context
-            .extra_stats
-            .lock()
-            .expect("extra stats lock poisoned")
-            .push(source);
     }
 
     /// Gracefully shuts the server down: stops accepting, closes every
@@ -714,7 +719,11 @@ mod tests {
         let (server, _, x) = start_with_model();
         let line = format!("SCORE risk {}", protocol::format_numbers(x.row(0)));
         let responses = request(server.addr(), &[line, "STATS".to_string()]);
-        assert!(responses[1].contains("cache_entries=1"), "{}", responses[1]);
+        assert!(
+            responses[1].contains(" pfr_serve_cache_entries=1"),
+            "{}",
+            responses[1]
+        );
         server.shutdown();
     }
 
@@ -747,7 +756,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(responses[1].starts_with("OK "));
-        assert!(responses[1].contains("score_requests="));
+        assert!(responses[1].contains("pfr_serve_requests_total{verb=\"transform\"}=1"));
         assert!(responses[2].starts_with("ERR no model named"));
         assert!(responses[3].starts_with("ERR"), "{}", responses[3]);
         assert!(responses[4].starts_with("ERR") && responses[4].contains("unknown verb"));
@@ -1059,7 +1068,11 @@ mod tests {
             ),
             (format!("TRANSFORM risk {row}\n"), "transform", "OK "),
             ("TRANSFORM risk 1\n".to_string(), "transform", "ERR"),
-            ("STATS\n".to_string(), "stats", "OK connections="),
+            (
+                "STATS\n".to_string(),
+                "stats",
+                "OK pfr_serve_requests_total{",
+            ),
             ("METRICS\n".to_string(), "stats", "OK pfr_"),
             (
                 "TRACE 00000000000000ff\n".to_string(),

@@ -45,14 +45,6 @@ impl VerbStats {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// Mean latency in nanoseconds (0 when no requests were seen).
-    pub fn mean_latency_nanos(&self) -> u64 {
-        self.latency
-            .sum()
-            .checked_div(self.latency.count())
-            .unwrap_or(0)
-    }
-
     /// The live latency histogram (shareable with a metrics registry).
     pub fn latency(&self) -> &Arc<LatencyHisto> {
         &self.latency
@@ -271,6 +263,13 @@ impl ServerStats {
             .cache_misses());
         gauge!("pfr_serve_batches_total", &[], |s: &ServerStats| s
             .batches());
+        // Mean batch size is this over `batches_total`: a ratio the reader
+        // takes, at whatever precision it wants.
+        gauge!(
+            "pfr_serve_batched_requests_total",
+            &[],
+            |s: &ServerStats| s.batched_requests.load(Ordering::Relaxed)
+        );
         gauge!("pfr_serve_max_batch", &[], |s: &ServerStats| s.max_batch());
         gauge!("pfr_serve_connections_total", &[], |s: &ServerStats| s
             .connections());
@@ -278,53 +277,6 @@ impl ServerStats {
         gauge!("pfr_serve_inflight", &[], |s: &ServerStats| s.queue_depth());
         gauge!("pfr_serve_slow_requests_total", &[], |s: &ServerStats| s
             .slow_requests());
-    }
-
-    /// Renders the whole snapshot as a single `key=value` line — the payload
-    /// of a `STATS` response. Includes score-path tail latencies from the
-    /// histogram next to the legacy means.
-    pub fn to_line(&self) -> String {
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
-        let mean_batch = batched.checked_div(batches).unwrap_or(0);
-        let score = self.score.latency_snapshot();
-        format!(
-            "connections={} sheds={} errors_parse={} errors_exec={} errors_shed={} \
-             load_requests={} load_errors={} load_mean_ns={} \
-             score_requests={} score_errors={} score_mean_ns={} \
-             score_p50_ns={} score_p99_ns={} score_p999_ns={} \
-             transform_requests={} transform_errors={} transform_mean_ns={} \
-             stats_requests={} health_requests={} epoch_requests={} \
-             catalog_requests={} \
-             cache_hits={} cache_misses={} \
-             batches={} mean_batch={} max_batch={}",
-            self.connections(),
-            self.sheds(),
-            self.parse_errors(),
-            self.exec_errors(),
-            self.sheds(),
-            self.load.requests(),
-            self.load.errors(),
-            self.load.mean_latency_nanos(),
-            self.score.requests(),
-            self.score.errors(),
-            self.score.mean_latency_nanos(),
-            score.p50(),
-            score.p99(),
-            score.p999(),
-            self.transform.requests(),
-            self.transform.errors(),
-            self.transform.mean_latency_nanos(),
-            self.stats.requests(),
-            self.health.requests(),
-            self.epoch.requests(),
-            self.catalog.requests(),
-            self.cache_hits(),
-            self.cache_misses(),
-            batches,
-            mean_batch,
-            self.max_batch(),
-        )
     }
 }
 
@@ -348,14 +300,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn verb_stats_accumulate_and_average() {
+    fn verb_stats_accumulate() {
         let v = VerbStats::default();
-        assert_eq!(v.mean_latency_nanos(), 0);
         v.record(Duration::from_nanos(100), true);
         v.record(Duration::from_nanos(300), false);
         assert_eq!(v.requests(), 2);
         assert_eq!(v.errors(), 1);
-        assert_eq!(v.mean_latency_nanos(), 200);
+        assert_eq!(v.latency_snapshot().sum, 400);
     }
 
     #[test]
@@ -375,7 +326,7 @@ mod tests {
 
     #[test]
     fn error_kinds_are_broken_down() {
-        let s = ServerStats::new();
+        let s = Arc::new(ServerStats::new());
         s.record_parse_error();
         s.record_parse_error();
         s.score.record(Duration::from_nanos(10), false);
@@ -383,43 +334,28 @@ mod tests {
         assert_eq!(s.parse_errors(), 2);
         assert_eq!(s.exec_errors(), 1);
         assert_eq!(s.sheds(), 1);
-        let line = s.to_line();
-        assert!(line.contains("errors_parse=2"));
-        assert!(line.contains("errors_exec=1"));
-        assert!(line.contains("errors_shed=1"));
+        let registry = MetricsRegistry::new();
+        s.register_metrics(&registry);
+        let text = registry.render();
+        assert!(text.contains("pfr_serve_errors_total{kind=\"parse\"} 2\n"));
+        assert!(text.contains("pfr_serve_errors_total{kind=\"exec\"} 1\n"));
+        assert!(text.contains("pfr_serve_errors_total{kind=\"shed\"} 1\n"));
     }
 
     #[test]
     fn batch_telemetry_tracks_mean_and_max() {
-        let s = ServerStats::new();
+        let s = Arc::new(ServerStats::new());
         s.record_batch(1);
         s.record_batch(7);
         s.record_batch(4);
         assert_eq!(s.batches(), 3);
         assert_eq!(s.max_batch(), 7);
-        let line = s.to_line();
-        assert!(line.contains("batches=3"));
-        assert!(line.contains("mean_batch=4"));
-        assert!(line.contains("max_batch=7"));
-    }
-
-    #[test]
-    fn stats_line_is_single_line_key_value() {
-        let s = ServerStats::new();
-        s.record_cache_hit();
-        s.record_cache_miss();
-        s.record_connection();
-        s.score.record(Duration::from_micros(5), true);
-        let line = s.to_line();
-        assert!(!line.contains('\n'));
-        assert!(line.contains("cache_hits=1"));
-        assert!(line.contains("cache_misses=1"));
-        assert!(line.contains("connections=1"));
-        assert!(line.contains("score_requests=1"));
-        assert!(line.contains("score_p99_ns="));
-        for pair in line.split_whitespace() {
-            assert!(pair.contains('='), "malformed pair '{pair}'");
-        }
+        let registry = MetricsRegistry::new();
+        s.register_metrics(&registry);
+        let text = registry.render();
+        assert!(text.contains("pfr_serve_batches_total 3\n"));
+        assert!(text.contains("pfr_serve_batched_requests_total 12\n"));
+        assert!(text.contains("pfr_serve_max_batch 7\n"));
     }
 
     #[test]

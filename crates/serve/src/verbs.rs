@@ -185,7 +185,7 @@ impl Call {
     ) -> Step {
         let context = &*self.context;
         match request {
-            Request::Stats => Step::Done(Ok(context.stats_line())),
+            Request::Stats => Step::Done(Ok(context.metrics.render_line())),
             Request::Health => Step::Done(Ok(health(context))),
             Request::Epoch { name } => Step::Done(epoch(context, &name)),
             Request::Metrics => {

@@ -248,10 +248,9 @@ fn main() {
         )
         .expect("refit loop builds");
         let worker = RefitWorker::spawn(refit_loop);
-        // The worker's counters ride the server's own STATS line — and its
-        // gauges (cursor lag against the server's journal tip included)
-        // join the server's METRICS exposition.
-        server.attach_stats_source(worker.stats_source());
+        // The worker's gauges (cursor lag against the server's journal tip
+        // included) join the server's registry, so both its METRICS
+        // exposition and its STATS line.
         let journal_tip = {
             let stats = server
                 .journal()

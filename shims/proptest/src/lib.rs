@@ -243,7 +243,7 @@ pub fn any<A: Arbitrary>() -> AnyStrategy<A> {
 pub mod collection {
     use super::{SizeRange, Strategy, TestRng};
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -3,7 +3,7 @@
 //! `fit` / `predict` API.
 //!
 //! This is the interface a downstream adopter of the library would actually
-//! use: hand it a [`Dataset`](pfr_data::Dataset) and a fairness graph over
+//! use: hand it a [`Dataset`] and a fairness graph over
 //! its individuals, get back a classifier whose decisions respect the
 //! pairwise fairness judgments — and which can score unseen individuals from
 //! their regular attributes alone.

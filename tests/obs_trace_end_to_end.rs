@@ -7,15 +7,20 @@
 //! per-stage events, both under the same trace id that travelled on the
 //! wire as a `T=<id>` token.
 
-use pfr::core::persistence::bundle_to_string;
+use pfr::core::persistence::{bundle_to_string, ModelBundle};
 use pfr::journal::JournalConfig;
-use pfr::obs::Scrape;
+use pfr::linalg::Matrix;
+use pfr::obs::{unescape_multiline, Scrape};
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
 use pfr::refit::{RefitConfig, RefitLoop, RefitWorker, SwapTarget};
 use pfr::router::{LocalCluster, RouterConfig};
-use pfr::serve::ServerConfig;
+use pfr::serve::protocol::format_numbers;
+use pfr::serve::{Server, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
+use std::collections::{HashMap, HashSet};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -37,9 +42,9 @@ fn journal_dir(i: usize) -> PathBuf {
     dir
 }
 
-#[test]
-fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
-    // --- Offline ground truth and a 3-backend journaling cluster. ----------
+/// Offline ground truth: a fitted bundle, unseen raw rows and the
+/// probabilities offline inference gives them.
+fn fixture() -> (ModelBundle, Matrix, Vec<f64>) {
     let dataset = synthetic::generate_default(91).unwrap();
     let split = split::train_test_split(&dataset, 0.3, 91).unwrap();
     let train = dataset.subset(&split.train).unwrap();
@@ -52,7 +57,13 @@ fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
     .unwrap();
     let expected = fitted.predict_proba(&test).unwrap();
     let (raw, _) = test.features_with_protected().unwrap();
-    let bundle = fitted.into_bundle().unwrap();
+    (fitted.into_bundle().unwrap(), raw, expected)
+}
+
+#[test]
+fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
+    // --- Offline ground truth and a 3-backend journaling cluster. ----------
+    let (bundle, raw, expected) = fixture();
 
     let mut cluster = LocalCluster::boot(0, ServerConfig::default()).unwrap();
     let mut dirs = Vec::new();
@@ -191,4 +202,131 @@ fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
     for dir in dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// `STATS` and `METRICS` are two renderings of one registry: the line is
+/// the exposition minus its `_bucket` series, nothing renamed, nothing
+/// missing, nothing only one of them knows.
+#[test]
+fn stats_is_the_scalar_view_of_the_metrics_registry() {
+    let (bundle, raw, _) = fixture();
+    let text = bundle_to_string(&bundle);
+    let dir = journal_dir(3);
+    let server = Server::spawn(ServerConfig {
+        journal: Some(JournalConfig::new(dir.clone())),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    // A co-located refit loop publishes once, on the server's registry. It
+    // is never pumped, so its gauges cannot move during the comparison.
+    let refit = RefitLoop::new(
+        RefitConfig::new(dir.clone(), "admissions"),
+        &text,
+        SwapTarget::Backends(vec![server.addr()]),
+    )
+    .expect("refit loop builds");
+    refit.stats().register_metrics(server.metrics(), None);
+
+    // --- A mixed session: install, miss, hit, transform, two errors. -------
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut roundtrip = |request: &str| -> String {
+        writer.write_all(request.as_bytes()).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        response.trim_end().to_string()
+    };
+    let row = format_numbers(raw.row(0));
+    for (request, prefix) in [
+        (
+            format!("PUSH admissions {}\n{text}", text.len()),
+            "OK loaded",
+        ),
+        (format!("SCORE admissions {row}\n"), "OK "),
+        (format!("SCORE admissions {row}\n"), "OK "),
+        (format!("TRANSFORM admissions {row}\n"), "OK "),
+        ("GIBBERISH\n".to_string(), "ERR"),
+        ("SCORE ghost 1 2 3\n".to_string(), "ERR no model named"),
+    ] {
+        let response = roundtrip(&request);
+        assert!(response.starts_with(prefix), "{request:?} -> {response}");
+    }
+    let stats = roundtrip("STATS\n");
+    // Had `STATS` spilled onto a second line, this would read the spill.
+    let metrics = roundtrip("METRICS\n");
+    let exposition = unescape_multiline(metrics.strip_prefix("OK ").expect("METRICS answers OK"));
+    let scrape = Scrape::parse(&exposition);
+    let lines: HashMap<&str, &str> = exposition
+        .lines()
+        .filter(|line| !line.contains("_bucket{"))
+        .map(|line| line.rsplit_once(' ').expect("`key value` lines"))
+        .collect();
+
+    // Answering the two requests moves the `stats` verb's own series and
+    // the reactor's event-loop gauges; every other series must agree.
+    let moves = |key: &str| key.contains("{verb=\"stats\"}") || key.starts_with("pfr_net_");
+    let mut seen = HashSet::new();
+    for token in stats
+        .strip_prefix("OK ")
+        .expect("STATS answers OK")
+        .split(' ')
+    {
+        let (key, value) = token
+            .rsplit_once('=')
+            .unwrap_or_else(|| panic!("malformed token '{token}'"));
+        let number: f64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("'{token}' carries no number"));
+        assert!(!key.contains("_bucket"), "bucket series on the line: {key}");
+        assert!(seen.insert(key), "'{key}' appears twice");
+        let line = lines
+            .get(key)
+            .unwrap_or_else(|| panic!("'{key}' is on STATS but not in METRICS"));
+        if moves(key) {
+            continue;
+        }
+        assert_eq!(*line, value, "{key}");
+        match scrape.scalar(key) {
+            Some(parsed) => assert_eq!(parsed, number, "{key}"),
+            // Not a scalar to a scraper: then a line derived from a
+            // histogram the scraper rebuilt.
+            None => {
+                let (name, labels) = key.split_at(key.find('{').unwrap_or(key.len()));
+                let base = ["_sum", "_count", "_p50", "_p99", "_p999"]
+                    .iter()
+                    .find_map(|suffix| name.strip_suffix(suffix))
+                    .unwrap_or_else(|| panic!("'{key}' is neither scalar nor derived"));
+                assert!(
+                    scrape.histogram(&format!("{base}{labels}")).is_some(),
+                    "no histogram behind '{key}'"
+                );
+            }
+        }
+    }
+    assert_eq!(seen.len(), lines.len(), "METRICS has series STATS lacks");
+
+    // What the old line knew and the scrape did not, what the scrape knew
+    // and the old line did not, and both co-located subsystems.
+    let field = |key: &str| -> f64 {
+        assert!(seen.contains(key), "no {key} on '{stats}'");
+        scrape.scalar(key).expect("checked equal above")
+    };
+    assert_eq!(field("pfr_serve_cache_entries"), 1.0);
+    assert_eq!(field("pfr_serve_recovered_skipped"), 0.0);
+    assert_eq!(field("pfr_serve_cache_hits_total"), 1.0);
+    assert_eq!(field("pfr_serve_cache_misses_total"), 1.0);
+    assert_eq!(field("pfr_serve_errors_total{kind=\"parse\"}"), 1.0);
+    assert_eq!(field("pfr_serve_errors_total{kind=\"exec\"}"), 1.0);
+    assert_eq!(field("pfr_serve_batches_total"), 1.0);
+    assert_eq!(field("pfr_serve_batched_requests_total"), 1.0);
+    assert_eq!(field("pfr_serve_inflight"), 1.0);
+    assert!(field("pfr_journal_seq") >= 4.0);
+    assert_eq!(field("pfr_refit_cursor_seq"), 0.0);
+    assert!(seen.contains("pfr_serve_latency_ns_p99{verb=\"transform\"}"));
+    assert!(seen.contains("pfr_journal_fsync_ns_count"));
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -167,12 +167,9 @@ fn drifted_traffic_triggers_gated_hot_swap_with_bitwise_consistency() {
     let mut refit =
         RefitLoop::new(config, &serving_text, SwapTarget::Backends(vec![addr])).unwrap();
 
-    // The refit counters ride the server's own STATS line.
+    // The refit counters ride the server's own registry, so its STATS line.
     let stats = refit.stats();
-    server.attach_stats_source(Arc::new({
-        let stats = Arc::clone(&stats);
-        move || stats.to_line()
-    }));
+    stats.register_metrics(server.metrics(), None);
 
     // --- Phase 1: stationary traffic. No refit should trigger. -------------
     let stationary = traffic(160, 23, 0.0);
@@ -270,18 +267,18 @@ fn drifted_traffic_triggers_gated_hot_swap_with_bitwise_consistency() {
         assert_eq!(label, u8::from(expected_p >= offline.threshold()));
     }
 
-    // --- The STATS line carries the refit counters next to journal_seq. ----
+    // --- The STATS line carries the refit counters next to the journal's. --
     let stats_line = roundtrip(&mut reader, &mut writer, "STATS");
     assert!(
-        stats_line.contains("journal_seq="),
+        stats_line.contains(" pfr_journal_seq="),
         "missing journal stats: {stats_line}"
     );
     assert!(
-        stats_line.contains("refits_swapped=1"),
+        stats_line.contains(" pfr_refit_swapped_total=1 "),
         "missing refit stats: {stats_line}"
     );
     assert!(
-        stats_line.contains("refit_cursor_seq="),
+        stats_line.contains(" pfr_refit_cursor_seq="),
         "missing cursor position: {stats_line}"
     );
 

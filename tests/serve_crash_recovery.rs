@@ -158,15 +158,28 @@ fn hard_crash_then_journal_replay_restores_state_reactor() {
 
     // STATS exposes the journal counters, and the re-scored traffic was
     // itself journaled: the sequence advanced past the replayed history.
+    // The replay accounting is on the same line, equal to the report.
     let (mut reader, mut writer) = connect(server_b.addr());
     let stats_line = roundtrip(&mut reader, &mut writer, "STATS");
-    let journal_seq: u64 = stats_line
-        .split_whitespace()
-        .find_map(|pair| pair.strip_prefix("journal_seq="))
-        .unwrap_or_else(|| panic!("no journal_seq in '{stats_line}'"))
-        .parse()
-        .unwrap();
-    assert_eq!(journal_seq, 18, "10 replayed + 8 re-scored");
+    let field = |key: &str| -> u64 {
+        stats_line
+            .split_whitespace()
+            .find_map(|pair| pair.strip_prefix(&format!("{key}=")))
+            .unwrap_or_else(|| panic!("no {key} in '{stats_line}'"))
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(field("pfr_journal_seq"), 18, "10 replayed + 8 re-scored");
+    assert_eq!(field("pfr_serve_recovered_frames"), report.frames);
+    assert_eq!(field("pfr_serve_recovered_installs"), 1);
+    assert_eq!(field("pfr_serve_recovered_scores"), 8);
+    assert_eq!(field("pfr_serve_recovered_warmed"), 4);
+    assert_eq!(field("pfr_serve_recovered_skipped"), 0);
+    assert_eq!(field("pfr_serve_recovered_last_seq"), report.last_seq);
+    assert_eq!(
+        field("pfr_serve_recovered_truncated_bytes"),
+        report.truncated_bytes
+    );
 
     server_b.shutdown();
     let _ = std::fs::remove_dir_all(&journal_dir);

@@ -157,14 +157,15 @@ fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, l
             .parse()
             .unwrap()
     };
-    assert_eq!(field("score_requests"), 100);
-    assert_eq!(field("score_errors"), 0);
+    assert_eq!(field("pfr_serve_requests_total{verb=\"score\"}"), 100);
+    assert_eq!(field("pfr_serve_verb_errors_total{verb=\"score\"}"), 0);
+    let hits = field("pfr_serve_cache_hits_total");
     assert!(
-        field("cache_hits") >= 1,
+        hits >= 1,
         "expected repeated requests to hit the cache: {stats_line}"
     );
-    assert!(field("cache_misses") <= 25 * 4 - field("cache_hits"));
-    assert!(field("batches") >= 1);
+    assert!(field("pfr_serve_cache_misses_total") <= 25 * 4 - hits);
+    assert!(field("pfr_serve_batches_total") >= 1);
     assert_eq!(roundtrip(&mut reader, &mut writer, "QUIT"), "OK bye");
 
     server.shutdown();

@@ -323,7 +323,7 @@ fn a_failed_fsync_fails_the_group_and_caches_none_of_it() {
     assert_eq!(server.stats().cache_hits(), 0);
     client.send("STATS\n");
     let stats = client.line();
-    assert!(stats.contains(" cache_entries=0 "), "{stats}");
+    assert!(stats.contains(" pfr_serve_cache_entries=0 "), "{stats}");
     assert_eq!(server.stats().score.errors(), 7);
     assert!(server.journal().unwrap().stats().failed());
     let scrape = server.metrics().render();
