@@ -134,7 +134,12 @@ struct HookState {
 
 impl SyncHook {
     fn state(&self) -> std::sync::MutexGuard<'_, HookState> {
-        self.0.state.lock().expect("sync hook lock poisoned")
+        // Every update is one field assignment, so the state is valid even
+        // if a holder panicked — and `HoldGuard`'s drop must not.
+        self.0
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Parks every sync from the next one on, until [`SyncHook::release`].
@@ -145,6 +150,15 @@ impl SyncHook {
     /// Lets `passes` more syncs through, then parks every later one.
     pub fn hold_after(&self, passes: u64) {
         self.state().hold_after = Some(passes);
+    }
+
+    /// [`SyncHook::hold_after`] for as long as the returned guard lives. A
+    /// `Journal` dropped under a hold joins a writer parked here and never
+    /// returns, so a test whose assertion fails mid-hold would hang instead
+    /// of failing; the guard releases as the test unwinds.
+    pub fn hold_scoped(&self, passes: u64) -> HoldGuard {
+        self.hold_after(passes);
+        HoldGuard(self.clone())
     }
 
     /// Blocks until a sync is parked — the writer has written a group and
@@ -190,6 +204,18 @@ impl SyncHook {
             Some(errno) => Err(io::Error::from_raw_os_error(errno)),
             None => Ok(()),
         }
+    }
+}
+
+/// Releases its [`SyncHook`] when dropped (see [`SyncHook::hold_scoped`]).
+#[doc(hidden)]
+#[derive(Debug)]
+#[must_use = "the hold ends when the guard is dropped"]
+pub struct HoldGuard(SyncHook);
+
+impl Drop for HoldGuard {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 

@@ -45,9 +45,9 @@ mod record;
 
 pub use cursor::JournalCursor;
 pub use error::JournalError;
-#[doc(hidden)]
-pub use journal::SyncHook;
 pub use journal::{
     replay_dir, FsyncPolicy, Journal, JournalConfig, JournalStats, PinGuard, ReplaySummary,
 };
+#[doc(hidden)]
+pub use journal::{HoldGuard, SyncHook};
 pub use record::{Record, RecordRef};

@@ -99,9 +99,35 @@ impl Drop for WorkerPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The seam the batcher's and the server's tests share: occupies every
+    /// worker of `pool` with a job blocked on a channel and returns once
+    /// all of them are running, so whatever is submitted next queues behind
+    /// them. Dropping the returned senders releases the workers — also when
+    /// the test unwinds, so a failed assertion cannot leave a pool that
+    /// never joins.
+    pub(crate) fn hold_workers(pool: &WorkerPool) -> Vec<Sender<()>> {
+        let (running_tx, running_rx) = mpsc::channel();
+        let releases = (0..pool.size())
+            .map(|_| {
+                let (release_tx, release_rx) = mpsc::channel::<()>();
+                let running_tx = running_tx.clone();
+                pool.execute(move || {
+                    running_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+                .unwrap();
+                release_tx
+            })
+            .collect();
+        for _ in 0..pool.size() {
+            running_rx.recv().unwrap();
+        }
+        releases
+    }
 
     #[test]
     fn executes_jobs_on_multiple_threads() {

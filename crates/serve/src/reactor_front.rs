@@ -43,6 +43,8 @@
 //! reactor: the verb layer hands it back as a deferred step, and the
 //! reactor submits it to the micro-batcher or the worker pool with a
 //! [`NetSink`] that records a completion and rings the reactor's eventfd.
+//! Neither submit waits: the batcher queues the row and, if that starts a
+//! batch, schedules the drain job on the pool (`batcher`'s module docs).
 //! Because completions finish out of order while the protocol promises
 //! in-order responses per connection, each connection carries a sequence
 //! counter and a reorder buffer: responses are emitted strictly in request
@@ -56,12 +58,13 @@
 //! need nothing new for that: a parked call is a pending one.
 //!
 //! Backpressure: a connection whose unsent output exceeds the high
-//! watermark, or which has [`MAX_PARKED`] requests pending, stops being
-//! **read** (and therefore parsed) until the peer drains its socket or the
-//! completions drain the backlog — its bytes back up into the kernel
-//! buffers and TCP flow control throttles the sender, so a client that
-//! pipelines requests without reading responses cannot balloon server
-//! memory.
+//! watermark, or which has [`MAX_PARKED`] requests parked — pending, or
+//! answered out of turn and held in the reorder buffer behind one that is
+//! — stops being **read** (and therefore parsed) until the peer drains its
+//! socket or the completions drain the backlog — its bytes back up into
+//! the kernel buffers and TCP flow control throttles the sender, so a
+//! client that pipelines requests without reading responses cannot balloon
+//! server memory.
 
 use crate::batcher::ScoreSink;
 use crate::protocol::{self, Request};
@@ -98,12 +101,14 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// response bytes; parsing resumes once the peer drains below it.
 const HIGH_WATER: usize = 256 * 1024;
 
-/// Stop reading and parsing a connection with this many requests parked in
-/// `pending` — with the batcher, the pool or the journal's fsync. Nothing
-/// has been rendered for them yet, so `HIGH_WATER` cannot see them, and a
-/// peer that pipelines without reading would otherwise queue requests (and
-/// their journal frames) without bound. Far above any sane pipelining
-/// depth; reading resumes as completions drain the backlog.
+/// Stop reading and parsing a connection with this many requests parked:
+/// in `pending` — with the batcher, the pool or the journal's fsync — or
+/// answered out of turn and waiting in `ready` behind one that is. Nothing
+/// has been written to the output buffer for either kind yet, so
+/// `HIGH_WATER` cannot see them, and a peer that pipelines without reading
+/// would otherwise queue requests (and their journal frames, and their
+/// rendered responses) without bound. Far above any sane pipelining depth;
+/// reading resumes as completions drain the backlog.
 const MAX_PARKED: usize = 1024;
 
 /// The most requests any one connection has had parked at once.
@@ -130,6 +135,7 @@ pub(crate) struct Completion {
 /// The reply-side handle given to the batcher, the worker pool or the
 /// journal's writer: sends one completion and rings the reactor awake. One
 /// sink, one delivery.
+#[derive(Debug)]
 pub(crate) struct NetSink {
     completions: Sender<Completion>,
     waker: Arc<Waker>,
@@ -194,12 +200,19 @@ impl ClientConn {
         }
     }
 
+    /// Requests parsed whose responses have not reached the output buffer:
+    /// still owed something, or answered and waiting their turn behind one
+    /// that is.
+    fn parked(&self) -> usize {
+        self.pending.len() + self.ready.len()
+    }
+
     /// Whether the connection already holds as much unfinished work as it
     /// may: unsent response bytes above the high watermark, or a full
     /// complement of parked requests. It is neither read nor parsed until
     /// the peer or the completions drain it.
     fn backed_up(&self) -> bool {
-        self.line.pending_out() > HIGH_WATER || self.pending.len() >= MAX_PARKED
+        self.line.pending_out() > HIGH_WATER || self.parked() >= MAX_PARKED
     }
 
     /// Whether every accepted request has been answered and flushed.
@@ -655,7 +668,7 @@ impl Reactor {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.pending.insert(seq, call);
                     #[cfg(test)]
-                    PARKED_HIGH_WATER.fetch_max(conn.pending.len(), Ordering::Relaxed);
+                    PARKED_HIGH_WATER.fetch_max(conn.parked(), Ordering::Relaxed);
                 }
             }
         }
@@ -715,6 +728,8 @@ impl Reactor {
             conn.line.enqueue_line(&response);
             conn.next_write += 1;
         }
+        #[cfg(test)]
+        PARKED_HIGH_WATER.fetch_max(conn.parked(), Ordering::Relaxed);
         let mut stream = &conn.stream;
         if conn.line.flush_into(&mut stream).is_err() {
             self.close_conn(token);
@@ -756,7 +771,6 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::BatcherConfig;
     use crate::model::tests::toy_bundle;
     use crate::server::{Frontend, Server, ServerConfig};
     use pfr_core::persistence;
@@ -855,15 +869,19 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn a_flooding_client_parks_a_bounded_backlog_on_a_journaling_server() {
-        // The same flood while the journal's fsync is held: nothing can be
-        // answered, so nothing is rendered and the output watermark sees
-        // nothing. The parked-request bound is what stops the reactor from
-        // reading (and journaling) the whole flood into memory.
+    /// A default server journaling (per-record fsync) under a fresh
+    /// directory, its fsyncs going through the returned hook.
+    fn journaling_server(
+        tag: &str,
+    ) -> (
+        Server,
+        pfr_linalg::Matrix,
+        pfr_journal::SyncHook,
+        std::path::PathBuf,
+    ) {
         let (bundle, x) = toy_bundle();
         let dir =
-            std::env::temp_dir().join(format!("pfr_serve_flood_journal_{}", std::process::id()));
+            std::env::temp_dir().join(format!("pfr_serve_flood_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let hook = pfr_journal::SyncHook::default();
         let mut journal = pfr_journal::JournalConfig::new(&dir);
@@ -875,13 +893,31 @@ mod tests {
         .unwrap();
         let text = persistence::bundle_to_string(&bundle);
         server.registry().load_from_str("risk", &text).unwrap();
-        hook.hold();
+        (server, x, hook, dir)
+    }
+
+    /// Polls `ready` until it holds: a state the server must reach.
+    fn wait_until(what: &str, ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_flooding_client_parks_a_bounded_backlog_on_a_journaling_server() {
+        // The same flood while the journal's fsync is held: nothing can be
+        // answered, so nothing is rendered and the output watermark sees
+        // nothing. The parked-request bound is what stops the reactor from
+        // reading (and journaling) the whole flood into memory.
+        let (server, x, hook, dir) = journaling_server("journal");
+        // Released below; the guard is for an assertion that fails first.
+        let _held = hook.hold_scoped(0);
         flood(&server, &x, 20_000, || {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while server.stats().queue_depth() < MAX_PARKED as u64 {
-                assert!(Instant::now() < deadline, "the flood never backed up");
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            wait_until("the flood to back up", || {
+                server.stats().queue_depth() >= MAX_PARKED as u64
+            });
             // No reads for 100 ms: the backlog sits at the bound.
             std::thread::sleep(Duration::from_millis(100));
             assert_eq!(server.stats().queue_depth(), MAX_PARKED as u64);
@@ -890,6 +926,55 @@ mod tests {
         assert!(PARKED_HIGH_WATER.load(Ordering::Relaxed) <= MAX_PARKED);
         assert_eq!(server.stats().queue_depth(), 0, "one exit per enter");
         assert_eq!(server.journal().unwrap().stats().appends(), 20_000);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn responses_waiting_behind_a_parked_head_count_against_the_bound() {
+        // One SCORE parks on a held fsync; the 20 000 HEALTH pipelined
+        // behind it are answered at once, out of turn, and every response
+        // waits in the reorder buffer. Nothing is pending but the head and
+        // nothing is in the output buffer, so only counting the reorder
+        // buffer stops the reactor from reading and answering the lot.
+        let (server, x, hook, dir) = journaling_server("reorder");
+        let held = hook.hold_scoped(0);
+        let flood = 20_000;
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut burst = format!("SCORE risk {}\n", protocol::format_numbers(x.row(0)));
+        burst.push_str(&"HEALTH\n".repeat(flood));
+        burst.push_str("QUIT\n");
+        let writer = std::thread::spawn(move || writer.write_all(burst.as_bytes()).unwrap());
+        // The head plus MAX_PARKED − 1 answered behind it, and not one more
+        // for as long as the head stays parked.
+        let behind = (MAX_PARKED - 1) as u64;
+        wait_until("the flood to back up", || {
+            server.stats().health.requests() >= behind
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(server.stats().health.requests(), behind);
+        drop(held);
+        // Everything comes back, in request order.
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        let score: f64 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
+        let model = server.registry().get("risk").unwrap();
+        let expected = model.score_one(x.row(0)).unwrap();
+        assert_eq!(score.to_bits(), expected.to_bits(), "{response}");
+        for i in 0..flood {
+            response.clear();
+            reader.read_line(&mut response).unwrap();
+            assert!(response.starts_with("OK up"), "health {i}: {response}");
+        }
+        response.clear();
+        reader.read_line(&mut response).unwrap();
+        assert_eq!(response.trim_end(), "OK bye");
+        writer.join().unwrap();
+        assert!(PARKED_HIGH_WATER.load(Ordering::Relaxed) <= MAX_PARKED);
+        assert_eq!(server.stats().queue_depth(), 0, "one exit per enter");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1027,25 +1112,19 @@ mod tests {
 
     #[test]
     fn a_client_waiting_for_its_reply_is_not_idle() {
-        // The batcher lingers six idle timeouts before scoring: the
-        // connection reads no byte for all that time, but it is owed a
-        // reply, so the deadline must re-arm rather than close it.
-        let (bundle, x) = toy_bundle();
-        let server = Server::spawn(ServerConfig {
-            idle_timeout: Some(Duration::from_millis(100)),
-            batcher: BatcherConfig {
-                linger: Duration::from_millis(600),
-                ..BatcherConfig::default()
-            },
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let text = persistence::bundle_to_string(&bundle);
-        server.registry().load_from_str("risk", &text).unwrap();
+        // Every worker is busy for six idle timeouts, so the score sits in
+        // the batcher that long: the connection reads no byte for all that
+        // time, but it is owed a reply, so the deadline must re-arm rather
+        // than close it.
+        let (server, x) = reactor_server(Some(Duration::from_millis(100)));
+        let held = server.hold_workers();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
         writeln!(writer, "SCORE risk {}", protocol::format_numbers(x.row(0))).unwrap();
+        std::thread::sleep(Duration::from_millis(600));
+        assert_eq!(server.stats().batches(), 0, "scored with no worker free");
+        drop(held);
         let mut response = String::new();
         reader.read_line(&mut response).unwrap();
         assert!(

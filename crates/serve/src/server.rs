@@ -490,6 +490,14 @@ impl Server {
             .expect("recovery lock poisoned")
     }
 
+    /// Occupies every worker until the returned senders are dropped (see
+    /// [`crate::pool::tests::hold_workers`]): a cache miss or a pool job
+    /// submitted meanwhile stays queued.
+    #[cfg(test)]
+    pub(crate) fn hold_workers(&self) -> Vec<std::sync::mpsc::Sender<()>> {
+        crate::pool::tests::hold_workers(&self.context.pool)
+    }
+
     /// Gracefully shuts the server down: stops accepting, closes every
     /// established connection (clients blocked in a read observe EOF; a
     /// request that raced the close is dropped, since its response could
@@ -1030,13 +1038,7 @@ mod tests {
             std::process::id()
         ));
         persistence::save_bundle(&bundle, &path).unwrap();
-        // A long linger keeps a cache miss in the batcher long enough for
-        // the second connection below to die with requests in flight.
         let server = Server::spawn(ServerConfig {
-            batcher: BatcherConfig {
-                linger: Duration::from_millis(300),
-                ..BatcherConfig::default()
-            },
             journal,
             ..ServerConfig::default()
         })
@@ -1141,9 +1143,13 @@ mod tests {
         );
         assert_eq!(server.stats().queue_depth(), 0, "one exit per enter");
 
-        // A second connection dies with five scores still in the batcher:
-        // closing with the HEALTH reply unread resets the socket, so the
-        // reactor drops the connection and its pending requests at once.
+        // A second connection dies with five scores still in the batcher
+        // (every worker is held, so they cannot leave it): closing with the
+        // HEALTH reply unread resets the socket, so the reactor drops the
+        // connection and its pending requests at once. The gauge comes back
+        // while the workers are still held — the dead connection returned
+        // it, not five completed scores.
+        let held = server.hold_workers();
         let mut doomed = TcpStream::connect(server.addr()).unwrap();
         doomed.write_all(b"HEALTH\n").unwrap();
         doomed.peek(&mut [0u8; 1]).unwrap();
@@ -1163,6 +1169,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
+        drop(held);
         let _ = std::fs::remove_file(&path);
         server.shutdown();
     }

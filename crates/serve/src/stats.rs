@@ -81,6 +81,7 @@ pub struct ServerStats {
     batches: AtomicU64,
     batched_requests: AtomicU64,
     max_batch: AtomicU64,
+    batch_wait: Arc<LatencyHisto>,
     connections: AtomicU64,
     sheds: AtomicU64,
     inflight: AtomicU64,
@@ -110,6 +111,12 @@ impl ServerStats {
         self.batched_requests
             .fetch_add(size as u64, Ordering::Relaxed);
         self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
+    }
+
+    /// Records how long one request sat in the micro-batcher's queue, from
+    /// its submit to the moment a worker took its batch.
+    pub fn record_batch_wait(&self, wait: Duration) {
+        self.batch_wait.record_duration(wait);
     }
 
     /// Records an accepted client connection.
@@ -172,6 +179,11 @@ impl ServerStats {
     /// Number of micro-batches executed.
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
+    }
+
+    /// Requests scored in those micro-batches.
+    pub fn batched_requests(&self) -> u64 {
+        self.batched_requests.load(Ordering::Relaxed)
     }
 
     /// Largest micro-batch executed.
@@ -268,9 +280,12 @@ impl ServerStats {
         gauge!(
             "pfr_serve_batched_requests_total",
             &[],
-            |s: &ServerStats| s.batched_requests.load(Ordering::Relaxed)
+            |s: &ServerStats| s.batched_requests()
         );
         gauge!("pfr_serve_max_batch", &[], |s: &ServerStats| s.max_batch());
+        // Queue wait only: what a request pays for every worker being busy
+        // when it arrives. Near zero on an idle server by construction.
+        registry.histogram("pfr_serve_batch_wait_ns", &[], Arc::clone(&self.batch_wait));
         gauge!("pfr_serve_connections_total", &[], |s: &ServerStats| s
             .connections());
         gauge!("pfr_serve_sheds_total", &[], |s: &ServerStats| s.sheds());

@@ -26,8 +26,8 @@
 //!
 //! **Answered and durable.** On a journaling server a `SCORE`/`TRANSFORM`
 //! is *enqueued* to the journal at admission ([`Call::admit`]) and executes
-//! at once — the fsync overlaps the batcher's linger and the GEMM instead
-//! of preceding them, and because the reactor never waits, the journal's
+//! at once — the fsync overlaps the queue wait and the GEMM instead of
+//! preceding them, and because the reactor never waits, the journal's
 //! writer finds every request admitted meanwhile queued behind the frame it
 //! is flushing: that is what makes group commit group. Such a call is
 //! complete only when **both** its outcome and the journal's

@@ -105,10 +105,7 @@ fn main() {
     let make_config = || ServerConfig {
         frontend: Frontend::reactor(reactors),
         workers: 4,
-        batcher: BatcherConfig {
-            max_batch: 32,
-            linger: Duration::from_micros(300),
-        },
+        batcher: BatcherConfig { max_batch: 32 },
         journal: journal_dir.clone().map(JournalConfig::new),
         // With `--metrics`, sample a full span breakdown for one in
         // every 16 otherwise-untraced requests.

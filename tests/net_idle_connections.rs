@@ -4,8 +4,9 @@
 //! pool. Two assertions, held at both pool widths:
 //!
 //! 1. **Thread count stays O(1)**: the process thread count remains below a
-//!    fixed bound (reactor pool + worker pool + batcher + the test's own
-//!    client threads — not O(clients)). Thread-per-connection would need
+//!    fixed bound (reactor pool + worker pool + the test's own client
+//!    threads — not O(clients)), and the server's own threads are exactly
+//!    its reactors and its workers. Thread-per-connection would need
 //!    ≥ 1 100 threads to pass the traffic below.
 //! 2. **Correctness under load**: every response served while the 1 000
 //!    idle sockets sit connected is bitwise identical to offline
@@ -26,8 +27,8 @@ const CLIENT_THREADS: usize = 10;
 const REQUESTS_PER_CONN: usize = 20;
 
 /// Process thread count bound. Expected population: the test main thread
-/// plus libtest, 10 client threads, up to 4 reactors, 4 workers, 1 batcher
-/// — well under 32 even with runtime helpers; 64 leaves slack while
+/// plus libtest, 10 client threads, up to 4 reactors, 4 workers — well
+/// under 32 even with runtime helpers; 64 leaves slack while
 /// staying two orders of magnitude below the 1 100 threads
 /// thread-per-connection would burn on this connection count.
 const MAX_THREADS: usize = 64;
@@ -50,6 +51,19 @@ fn process_threads() -> usize {
         .find_map(|line| line.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
         .expect("Threads: field present")
+}
+
+/// Names of this process's `pfr-serve-*` threads, sorted (Linux:
+/// /proc/self/task/*/comm, which the kernel cuts to 15 bytes).
+fn server_threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("procfs is available")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|comm| comm.starts_with("pfr-serve-"))
+        .collect();
+    names.sort();
+    names
 }
 
 /// Runs the full idle-plus-active scenario against a reactor pool of the
@@ -127,6 +141,11 @@ fn idle_load_scenario(
          connections under a {threads}-reactor pool — the front end is paying \
          threads per connection"
     );
+    // The server itself is its reactors and its workers and nothing else:
+    // batching needs no thread of its own.
+    let mut expected_threads = vec!["pfr-serve-react"; threads];
+    expected_threads.extend(["pfr-serve-worke"; 4]);
+    assert_eq!(server_threads(), expected_threads);
 
     // --- Bitwise correctness of every served score. ------------------------
     let mut served = Vec::new();

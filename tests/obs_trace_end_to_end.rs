@@ -326,6 +326,7 @@ fn stats_is_the_scalar_view_of_the_metrics_registry() {
     assert_eq!(field("pfr_refit_cursor_seq"), 0.0);
     assert!(seen.contains("pfr_serve_latency_ns_p99{verb=\"transform\"}"));
     assert!(seen.contains("pfr_journal_fsync_ns_count"));
+    assert!(seen.contains("pfr_serve_batch_wait_ns_p99"));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(dir);

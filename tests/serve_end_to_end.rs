@@ -16,7 +16,6 @@ use pfr_graph::{fairness, SparseGraph};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fairness_graph(ds: &Dataset) -> SparseGraph {
     let scores: Vec<f64> = ds
@@ -75,10 +74,7 @@ fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, l
     let server = Server::spawn(ServerConfig {
         frontend,
         workers: 4,
-        batcher: BatcherConfig {
-            max_batch: 16,
-            linger: Duration::from_micros(500),
-        },
+        batcher: BatcherConfig { max_batch: 16 },
         ..ServerConfig::default()
     })
     .unwrap();

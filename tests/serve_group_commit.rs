@@ -12,12 +12,17 @@
 //!   none of it, and leaves the journal failed;
 //! * parked calls keep per-connection order and the in-flight gauge exact;
 //! * a slow-trace diagnostic never stalls the event loop on the disk.
+//!
+//! Every hold is a guard (`hold_scoped`): a `wait_until` that times out
+//! unwinds through `Server::drop`, which joins the journal's writer, and a
+//! writer parked in a hold nobody will release would hang the test that was
+//! trying to fail.
 
 use pfr::journal::{replay_dir, JournalConfig, Record, SyncHook};
 use pfr::linalg::Matrix;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
 use pfr::serve::protocol::format_numbers;
-use pfr::serve::{BatcherConfig, Frontend, ServableModel, Server, ServerConfig};
+use pfr::serve::{Frontend, ServableModel, Server, ServerConfig};
 use pfr_data::synthetic;
 use pfr_graph::fairness;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -63,11 +68,6 @@ fn journaling_server(dir: &PathBuf, hook: &SyncHook, config: ServerConfig) -> Se
     journal.sync_hook = Some(hook.clone());
     let server = Server::spawn(ServerConfig {
         journal: Some(journal),
-        // Long enough that every miss of one pipelined burst shares a batch.
-        batcher: BatcherConfig {
-            linger: Duration::from_millis(20),
-            ..BatcherConfig::default()
-        },
         ..config
     })
     .unwrap();
@@ -177,8 +177,9 @@ fn never_early_and_grouped(tag: &str, frontend: Frontend, connections: usize) {
     let journal = server.journal().unwrap().stats();
     let (appends, fsyncs) = (journal.appends(), journal.fsyncs());
     let (hits, misses) = (server.stats().cache_hits(), server.stats().cache_misses());
+    let scored = server.stats().batched_requests();
 
-    hook.hold();
+    let held = hook.hold_scoped(0);
     let burst: String = BURST.iter().map(|&row| score_line(row)).collect();
     for client in &mut clients {
         client.send(&burst);
@@ -188,11 +189,12 @@ fn never_early_and_grouped(tag: &str, frontend: Frontend, connections: usize) {
         server.stats().queue_depth() == parked
     });
     hook.wait_parked();
-    // Execution overlaps the held fsync: the misses are scored, batched,
+    // Execution overlaps the held fsync: every miss of the burst is scored
     // while not one request has been acknowledged.
-    wait_until("the batcher to score under the hold", || {
-        server.stats().max_batch() >= 2
+    wait_until("the batcher to score every miss under the hold", || {
+        server.stats().batched_requests() - scored == parked / 2
     });
+    assert!(server.stats().batches() >= 1);
     assert_eq!(server.stats().cache_hits() - hits, parked / 2);
     assert_eq!(server.stats().cache_misses() - misses, parked / 2);
     assert_eq!(
@@ -204,7 +206,7 @@ fn never_early_and_grouped(tag: &str, frontend: Frontend, connections: usize) {
         client.assert_silent();
     }
 
-    hook.release();
+    drop(held);
     for client in &mut clients {
         for &row in &BURST {
             assert_eq!(client.line(), expected_score(&model, row), "row {row}");
@@ -246,9 +248,11 @@ fn a_crash_between_write_and_fsync_loses_no_acknowledged_request() {
         })
         .collect();
 
-    hook.hold();
-    let held: String = (4..12).map(score_line).collect();
-    client.send(&held);
+    // Never released by the crashed server; the guard lets its writer go
+    // when the test ends, passing or not.
+    let _held = hook.hold_scoped(0);
+    let group: String = (4..12).map(score_line).collect();
+    client.send(&group);
     wait_until("the held group to be admitted", || {
         server.stats().queue_depth() == 8
     });
@@ -292,7 +296,7 @@ fn a_failed_fsync_fails_the_group_and_caches_none_of_it() {
     let server = journaling_server(&dir, &hook, ServerConfig::default());
     let mut client = Client::connect(server.addr());
 
-    hook.hold();
+    let held = hook.hold_scoped(0);
     let group: String = [0, 1, 2, 0, 1, 2]
         .iter()
         .map(|&row| score_line(row))
@@ -307,7 +311,7 @@ fn a_failed_fsync_fails_the_group_and_caches_none_of_it() {
         server.stats().batches() >= 1
     });
     hook.fail_with(5);
-    hook.release();
+    drop(held);
     for _ in 0..6 {
         let response = client.line();
         assert!(response.starts_with("ERR journal"), "{response}");
@@ -345,7 +349,7 @@ fn parked_calls_keep_their_order_and_their_accounting() {
     let (_, rows) = fixture();
     let mut client = Client::connect(server.addr());
 
-    hook.hold();
+    let held = hook.hold_scoped(0);
     client.send(&score_line(0));
     client.send("HEALTH\n");
     client.send(&format!(
@@ -377,7 +381,7 @@ fn parked_calls_keep_their_order_and_their_accounting() {
         server.stats().queue_depth() == 2
     });
 
-    hook.release();
+    drop(held);
     assert_eq!(client.line(), expected_score(&model, 0));
     let health = client.line();
     assert!(health.starts_with("OK up"), "{health}");
@@ -394,6 +398,28 @@ fn parked_calls_keep_their_order_and_their_accounting() {
     client.send("HEALTH\n");
     assert!(client.line().starts_with("OK up"));
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The harness's own safety: an assertion that fails while an fsync is held
+/// must fail its test, not hang it. Unwinding drops the server, which joins
+/// the journal's writer — parked in the hook unless the hold is a guard
+/// that the same unwinding releases first.
+#[test]
+fn a_test_that_fails_under_a_hold_fails_instead_of_hanging() {
+    let dir = scratch_dir("unwind");
+    let journal_dir = dir.clone();
+    let failing = std::thread::spawn(move || {
+        let hook = SyncHook::default();
+        let server = journaling_server(&journal_dir, &hook, ServerConfig::default());
+        let mut client = Client::connect(server.addr());
+        let _held = hook.hold_scoped(0);
+        client.send(&score_line(0));
+        hook.wait_parked();
+        panic!("a failed assertion, with the writer parked in its fsync");
+    });
+    wait_until("the failing test to unwind", || failing.is_finished());
+    assert!(failing.join().is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -414,7 +440,7 @@ fn a_slow_trace_write_does_not_stall_the_event_loop() {
     let model = server.registry().get(MODEL).unwrap();
     // The traced request's own fsync passes; the one for the slow-trace
     // frame it leaves behind is held.
-    hook.hold_after(1);
+    let held = hook.hold_scoped(1);
     let mut traced = Client::connect(server.addr());
     let line = score_line(0);
     traced.send(&format!("{} T=00000000000000aa\n", line.trim_end()));
@@ -428,7 +454,7 @@ fn a_slow_trace_write_does_not_stall_the_event_loop() {
     assert!(other.line().starts_with("OK up"));
     assert_eq!(server.stats().slow_requests(), 1);
 
-    hook.release();
+    drop(held);
     let journal = server.journal().unwrap().stats();
     wait_until("the slow-trace frame to be acknowledged", || {
         journal.appends() == 3
