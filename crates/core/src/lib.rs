@@ -59,7 +59,7 @@ pub mod pfr;
 
 pub use error::PfrError;
 pub use kernel::{KernelPfr, KernelPfrModel, KernelType};
-pub use pfr::{Pfr, PfrConfig, PfrModel, PfrObjective};
+pub use pfr::{FitInputs, Pfr, PfrConfig, PfrModel, PfrObjective};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, PfrError>;

@@ -2,7 +2,8 @@
 
 use crate::error::PfrError;
 use crate::Result;
-use pfr_graph::{LaplacianKind, SparseGraph};
+use pfr_graph::{KnnGraphBuilder, LaplacianKind, SparseGraph};
+use pfr_linalg::stats::Standardizer;
 use pfr_linalg::{Eigen, Matrix};
 
 /// Hyper-parameters of the linear PFR model.
@@ -102,6 +103,43 @@ impl PfrObjective {
     /// Number of features `m` of the data matrix the halves were built on.
     pub fn num_features(&self) -> usize {
         self.qx.rows()
+    }
+}
+
+/// The standardized rows and the data graph `WX` every PFR fit is
+/// assembled from, prepared in one place. The learner sees every column;
+/// `WX` leaves the protected attribute out (Section 3.1), so neighbourhoods
+/// follow the regular attributes rather than the group split.
+#[derive(Debug, Clone)]
+pub struct FitInputs {
+    /// The statistics `x` was standardized with.
+    pub standardizer: Standardizer,
+    /// The standardized rows, protected column included.
+    pub x: Matrix,
+    /// The k-NN graph over `x` without the protected column.
+    pub wx: SparseGraph,
+}
+
+impl FitInputs {
+    /// Standardizes `rows` and builds `WX` over every column but
+    /// `protected_column`, with `knn_k` neighbours clamped to `1..=n − 1`.
+    /// Standardizing works column by column, so `WX` is bit for bit the
+    /// graph over the masked rows standardized on their own.
+    pub fn prepare(rows: &Matrix, protected_column: Option<usize>, knn_k: usize) -> Result<Self> {
+        let (standardizer, x) = Standardizer::fit_transform(rows)?;
+        let m = x.cols();
+        if let Some(p) = protected_column.filter(|&p| p >= m) {
+            let msg = format!("protected column {p} out of range for {m} columns");
+            return Err(PfrError::InvalidConfig(msg));
+        }
+        let kept: Vec<usize> = (0..m).filter(|&c| Some(c) != protected_column).collect();
+        let masked = protected_column.map(|_| x.select_cols(&kept)).transpose()?;
+        let knn = KnnGraphBuilder::new(knn_k.min(x.rows().saturating_sub(1)).max(1));
+        Ok(FitInputs {
+            wx: knn.build(masked.as_ref().unwrap_or(&x))?,
+            standardizer,
+            x,
+        })
     }
 }
 
@@ -290,7 +328,6 @@ impl PfrModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfr_graph::KnnGraphBuilder;
 
     /// Two well-separated clusters of three points; the fairness graph pairs
     /// up corresponding points across the clusters.

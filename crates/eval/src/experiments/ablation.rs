@@ -1,4 +1,4 @@
-//! Ablation experiments (DESIGN.md §4 items A1–A3, §6).
+//! Ablation experiments (`DESIGN.md` §4, items A1–A3).
 //!
 //! * **A1 — fairness-graph sparsity**: the paper stresses that pairwise
 //!   judgments may only be available for a sparse sample of pairs. This

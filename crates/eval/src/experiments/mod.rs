@@ -1,5 +1,5 @@
 //! Experiment drivers — one per table / figure of the paper plus the
-//! ablations listed in `DESIGN.md` §4/§6.
+//! ablations listed in `DESIGN.md` §4.
 //!
 //! Every driver returns structured results *and* can render them as a text
 //! table, so the same code backs the `pfr-eval` binary, the integration tests

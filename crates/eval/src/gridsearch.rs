@@ -12,10 +12,9 @@
 use crate::pipeline::{evaluate_representation, PreparedExperiment};
 use crate::Result;
 use pfr_baselines::FitContext;
-use pfr_core::{Pfr, PfrConfig, PfrObjective};
+use pfr_core::{FitInputs, Pfr, PfrConfig, PfrObjective};
 use pfr_data::split::k_fold;
-use pfr_graph::{KnnGraphBuilder, LaplacianKind};
-use pfr_linalg::stats::Standardizer;
+use pfr_graph::LaplacianKind;
 use pfr_metrics::{consistency, roc_auc};
 use pfr_opt::{LogisticRegression, LogisticRegressionConfig};
 
@@ -63,17 +62,14 @@ pub fn search_pfr_gamma(
     for fold in &splits {
         let train = exp.train.subset(&fold.train)?;
         let valid = exp.train.subset(&fold.test)?;
-        // PFR's input includes the protected attribute; the WX graph is
-        // built on the masked features (Section 3.1).
+        // PFR sees the protected attribute (appended last), WX does not.
         let (train_prot_raw, _) = train.features_with_protected()?;
         let (valid_prot_raw, _) = valid.features_with_protected()?;
-        let (standardizer, x_train) = Standardizer::fit_transform(&train_prot_raw)?;
-        let x_valid = standardizer.transform(&valid_prot_raw)?;
-        let (_, x_train_masked) = Standardizer::fit_transform(train.features())?;
-        let k = 5.min(x_train.rows().saturating_sub(1)).max(1);
-        let wx = KnnGraphBuilder::new(k).build(&x_train_masked)?;
+        let inputs = FitInputs::prepare(&train_prot_raw, Some(train_prot_raw.cols() - 1), 5)?;
+        let x_valid = inputs.standardizer.transform(&valid_prot_raw)?;
         let wf = exp.spec.build_fairness_graph(&train, 5)?;
-        let objective = PfrObjective::assemble(&x_train, &wx, &wf, LaplacianKind::default())?;
+        let objective =
+            PfrObjective::assemble(&inputs.x, &inputs.wx, &wf, LaplacianKind::default())?;
         let wf_valid = match criterion {
             SelectionCriterion::Auc => None,
             SelectionCriterion::AucPlusConsistencyWf => {
@@ -83,11 +79,11 @@ pub fn search_pfr_gamma(
         for (total, &gamma) in totals.iter_mut().zip(candidates) {
             let config = PfrConfig {
                 gamma,
-                dim: dim.min(x_train.cols()).max(1),
+                dim: dim.min(inputs.x.cols()).max(1),
                 ..PfrConfig::default()
             };
             let model = Pfr::new(config).fit_objective(&objective)?;
-            let z_train = model.transform(&x_train)?;
+            let z_train = model.transform(&inputs.x)?;
             let z_valid = model.transform(&x_valid)?;
             let mut clf = LogisticRegression::new(LogisticRegressionConfig::default());
             clf.fit(&z_train, train.labels())?;
@@ -130,18 +126,16 @@ pub fn cross_validated_auc(
     for fold in &splits {
         let train = exp.train.subset(&fold.train)?;
         let valid = exp.train.subset(&fold.test)?;
-        let (standardizer, x_train) = Standardizer::fit_transform(train.features())?;
-        let x_valid = standardizer.transform(valid.features())?;
-        let k = 5.min(x_train.rows().saturating_sub(1)).max(1);
-        let wx = KnnGraphBuilder::new(k).build(&x_train)?;
+        let inputs = FitInputs::prepare(train.features(), None, 5)?;
+        let x_valid = inputs.standardizer.transform(valid.features())?;
         let ctx = FitContext {
-            x: &x_train,
+            x: &inputs.x,
             labels: train.labels(),
             groups: train.groups(),
-            wx: &wx,
+            wx: &inputs.wx,
         };
         let fitted = method.fit(&ctx)?;
-        let z_train = fitted.transform(&x_train)?;
+        let z_train = fitted.transform(&inputs.x)?;
         let z_valid = fitted.transform(&x_valid)?;
         let mut clf = LogisticRegression::new(LogisticRegressionConfig::default());
         clf.fit(&z_train, train.labels())?;

@@ -35,7 +35,7 @@ pub enum LaplacianKind {
     #[default]
     Unnormalized,
     /// `L = I - D^{-1/2} W D^{-1/2}`, the symmetric normalized Laplacian
-    /// (provided for the ablation in DESIGN.md §6).
+    /// (an alternative to the paper's choice; no experiment uses it).
     SymmetricNormalized,
 }
 

@@ -5,17 +5,15 @@
 //!
 //! 1. **Standardize** the window and refresh the bundle's standardizer
 //!    section with the window's statistics.
-//! 2. **Data graph**: k-nearest-neighbour graph over the standardized
-//!    window (the paper's `WX`).
+//! 2. **Data graph**: k-NN graph over the standardized window without the
+//!    protected column (the paper's `WX`). Steps 1 and 2 are
+//!    [`FitInputs::prepare`], the same call every offline fit makes.
 //! 3. **Fairness graph**: the between-group quantile graph (Definition 3)
 //!    over the protected attribute column and the *serving model's* scores
 //!    — the only ranking signal available online.
-//! 4. **Projection**: an ordinary [`pfr_core::Pfr::fit`] — the one dense
-//!    eigensolver. Seeding a subspace iteration with the serving model's
-//!    projection only ever beat cyclic Jacobi; against Householder + QL it
-//!    is about five times slower on a 256 × 96 window (DESIGN.md § warm
-//!    start), so the serving bundle contributes scores and pseudo-labels
-//!    but no starting point.
+//! 4. **Projection**: an ordinary [`pfr_core::Pfr::fit`], the one dense
+//!    eigensolver; the serving bundle contributes scores and pseudo-labels
+//!    but no starting point (DESIGN.md § warm start measures why).
 //! 5. **Classifier distillation**: a fresh logistic head trained on the
 //!    serving model's *hard decisions* (pseudo-labels) in the new
 //!    representation, so candidate and serving model agree wherever the
@@ -27,9 +25,7 @@
 use crate::error::RefitError;
 use crate::Result;
 use pfr_core::persistence::{bundle_to_string, ClassifierSection, ModelBundle, StandardizerParams};
-use pfr_core::{Pfr, PfrConfig};
-use pfr_graph::KnnGraphBuilder;
-use pfr_linalg::stats::Standardizer;
+use pfr_core::{FitInputs, Pfr, PfrConfig};
 use pfr_linalg::Matrix;
 use pfr_opt::{LogisticRegression, LogisticRegressionConfig};
 use pfr_serve::ServableModel;
@@ -109,12 +105,6 @@ impl RefitEngine {
     /// supplies the ranking signal and the pseudo-labels.
     pub fn refit(&self, window: &Matrix, serving: &ModelBundle) -> Result<RefitOutcome> {
         let (n, m) = window.shape();
-        if self.config.protected_column >= m {
-            return Err(RefitError::Config(format!(
-                "protected column {} out of range for {m} features",
-                self.config.protected_column
-            )));
-        }
         if self.config.dim > m {
             return Err(RefitError::Config(format!(
                 "dim {} exceeds the {m} window features",
@@ -130,20 +120,19 @@ impl RefitEngine {
 
         // The serving model provides the online ranking signal (fairness
         // graph scores) and the pseudo-labels for distillation.
+        let serving_head = serving.classifier.as_ref().ok_or_else(|| {
+            RefitError::Window("the serving bundle has no classifier to teach with".to_string())
+        })?;
         let teacher = ServableModel::from_bundle("refit-teacher", serving)?;
         let teacher_scores = teacher.score_batch(window)?;
 
-        // 1. Standardize on the window's own statistics.
-        let (standardizer, x) = Standardizer::fit_transform(window)?;
-
-        // 2. Data graph over the standardized window.
-        let wx = KnnGraphBuilder::new(self.config.knn_k).build(&x)?;
+        // 1–2. Standardize on the window's own statistics; WX without column p.
+        let p = self.config.protected_column;
+        let inputs = FitInputs::prepare(window, Some(p), self.config.knn_k)?;
 
         // 3. Between-group quantile fairness graph from the protected
         // column and the teacher's scores.
-        let groups: Vec<usize> = (0..n)
-            .map(|i| (window[(i, self.config.protected_column)] > 0.5) as usize)
-            .collect();
+        let groups: Vec<usize> = (0..n).map(|i| (window[(i, p)] > 0.5) as usize).collect();
         let wf = pfr_graph::fairness::between_group_quantile_graph(
             &groups,
             &teacher_scores,
@@ -156,34 +145,30 @@ impl RefitEngine {
             dim: self.config.dim,
             ..PfrConfig::default()
         });
-        let model = pfr.fit(&x, &wx, &wf)?;
+        let model = pfr.fit(&inputs.x, &inputs.wx, &wf)?;
 
         // 5. Distill the serving model's decisions into a fresh head on the
         // new representation.
-        let threshold = serving.classifier.as_ref().map_or(0.5, |c| c.threshold);
+        let threshold = serving_head.threshold;
         let labels: Vec<u8> = teacher_scores
             .iter()
             .map(|&s| (s >= threshold) as u8)
             .collect();
         let positives: usize = labels.iter().map(|&l| l as usize).sum();
         let positive_fraction = positives as f64 / n as f64;
-        let z = model.transform(&x)?;
         let classifier = if positives == 0 || positives == n {
             // Degenerate pseudo-labels cannot train a head; keep the
-            // serving classifier verbatim (it is still dimension-compatible
-            // only if dims match — otherwise reject).
-            let section = serving.classifier.clone().ok_or_else(|| {
-                RefitError::Window("single-class window and no serving classifier".to_string())
-            })?;
+            // serving classifier verbatim, which fits the new projection
+            // only if the dims match.
             if serving.model.dim() != self.config.dim {
                 return Err(RefitError::Window(
                     "single-class window cannot retrain the classifier head".to_string(),
                 ));
             }
-            section
+            serving_head.clone()
         } else {
             let mut head = LogisticRegression::new(self.config.logistic.clone());
-            head.fit(&z, &labels)?;
+            head.fit(&model.transform(&inputs.x)?, &labels)?;
             ClassifierSection {
                 threshold,
                 text: head.to_text()?,
@@ -193,8 +178,8 @@ impl RefitEngine {
         let candidate = ModelBundle {
             model,
             standardizer: Some(StandardizerParams {
-                means: standardizer.means().to_vec(),
-                stds: standardizer.stds().to_vec(),
+                means: inputs.standardizer.means().to_vec(),
+                stds: inputs.standardizer.stds().to_vec(),
             }),
             classifier: Some(classifier),
         };
@@ -233,60 +218,134 @@ mod tests {
         w
     }
 
-    fn serving_bundle(window: &Matrix) -> ModelBundle {
-        let engine = RefitEngine::new(RefitModelConfig {
-            dim: 2,
+    fn engine(dim: usize) -> RefitEngine {
+        RefitEngine::new(RefitModelConfig {
+            dim,
             knn_k: 4,
             ..RefitModelConfig::default()
         })
-        .unwrap();
-        // Bootstrap: fit a cold bundle by using a synthetic teacher — a
-        // trivial bundle with an identity-ish head is impractical here, so
-        // build the pipeline manually.
-        let (standardizer, x) = Standardizer::fit_transform(window).unwrap();
-        let wx = KnnGraphBuilder::new(4).build(&x).unwrap();
+        .unwrap()
+    }
+
+    /// The bundle the engine must produce on `window`, built by hand from
+    /// the shared fit inputs: masked `WX`, a quantile `WF` over `ranking`
+    /// and a dense `Pfr::fit` at dim 2. The head is trained on `labels`,
+    /// or is `keep_head` verbatim.
+    fn fit_by_hand(
+        window: &Matrix,
+        ranking: &[f64],
+        labels: &[u8],
+        keep_head: Option<&ClassifierSection>,
+    ) -> ModelBundle {
+        let FitInputs {
+            standardizer,
+            x,
+            wx,
+        } = FitInputs::prepare(window, Some(0), 4).unwrap();
         let groups: Vec<usize> = (0..window.rows())
             .map(|i| (window[(i, 0)] > 0.5) as usize)
             .collect();
-        let scores: Vec<f64> = (0..window.rows()).map(|i| window[(i, 1)]).collect();
-        let wf = pfr_graph::fairness::between_group_quantile_graph(&groups, &scores, 5).unwrap();
-        let pfr = Pfr::new(PfrConfig {
-            gamma: engine.config().gamma,
+        let wf = pfr_graph::fairness::between_group_quantile_graph(&groups, ranking, 5).unwrap();
+        let model = Pfr::new(PfrConfig {
+            gamma: RefitModelConfig::default().gamma,
             dim: 2,
             ..PfrConfig::default()
+        })
+        .fit(&x, &wx, &wf)
+        .unwrap();
+        let classifier = keep_head.cloned().unwrap_or_else(|| {
+            let mut head = LogisticRegression::new(LogisticRegressionConfig::default());
+            head.fit(&model.transform(&x).unwrap(), labels).unwrap();
+            ClassifierSection {
+                threshold: 0.5,
+                text: head.to_text().unwrap(),
+            }
         });
-        let model = pfr.fit(&x, &wx, &wf).unwrap();
-        let z = model.transform(&x).unwrap();
-        let labels: Vec<u8> = (0..window.rows())
-            .map(|i| (window[(i, 1)] > 0.0) as u8)
-            .collect();
-        let mut head = LogisticRegression::new(LogisticRegressionConfig::default());
-        head.fit(&z, &labels).unwrap();
         ModelBundle {
             model,
             standardizer: Some(StandardizerParams {
                 means: standardizer.means().to_vec(),
                 stds: standardizer.stds().to_vec(),
             }),
-            classifier: Some(ClassifierSection {
-                threshold: 0.5,
-                text: head.to_text().unwrap(),
-            }),
+            classifier: Some(classifier),
         }
+    }
+
+    /// A cold serving bundle ranked and labelled by column 1.
+    fn serving_bundle(window: &Matrix) -> ModelBundle {
+        let ranking: Vec<f64> = (0..window.rows()).map(|i| window[(i, 1)]).collect();
+        let labels: Vec<u8> = ranking.iter().map(|&r| (r > 0.0) as u8).collect();
+        fit_by_hand(window, &ranking, &labels, None)
+    }
+
+    fn teacher_scores(serving: &ModelBundle, window: &Matrix) -> Vec<f64> {
+        ServableModel::from_bundle("teacher", serving)
+            .unwrap()
+            .score_batch(window)
+            .unwrap()
+    }
+
+    #[test]
+    fn refit_is_the_shared_fit_with_a_masked_data_graph() {
+        let serving = serving_bundle(&toy_window(96, 11, 0.0));
+        let drifted = toy_window(96, 77, 0.4);
+        let scores = teacher_scores(&serving, &drifted);
+        let labels: Vec<u8> = scores.iter().map(|&s| (s >= 0.5) as u8).collect();
+        let outcome = engine(2).refit(&drifted, &serving).unwrap();
+        assert!(outcome.positive_fraction > 0.0 && outcome.positive_fraction < 1.0);
+        let expected = fit_by_hand(&drifted, &scores, &labels, None);
+        assert_eq!(outcome.bundle_text, bundle_to_string(&expected));
+    }
+
+    /// A window the teacher scores entirely above its threshold (every
+    /// non-protected column moved far into the positive blob), with those
+    /// scores.
+    fn one_class_window(serving: &ModelBundle) -> (Matrix, Vec<f64>) {
+        let mut window = toy_window(96, 23, 0.0);
+        for i in 0..window.rows() {
+            for j in 1..4 {
+                window[(i, j)] += 6.0;
+            }
+        }
+        let scores = teacher_scores(serving, &window);
+        assert!(scores.iter().all(|&s| s >= 0.5), "window is not one-class");
+        (window, scores)
+    }
+
+    #[test]
+    fn one_class_window_keeps_the_serving_head_on_the_new_projection() {
+        let serving = serving_bundle(&toy_window(96, 11, 0.0));
+        let (window, scores) = one_class_window(&serving);
+        let outcome = engine(2).refit(&window, &serving).unwrap();
+        assert_eq!(outcome.positive_fraction, 1.0);
+        let expected = fit_by_hand(&window, &scores, &[], serving.classifier.as_ref());
+        assert_ne!(expected.model.projection(), serving.model.projection());
+        assert_eq!(outcome.bundle_text, bundle_to_string(&expected));
+    }
+
+    #[test]
+    fn one_class_window_with_another_dim_or_no_serving_head_is_rejected() {
+        let mut serving = serving_bundle(&toy_window(96, 11, 0.0));
+        let (window, _) = one_class_window(&serving);
+        let err = engine(3).refit(&window, &serving).unwrap_err();
+        assert!(
+            matches!(&err, RefitError::Window(msg) if msg.contains("single-class")),
+            "{err}"
+        );
+        serving.classifier = None;
+        let err = engine(2).refit(&window, &serving).unwrap_err();
+        assert!(
+            matches!(&err, RefitError::Window(msg) if msg.contains("no classifier")),
+            "{err}"
+        );
     }
 
     #[test]
     fn refit_produces_a_parseable_compatible_bundle() {
         let window = toy_window(96, 11, 0.0);
         let serving = serving_bundle(&window);
-        let engine = RefitEngine::new(RefitModelConfig {
-            dim: 2,
-            knn_k: 4,
-            ..RefitModelConfig::default()
-        })
-        .unwrap();
         let drifted = toy_window(96, 77, 0.4);
-        let outcome = engine.refit(&drifted, &serving).unwrap();
+        let outcome = engine(2).refit(&drifted, &serving).unwrap();
         let candidate = bundle_from_string(&outcome.bundle_text).unwrap();
         assert_eq!(candidate.model.dim(), 2);
         assert_eq!(candidate.model.num_features(), 4);
@@ -315,14 +374,8 @@ mod tests {
         .is_err());
         let window = toy_window(96, 5, 0.0);
         let serving = serving_bundle(&window);
-        let engine = RefitEngine::new(RefitModelConfig {
-            dim: 2,
-            knn_k: 4,
-            ..RefitModelConfig::default()
-        })
-        .unwrap();
         let tiny = toy_window(6, 5, 0.0);
-        assert!(engine.refit(&tiny, &serving).is_err());
+        assert!(engine(2).refit(&tiny, &serving).is_err());
         let engine_oob = RefitEngine::new(RefitModelConfig {
             dim: 2,
             knn_k: 4,

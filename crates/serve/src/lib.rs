@@ -18,8 +18,7 @@
 //!   `pfr_linalg` instead of `B` scalar passes.
 //! * [`ScoreCache`] — a fixed-capacity LRU keyed by (model generation,
 //!   exact feature bits); deterministic scoring makes hits exact, and
-//!   hot swaps invalidate implicitly via the generation. Optional TTL
-//!   expiry and per-model capacity bounds via [`CachePolicy`].
+//!   hot swaps invalidate implicitly via the generation.
 //! * [`Server`] — a line-delimited TCP protocol (`LOAD` / `SCORE` /
 //!   `TRANSFORM` / `STATS` / `HEALTH` / `EPOCH` / `QUIT`) with per-verb
 //!   latency and hit-rate counters ([`ServerStats`]), a pool of epoll
@@ -71,7 +70,7 @@ pub mod stats;
 pub(crate) mod verbs;
 
 pub use batcher::{BatcherConfig, MicroBatcher};
-pub use cache::{CachePolicy, ScoreCache, ScoreKey};
+pub use cache::{ScoreCache, ScoreKey};
 pub use error::ServeError;
 pub use model::ServableModel;
 pub use pool::WorkerPool;

@@ -21,7 +21,7 @@
 //! against the same model generation.
 
 use crate::batcher::{BatcherConfig, MicroBatcher};
-use crate::cache::{CachePolicy, ScoreCache, ScoreKey};
+use crate::cache::{ScoreCache, ScoreKey};
 use crate::error::ServeError;
 use crate::registry::ModelRegistry;
 use crate::stats::ServerStats;
@@ -72,12 +72,6 @@ pub struct ServerConfig {
     pub batcher: BatcherConfig,
     /// LRU score-cache capacity (0 disables caching).
     pub cache_capacity: usize,
-    /// Score-cache entries expire this long after insertion (`None` =
-    /// never; see [`CachePolicy::ttl`]).
-    pub cache_ttl: Option<Duration>,
-    /// Per-model-generation score-cache bound (`None` = none; see
-    /// [`CachePolicy::per_model`]).
-    pub cache_per_model: Option<usize>,
     /// Directory the network-facing `LOAD` verb may read bundles from.
     /// `None` allows any path — acceptable on the default loopback bind,
     /// but a server exposed beyond localhost should restrict `LOAD` (the
@@ -133,8 +127,6 @@ impl Default for ServerConfig {
             workers: 4,
             batcher: BatcherConfig::default(),
             cache_capacity: 4096,
-            cache_ttl: None,
-            cache_per_model: None,
             bundle_dir: None,
             idle_timeout: None,
             journal: None,
@@ -294,17 +286,11 @@ impl Server {
             )),
             None => None,
         };
-        let cache = Arc::new(Mutex::new(ScoreCache::with_policy(CachePolicy {
-            capacity: config.cache_capacity,
-            ttl: config.cache_ttl,
-            per_model: config.cache_per_model,
-        })));
+        let cache = Arc::new(Mutex::new(ScoreCache::new(config.cache_capacity)));
         let recovery = Arc::new(Mutex::new(None));
         let metrics = Arc::new(MetricsRegistry::new());
         stats.register_metrics(&metrics);
         {
-            // Expired entries are purged before counting, so the gauge
-            // reflects what the cache actually holds.
             let cache = Arc::clone(&cache);
             metrics.gauge(
                 "pfr_serve_cache_entries",

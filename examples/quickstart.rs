@@ -5,10 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pfr::core::{Pfr, PfrConfig};
+use pfr::core::{FitInputs, Pfr, PfrConfig};
 use pfr::data::{split, synthetic};
-use pfr::graph::{fairness, KnnGraphBuilder};
-use pfr::linalg::stats::Standardizer;
+use pfr::graph::fairness;
 use pfr::metrics::{consistency, roc_auc, GroupFairnessReport};
 use pfr::opt::LogisticRegression;
 
@@ -22,18 +21,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = dataset.subset(&split.train)?;
     let test = dataset.subset(&split.test)?;
 
-    // 2. Features: the representation learner sees GPA, SAT and the protected
-    //    attribute; standardization is fit on the training split only.
+    // 2. Features and WX: the representation learner sees GPA, SAT and the
+    //    protected attribute (appended last), standardized on the training
+    //    split only; WX is a k-NN RBF graph over the same rows without it.
     let (train_x_raw, _) = train.features_with_protected()?;
     let (test_x_raw, _) = test.features_with_protected()?;
-    let (standardizer, x_train) = Standardizer::fit_transform(&train_x_raw)?;
+    let protected = train_x_raw.cols() - 1;
+    let FitInputs {
+        standardizer,
+        x: x_train,
+        wx,
+    } = FitInputs::prepare(&train_x_raw, Some(protected), 10)?;
     let x_test = standardizer.transform(&test_x_raw)?;
 
-    // 3. Graphs: WX is a k-NN RBF graph over the masked features; WF links
-    //    equally deserving candidates across groups (between-group quantile
-    //    graph over the within-group deservingness ranking).
-    let (_, x_train_masked) = Standardizer::fit_transform(train.features())?;
-    let wx = KnnGraphBuilder::new(10).build(&x_train_masked)?;
+    // 3. WF links equally deserving candidates across groups (between-group
+    //    quantile graph over the within-group deservingness ranking).
     let scores: Vec<f64> = train
         .side_information()
         .iter()
@@ -75,8 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let preds_f: Vec<f64> = preds.iter().map(|&p| p as f64).collect();
 
     let auc = roc_auc(test.labels(), &probs)?;
-    let (_, x_test_masked) = Standardizer::fit_transform(test.features())?;
-    let wx_test = KnnGraphBuilder::new(10).build(&x_test_masked)?;
+    let wx_test = FitInputs::prepare(&test_x_raw, Some(protected), 10)?.wx;
     let test_scores: Vec<f64> = test
         .side_information()
         .iter()

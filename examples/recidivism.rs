@@ -11,11 +11,10 @@
 //! cargo run --release --example recidivism
 //! ```
 
-use pfr::core::{Pfr, PfrConfig};
+use pfr::core::{FitInputs, Pfr, PfrConfig};
 use pfr::data::{compas, split};
 use pfr::graph::components::graph_stats;
-use pfr::graph::{fairness, KnnGraphBuilder};
-use pfr::linalg::stats::Standardizer;
+use pfr::graph::fairness;
 use pfr::metrics::{consistency, roc_auc, GroupFairnessReport};
 use pfr::opt::LogisticRegression;
 
@@ -54,14 +53,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.num_edges, stats.num_nodes, stats.covered_nodes, stats.num_components
     );
 
-    // Representation learning input includes the protected attribute; WX is
-    // built on the masked features.
+    // Representation learning input includes the protected attribute
+    // (appended last); WX is built without it.
     let (train_raw, _) = train.features_with_protected()?;
     let (test_raw, _) = test.features_with_protected()?;
-    let (standardizer, x_train) = Standardizer::fit_transform(&train_raw)?;
+    let FitInputs {
+        standardizer,
+        x: x_train,
+        wx,
+    } = FitInputs::prepare(&train_raw, Some(train_raw.cols() - 1), 10)?;
     let x_test = standardizer.transform(&test_raw)?;
-    let (_, x_train_masked) = Standardizer::fit_transform(train.features())?;
-    let wx = KnnGraphBuilder::new(10).build(&x_train_masked)?;
 
     for &gamma in &[0.0, 0.5, 1.0] {
         let model = Pfr::new(PfrConfig {

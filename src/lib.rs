@@ -28,18 +28,19 @@
 //! ## Quick start
 //!
 //! ```
-//! use pfr::core::{Pfr, PfrConfig};
+//! use pfr::core::{FitInputs, Pfr, PfrConfig};
 //! use pfr::data::synthetic;
-//! use pfr::graph::{fairness, KnnGraphBuilder};
-//! use pfr::linalg::stats::Standardizer;
+//! use pfr::graph::fairness;
 //!
-//! // 1. Generate the paper's synthetic admissions data.
+//! // 1. Generate the paper's synthetic admissions data; the learner sees
+//! //    the protected attribute (appended last).
 //! let dataset = synthetic::generate_default(42).unwrap();
-//! let (_, x) = Standardizer::fit_transform(dataset.features()).unwrap();
+//! let (raw, _) = dataset.features_with_protected().unwrap();
 //!
-//! // 2. Build the similarity graph WX and a fairness graph WF from the
-//! //    within-group deservingness rankings.
-//! let wx = KnnGraphBuilder::new(10).build(&x).unwrap();
+//! // 2. Standardize, build the similarity graph WX without the protected
+//! //    attribute, and a fairness graph WF from the within-group
+//! //    deservingness rankings.
+//! let FitInputs { x, wx, .. } = FitInputs::prepare(&raw, Some(raw.cols() - 1), 10).unwrap();
 //! let scores: Vec<f64> = dataset
 //!     .side_information()
 //!     .iter()
@@ -56,8 +57,8 @@
 //! ```
 //!
 //! See the `examples/` directory for end-to-end pipelines (quickstart,
-//! graduate admissions, recidivism, crime neighbourhoods) and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology and results.
+//! graduate admissions, recidivism, crime neighbourhoods) and `DESIGN.md`
+//! for the reproduction methodology and its substitutions.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -9,9 +9,9 @@
 //! their regular attributes alone.
 
 use pfr_core::persistence::{ClassifierSection, ModelBundle, StandardizerParams};
-use pfr_core::{Pfr, PfrConfig, PfrModel};
+use pfr_core::{FitInputs, Pfr, PfrConfig, PfrModel};
 use pfr_data::Dataset;
-use pfr_graph::{KnnGraphBuilder, SparseGraph};
+use pfr_graph::SparseGraph;
 use pfr_linalg::stats::Standardizer;
 use pfr_linalg::Matrix;
 use pfr_opt::{LogisticRegression, LogisticRegressionConfig};
@@ -100,39 +100,26 @@ impl FairPipeline {
                 train.len()
             )));
         }
-        // Learner input (optionally with the protected attribute).
+        // Learner input (optionally with the protected attribute, appended
+        // last); WX leaves that column out, as the paper prescribes.
         let raw = self.learner_features(train)?;
-        let (standardizer, x) =
-            Standardizer::fit_transform(&raw).map_err(PipelineError::from_display)?;
-
-        // WX over the masked features, as the paper prescribes. Without the
-        // protected attribute the learner's input is that same matrix.
-        let x_masked = if self.config.use_protected_attribute {
-            let (_, masked) = Standardizer::fit_transform(train.features())
-                .map_err(PipelineError::from_display)?;
-            Some(masked)
-        } else {
-            None
-        };
-        let k = self.config.knn_k.min(train.len().saturating_sub(1)).max(1);
-        let wx = KnnGraphBuilder::new(k)
-            .build(x_masked.as_ref().unwrap_or(&x))
+        let protected = self.config.use_protected_attribute.then(|| raw.cols() - 1);
+        let inputs = FitInputs::prepare(&raw, protected, self.config.knn_k)
             .map_err(PipelineError::from_display)?;
 
-        let dim = self
-            .config
-            .dim
-            .unwrap_or_else(|| x.cols().saturating_sub(1))
-            .clamp(1, x.cols());
+        let m = inputs.x.cols();
+        let dim = self.config.dim.unwrap_or(m.saturating_sub(1)).clamp(1, m);
         let model = Pfr::new(PfrConfig {
             gamma: self.config.gamma,
             dim,
             ..PfrConfig::default()
         })
-        .fit(&x, &wx, wf)
+        .fit(&inputs.x, &inputs.wx, wf)
         .map_err(PipelineError::from_display)?;
 
-        let z = model.transform(&x).map_err(PipelineError::from_display)?;
+        let z = model
+            .transform(&inputs.x)
+            .map_err(PipelineError::from_display)?;
         let mut classifier = LogisticRegression::new(LogisticRegressionConfig {
             l2: self.config.classifier_l2,
             ..LogisticRegressionConfig::default()
@@ -143,7 +130,7 @@ impl FairPipeline {
 
         Ok(FittedFairPipeline {
             config: self.config.clone(),
-            standardizer,
+            standardizer: inputs.standardizer,
             model,
             classifier,
         })
@@ -225,10 +212,7 @@ impl FittedFairPipeline {
 
     /// Embeds a dataset into the learned fair representation.
     pub fn transform(&self, dataset: &Dataset) -> Result<Matrix> {
-        let raw = FairPipeline {
-            config: self.config.clone(),
-        }
-        .learner_features(dataset)?;
+        let raw = FairPipeline::new(self.config.clone()).learner_features(dataset)?;
         let x = self
             .standardizer
             .transform(&raw)

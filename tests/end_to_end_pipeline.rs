@@ -1,10 +1,9 @@
 //! Cross-crate integration tests: the full PFR pipeline (data → graphs →
 //! representation → classifier → metrics) on each of the paper's datasets.
 
-use pfr::core::{Pfr, PfrConfig};
+use pfr::core::{FitInputs, Pfr, PfrConfig};
 use pfr::data::{compas, crime, split, synthetic, Dataset};
-use pfr::graph::{fairness, KnnGraphBuilder, SparseGraph};
-use pfr::linalg::stats::Standardizer;
+use pfr::graph::{fairness, SparseGraph};
 use pfr::linalg::Matrix;
 use pfr::metrics::{consistency, roc_auc, GroupFairnessReport};
 use pfr::opt::LogisticRegression;
@@ -21,10 +20,12 @@ fn run_pipeline(
 
     let (train_raw, _) = train.features_with_protected().unwrap();
     let (test_raw, _) = test.features_with_protected().unwrap();
-    let (standardizer, x_train) = Standardizer::fit_transform(&train_raw).unwrap();
+    let FitInputs {
+        standardizer,
+        x: x_train,
+        wx,
+    } = FitInputs::prepare(&train_raw, Some(train_raw.cols() - 1), 5).unwrap();
     let x_test = standardizer.transform(&test_raw).unwrap();
-    let (_, x_train_masked) = Standardizer::fit_transform(train.features()).unwrap();
-    let wx = KnnGraphBuilder::new(5).build(&x_train_masked).unwrap();
     let wf = wf_builder(&train);
 
     let model = Pfr::new(PfrConfig {
@@ -110,9 +111,11 @@ fn pfr_transform_generalizes_to_unseen_individuals() {
     let train = synthetic::generate_default(8).unwrap();
     let unseen = synthetic::generate_default(9).unwrap();
     let (train_raw, _) = train.features_with_protected().unwrap();
-    let (standardizer, x_train) = Standardizer::fit_transform(&train_raw).unwrap();
-    let (_, x_masked) = Standardizer::fit_transform(train.features()).unwrap();
-    let wx = KnnGraphBuilder::new(5).build(&x_masked).unwrap();
+    let FitInputs {
+        standardizer,
+        x: x_train,
+        wx,
+    } = FitInputs::prepare(&train_raw, Some(train_raw.cols() - 1), 5).unwrap();
     let wf = quantile_wf(&train);
     let model = Pfr::new(PfrConfig {
         gamma: 0.5,
@@ -144,9 +147,7 @@ fn projection_is_orthonormal_across_datasets() {
         },
     ] {
         let (raw, _) = dataset.features_with_protected().unwrap();
-        let (_, x) = Standardizer::fit_transform(&raw).unwrap();
-        let (_, x_masked) = Standardizer::fit_transform(dataset.features()).unwrap();
-        let wx = KnnGraphBuilder::new(5).build(&x_masked).unwrap();
+        let FitInputs { x, wx, .. } = FitInputs::prepare(&raw, Some(raw.cols() - 1), 5).unwrap();
         let model = Pfr::new(PfrConfig {
             gamma: 0.5,
             dim: 2,

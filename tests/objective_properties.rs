@@ -1,13 +1,14 @@
-//! Property-based tests (proptest) for the cold-fit path: the product-form
-//! Laplacian quadratic form against its two oracles, the one dense
-//! eigensolver against the retained Jacobi reference, the γ-free split of
-//! the PFR objective against `Pfr::fit` bitwise, and the refit engine's
-//! reproducibility.
+//! Property-based tests (proptest) for the cold-fit path: the one input
+//! preparation against the masked route it replaced, bitwise; the
+//! product-form Laplacian quadratic form against its two oracles; the one
+//! dense eigensolver against the retained Jacobi reference; the γ-free
+//! split of the PFR objective against `Pfr::fit` bitwise; and the refit
+//! engine's reproducibility.
 
 use pfr::core::persistence::{
     bundle_from_string, ClassifierSection, ModelBundle, StandardizerParams,
 };
-use pfr::core::{Pfr, PfrConfig, PfrObjective};
+use pfr::core::{FitInputs, Pfr, PfrConfig, PfrObjective};
 use pfr::graph::{fairness, KnnGraphBuilder, LaplacianKind, SparseGraph};
 use pfr::linalg::stats::Standardizer;
 use pfr::linalg::{Eigen, Matrix};
@@ -118,6 +119,43 @@ fn pfr_problem() -> impl Strategy<Value = (Matrix, SparseGraph, SparseGraph)> {
     })
 }
 
+/// Strategy: raw rows for [`FitInputs::prepare`], `n ∈ 2..=40` and
+/// `m ∈ 2..=8`, a protected column `p` (first, middle or last) holding a
+/// 0/1 flag, one other column constant when `m > 2` (the standardizer's
+/// 1e-12 clamp), and `k ∈ 1..=48`, so `n ≤ k` (the clamp) is common.
+fn fit_rows() -> impl Strategy<Value = (Matrix, usize, usize)> {
+    (2usize..=40, 2usize..=8, (0usize..3, 1usize..=48)).prop_flat_map(|(n, m, (at, k))| {
+        (
+            proptest::collection::vec(-3.0..3.0_f64, n * m),
+            proptest::collection::vec(0usize..2, n),
+        )
+            .prop_map(move |(data, flags)| {
+                let p = [0, m / 2, m - 1][at];
+                let mut rows = Matrix::from_vec(n, m, data).expect("shape matches the buffer");
+                for (i, &flag) in flags.iter().enumerate() {
+                    rows[(i, p)] = flag as f64;
+                    if m > 2 {
+                        rows[(i, (p + 1) % m)] = 2.5;
+                    }
+                }
+                (rows, p, k)
+            })
+    })
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The whole graph as comparable bits.
+fn edge_bits(graph: &SparseGraph) -> Vec<(u32, u32, u64)> {
+    graph
+        .edges()
+        .iter()
+        .map(|e| (e.i, e.j, e.weight.to_bits()))
+        .collect()
+}
+
 /// A traffic window in the refit engine's shape: column 0 the protected
 /// flag, three real columns in two blobs, moved by `shift`.
 fn window(rows: usize, seed: u64, shift: f64) -> Matrix {
@@ -146,8 +184,11 @@ fn refit_inputs(
     window: &Matrix,
     ranking: &[f64],
 ) -> (Standardizer, Matrix, SparseGraph, SparseGraph) {
-    let (standardizer, x) = Standardizer::fit_transform(window).unwrap();
-    let wx = KnnGraphBuilder::new(4).build(&x).unwrap();
+    let FitInputs {
+        standardizer,
+        x,
+        wx,
+    } = FitInputs::prepare(window, Some(0), 4).unwrap();
     let groups: Vec<usize> = (0..window.rows())
         .map(|i| (window[(i, 0)] > 0.5) as usize)
         .collect();
@@ -186,6 +227,35 @@ fn serving_bundle(window: &Matrix) -> ModelBundle {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one input preparation is the masked route every fit used to
+    /// spell out, bit for bit: `x` is the standardized rows, `wx` the k-NN
+    /// graph (k clamped to `n − 1`) over the standardized rows without the
+    /// protected column, and flipping that column's values leaves `wx`
+    /// unchanged.
+    #[test]
+    fn one_input_preparation_is_the_masked_route_bitwise(case in fit_rows()) {
+        let (rows, p, k) = case;
+        let (n, m) = rows.shape();
+        let label = format!("n={n} m={m} p={p} k={k}");
+        let prepared = FitInputs::prepare(&rows, Some(p), k).unwrap();
+        let (standardizer, x) = Standardizer::fit_transform(&rows).unwrap();
+        prop_assert_eq!(bits(prepared.x.as_slice()), bits(x.as_slice()), "{}", label);
+        prop_assert_eq!(bits(prepared.standardizer.means()), bits(standardizer.means()), "{}", label);
+        prop_assert_eq!(bits(prepared.standardizer.stds()), bits(standardizer.stds()), "{}", label);
+        let kept: Vec<usize> = (0..m).filter(|&c| c != p).collect();
+        let (_, masked) = Standardizer::fit_transform(&rows.select_cols(&kept).unwrap()).unwrap();
+        let wx = KnnGraphBuilder::new(k.min(n - 1)).build(&masked).unwrap();
+        prop_assert_eq!(edge_bits(&prepared.wx), edge_bits(&wx), "{}", label);
+
+        let mut flipped = rows.clone();
+        for i in 0..n {
+            flipped[(i, p)] = 1.0 - rows[(i, p)];
+        }
+        let reprepared = FitInputs::prepare(&flipped, Some(p), k).unwrap();
+        prop_assert_eq!(edge_bits(&reprepared.wx), edge_bits(&wx), "flipped, {}", label);
+        prop_assert!(FitInputs::prepare(&rows, Some(m), k).is_err(), "{}", label);
+    }
 
     /// The product form, the per-edge sum and `xᵀ·L·x` on the dense
     /// Laplacian agree to 1e-10 of the form's magnitude; the product form is

@@ -18,10 +18,9 @@
 use pfr::core::persistence::{
     bundle_from_string, bundle_to_string, ClassifierSection, ModelBundle, StandardizerParams,
 };
-use pfr::core::{Pfr, PfrConfig};
-use pfr::graph::{fairness, KnnGraphBuilder};
+use pfr::core::{FitInputs, Pfr, PfrConfig};
+use pfr::graph::fairness;
 use pfr::journal::{FsyncPolicy, JournalConfig};
-use pfr::linalg::stats::Standardizer;
 use pfr::linalg::Matrix;
 use pfr::opt::{LogisticRegression, LogisticRegressionConfig};
 use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitStep, SwapTarget};
@@ -56,11 +55,14 @@ fn traffic(n: usize, seed: u64, shift: f64) -> Matrix {
 }
 
 /// Fits the initial serving bundle offline on stationary data: standardize,
-/// kNN data graph, between-group quantile fairness graph, cold PFR fit,
-/// logistic head on the blob sign.
+/// kNN data graph without the protected column, between-group quantile
+/// fairness graph, cold PFR fit, logistic head on the blob sign.
 fn serving_bundle(window: &Matrix) -> ModelBundle {
-    let (standardizer, x) = Standardizer::fit_transform(window).unwrap();
-    let wx = KnnGraphBuilder::new(4).build(&x).unwrap();
+    let FitInputs {
+        standardizer,
+        x,
+        wx,
+    } = FitInputs::prepare(window, Some(0), 4).unwrap();
     let groups: Vec<usize> = (0..window.rows())
         .map(|i| (window[(i, 0)] > 0.5) as usize)
         .collect();
