@@ -25,4 +25,5 @@ pub use registry::{render_histogram, MetricsRegistry, Scrape};
 pub use trace::{mint_trace_id, ActiveSpan, Sampler, SpanRecord, SpanRing, TraceStore};
 pub use wire::{
     escape_multiline, parse_trace_token, strip_trace_echo, trace_token, unescape_multiline,
+    TraceToken,
 };

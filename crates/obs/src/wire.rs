@@ -12,9 +12,23 @@
 //! counts response **lines**. The payload is therefore escaped onto one
 //! line (`\` -> `\\`, newline -> `\n`) and unescaped by the consumer.
 
+use std::fmt;
+
+/// A trace id as its wire token, `T=<16-hex>`. Displaying it writes the
+/// token straight into the caller's buffer, so a response that echoes it
+/// needs no second `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceToken(pub u64);
+
+impl fmt::Display for TraceToken {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "T={:016x}", self.0)
+    }
+}
+
 /// Formats a trace id as its wire token.
 pub fn trace_token(id: u64) -> String {
-    format!("T={id:016x}")
+    TraceToken(id).to_string()
 }
 
 /// Parses a `T=<hex>` token into a nonzero trace id.

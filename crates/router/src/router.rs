@@ -61,10 +61,11 @@ use crate::Result;
 use pfr_core::persistence::{self, ModelBundle};
 use pfr_net::client::BurstResult;
 use pfr_obs::{
-    mint_trace_id, render_histogram, trace_token, unescape_multiline, ActiveSpan, MetricsRegistry,
-    Sampler, Scrape, SpanRing, TraceStore,
+    mint_trace_id, render_histogram, unescape_multiline, ActiveSpan, MetricsRegistry, Sampler,
+    Scrape, SpanRing, TraceStore,
 };
 use pfr_serve::cache::{ScoreCache, ScoreKey};
+use pfr_serve::protocol::write_score_request;
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -754,11 +755,8 @@ impl Router {
                 self.stats.hot_misses.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let mut line = score_line(model, features);
-        if let Some(id) = trace {
-            line.push(' ');
-            line.push_str(&trace_token(id));
-        }
+        let mut frame = String::new();
+        write_score_request(&mut frame, model, features, trace);
         // Single-flight: the first cold miss of a key becomes the leader
         // and pays the backend round trip; every concurrent identical
         // miss parks on the leader's flight and rides the same answer —
@@ -769,10 +767,13 @@ impl Router {
             match self.join_or_lead_flight(key) {
                 FlightRole::Follower(shared) => {
                     self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
+                    // A follower ships nothing: its frame, unframed, is the
+                    // line it falls back on if the leader fails.
+                    frame.pop();
                     return ticket::coalesced_score(
                         self,
                         model.to_string(),
-                        line,
+                        frame,
                         Some(key.clone()),
                         shared,
                     );
@@ -795,7 +796,10 @@ impl Router {
             }
         }
         let snapshot = self.membership();
-        match self.start_score(&snapshot, model, &line) {
+        // The one copy of the formatted bytes: the walk-on fallback's line,
+        // while the frame itself goes to the net thread.
+        let line = fallback_line(&frame);
+        match self.start_score(&snapshot, model, frame) {
             Some((backend, net)) => {
                 if let Some(s) = span.as_mut() {
                     s.event("submit");
@@ -885,7 +889,8 @@ impl Router {
             }
             self.stats.hot_misses.fetch_add(1, Ordering::Relaxed);
         }
-        let line = score_line(model, features);
+        let mut frame = String::new();
+        write_score_request(&mut frame, model, features, None);
         // Leader-only single-flight: a queued submission registers a
         // flight so ticketed followers can ride its answer, but never
         // parks itself — its completion must land on `queue` regardless.
@@ -905,6 +910,7 @@ impl Router {
             }
         }
         let snapshot = self.membership();
+        let line = fallback_line(&frame);
         let Some(backend) = self.pick_replica(&snapshot, model) else {
             let result = self.resolve_score(&snapshot, model, &line, key);
             if let Some(flight) = flight {
@@ -912,9 +918,7 @@ impl Router {
             }
             return QueuedSubmit::Immediate(result);
         };
-        let mut bytes = line.clone().into_bytes();
-        bytes.push(b'\n');
-        backend.submit_frame_queued(bytes, 1, queue, tag);
+        backend.submit_frame_queued(frame.into_bytes(), 1, queue, tag);
         // The queued path stays untraced: tracing targets the ticketed
         // single-score path, which the demos and tests drive.
         QueuedSubmit::Pending(ScoreFinish {
@@ -932,34 +936,32 @@ impl Router {
     /// Picks one live replica of `model` (round-robin), or `None` when
     /// every replica's breaker is open.
     fn pick_replica(&self, snapshot: &Membership, model: &str) -> Option<Arc<Backend>> {
-        let live: Vec<Arc<Backend>> = snapshot
+        let mut live = snapshot
             .ring
-            .replicas(model, self.config.replication.max(1))
-            .into_iter()
-            .filter_map(|id| snapshot.backend(id))
-            .filter(|backend| backend.breaker().available())
-            .cloned()
-            .collect();
+            .replicas(model, self.config.replication.max(1));
+        live.retain(|&id| {
+            snapshot
+                .backend(id)
+                .is_some_and(|backend| backend.breaker().available())
+        });
         if live.is_empty() {
             return None;
         }
         let index = self.next_rr.fetch_add(1, Ordering::Relaxed) % live.len();
-        Some(Arc::clone(&live[index]))
+        snapshot.backend(live[index]).cloned()
     }
 
-    /// Submits one score line to a live replica; `None` when no replica
+    /// Submits one score frame to a live replica; `None` when no replica
     /// accepted the submission (all ejected, or the submit itself failed —
     /// which already fed the breaker).
     fn start_score(
         &self,
         snapshot: &Membership,
         model: &str,
-        line: &str,
+        frame: String,
     ) -> Option<(Arc<Backend>, pfr_net::Ticket)> {
         let backend = self.pick_replica(snapshot, model)?;
-        let mut bytes = line.as_bytes().to_vec();
-        bytes.push(b'\n');
-        match backend.submit_frame(bytes, 1) {
+        match backend.submit_frame(frame.into_bytes(), 1) {
             Ok(net) => Some((backend, net)),
             Err(e) => {
                 let _ = backend.settle_burst(Err(e));
@@ -1095,7 +1097,7 @@ impl Router {
         if miss.is_empty() {
             return Ticket::ready(Ok(collect_scores(scores)));
         }
-        let lines: Vec<String> = miss.iter().map(|&i| score_line(model, &rows[i])).collect();
+        let lines = ScoreLines::encode(model, miss.iter().map(|&i| rows[i].as_slice()));
         let snapshot = self.membership();
         let live: Vec<Arc<Backend>> = snapshot
             .ring
@@ -1126,8 +1128,8 @@ impl Router {
             .take(lines.len())
             .map(|(r, backend)| {
                 let positions: Vec<usize> = (r..lines.len()).step_by(live.len()).collect();
-                let chunk: Vec<&str> = positions.iter().map(|&p| lines[p].as_str()).collect();
-                let state = match backend.submit_burst(&chunk) {
+                let state = match backend.submit_frame(lines.frame_of(&positions), positions.len())
+                {
                     Ok(net) => SubState::Waiting(net),
                     // The submit itself failed (reactor gone): settle the
                     // breaker now; the rows fall to the per-row retry at
@@ -1168,7 +1170,7 @@ impl Router {
         mut scores: Vec<Option<f64>>,
         keys: Vec<Option<ScoreKey>>,
         miss: Vec<usize>,
-        lines: Vec<String>,
+        lines: ScoreLines,
         gathered: Vec<(Vec<usize>, Vec<String>)>,
     ) -> Result<Vec<f64>> {
         for (positions, responses) in gathered {
@@ -1188,7 +1190,7 @@ impl Router {
         for (p, &i) in miss.iter().enumerate() {
             if scores[i].is_none() {
                 self.stats.retried_rows.fetch_add(1, Ordering::Relaxed);
-                let response = self.route_line(snapshot, model, &lines[p])?;
+                let response = self.route_line(snapshot, model, lines.line(p))?;
                 scores[i] = Some(parse_score(&response)?);
             }
         }
@@ -1546,11 +1548,60 @@ pub(crate) fn classify(response: &str) -> Reply<'_> {
     }
 }
 
-fn score_line(model: &str, features: &[f64]) -> String {
-    format!(
-        "SCORE {model} {}",
-        pfr_serve::protocol::format_numbers(features)
-    )
+/// The request line of a newline-terminated frame, copied: what a score
+/// keeps for its walk-on fallback once the frame is handed to the net
+/// thread.
+fn fallback_line(frame: &str) -> String {
+    frame.strip_suffix('\n').unwrap_or(frame).to_owned()
+}
+
+/// The `SCORE` lines of a batch's cache misses, each formatted once, back
+/// to back and newline-terminated in one buffer. A sub-burst's frame is a
+/// copy of its lines' bytes; a per-row retry reads its line in place.
+#[derive(Default)]
+pub(crate) struct ScoreLines {
+    text: String,
+    /// `ends[p]` is the end (past the newline) of miss position `p`'s line.
+    ends: Vec<usize>,
+}
+
+impl ScoreLines {
+    fn encode<'a>(model: &str, rows: impl ExactSizeIterator<Item = &'a [f64]>) -> ScoreLines {
+        let mut lines = ScoreLines {
+            text: String::new(),
+            ends: Vec::with_capacity(rows.len()),
+        };
+        for row in rows {
+            write_score_request(&mut lines.text, model, row, None);
+            lines.ends.push(lines.text.len());
+        }
+        lines
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Position `p`'s line with its newline.
+    fn framed(&self, p: usize) -> &str {
+        let start = if p == 0 { 0 } else { self.ends[p - 1] };
+        &self.text[start..self.ends[p]]
+    }
+
+    /// Position `p`'s line without its newline.
+    fn line(&self, p: usize) -> &str {
+        let framed = self.framed(p);
+        &framed[..framed.len() - 1]
+    }
+
+    /// One frame carrying the lines at `positions`, in order.
+    fn frame_of(&self, positions: &[usize]) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(positions.iter().map(|&p| self.framed(p).len()).sum());
+        for &p in positions {
+            frame.extend_from_slice(self.framed(p).as_bytes());
+        }
+        frame
+    }
 }
 
 /// Parses the score out of a `SCORE` payload (`<probability> <label>`).

@@ -19,7 +19,7 @@
 
 use crate::backend::Backend;
 use crate::error::RouterError;
-use crate::router::{Membership, Router};
+use crate::router::{Membership, Router, ScoreLines};
 use crate::Result;
 use pfr_net::client::BurstResult;
 use pfr_serve::cache::ScoreKey;
@@ -277,7 +277,7 @@ pub(crate) struct BatchPending<'r> {
     scores: Vec<Option<f64>>,
     keys: Vec<Option<ScoreKey>>,
     miss: Vec<usize>,
-    lines: Vec<String>,
+    lines: ScoreLines,
     subs: Vec<SubBurst>,
 }
 
@@ -467,7 +467,7 @@ pub(crate) fn pending_batch<'r>(
     scores: Vec<Option<f64>>,
     keys: Vec<Option<ScoreKey>>,
     miss: Vec<usize>,
-    lines: Vec<String>,
+    lines: ScoreLines,
     subs: Vec<SubBurst>,
 ) -> Ticket<'r, Vec<f64>> {
     Ticket::pending(BatchPending {

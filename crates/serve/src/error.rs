@@ -28,8 +28,9 @@ impl fmt::Display for ServeError {
             ServeError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             ServeError::ModelNotFound(name) => write!(
                 f,
-                "{} '{name}' is loaded",
-                crate::protocol::MODEL_NOT_FOUND_PREFIX
+                "{} '{}' is loaded",
+                crate::protocol::MODEL_NOT_FOUND_PREFIX,
+                crate::protocol::echo(name)
             ),
             ServeError::Shutdown => write!(f, "serving subsystem is shut down"),
             ServeError::Journal(msg) => write!(f, "journal error: {msg}"),

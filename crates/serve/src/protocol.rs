@@ -62,9 +62,23 @@
 //! Numbers are rendered with Rust's shortest-round-trip `{}` formatting, so
 //! an `f64` survives the text protocol bit-exactly — the end-to-end tests
 //! rely on scores being *bitwise* equal to offline inference.
+//!
+//! **One writer, one parser.** Every number on the wire is written by
+//! [`write_numbers`], straight into a caller-owned `String`:
+//! [`write_score_request`] formats a whole `SCORE` frame into the buffer
+//! that ships it, [`score_response`] writes `OK <probability> <label>` into
+//! the response line, and [`format_numbers`] is the allocating wrapper the
+//! other callers use. [`parse_request`] is the one reader: it matches the
+//! verb case-insensitively in place and parses features in one pass into a
+//! vector sized once, so a `SCORE` parse allocates the model name and the
+//! features and nothing else. Non-finite features are refused by position,
+//! and an `ERR` line quotes at most [`MAX_ECHO`] bytes of whatever it
+//! rejects. `crates/serve/DESIGN.md` § "Allocation ledger of one routed
+//! SCORE" lists what a request still allocates, and why.
 
 use crate::error::ServeError;
 use crate::Result;
+use std::fmt::Write as _;
 
 /// Prefix of the `ERR` message a server sends when the requested model is
 /// not in its registry. This is a **wire contract**: the routing tier
@@ -157,153 +171,253 @@ pub enum Request {
     Quit,
 }
 
+/// The verbs [`parse_request`] knows, in their canonical (upper) case.
+/// A request's verb matches one of these case-insensitively.
+const VERBS: [&str; 12] = [
+    "SCORE",
+    "TRANSFORM",
+    "PUSH",
+    "LOAD",
+    "STATS",
+    "HEALTH",
+    "EPOCH",
+    "METRICS",
+    "TRACE",
+    "CATALOG",
+    "SYNC",
+    "QUIT",
+];
+
+/// Longest prefix of an offending token, in bytes, that an `ERR` line
+/// quotes back. A client's junk is echoed for diagnosis, never in full:
+/// a 1 MiB token must not become a 1 MiB error line.
+pub const MAX_ECHO: usize = 32;
+
+/// Bytes reserved per number when sizing an encode buffer: the
+/// shortest-round-trip text of a typical feature is 18–21 bytes plus its
+/// separator, so a vector of such values encodes without regrowing.
+const NUMBER_BYTES: usize = 24;
+
 /// Parses one request line.
+///
+/// Allocates only what the [`Request`] owns: the model name (and path)
+/// and, for `SCORE`/`TRANSFORM`, the feature vector at its exact length.
+/// Non-finite features are rejected by position.
 pub fn parse_request(line: &str) -> Result<Request> {
-    let mut parts = Vec::new();
-    let mut words = line.split_whitespace();
-    let verb = words
-        .next()
-        .ok_or_else(|| ServeError::Protocol("empty request line".to_string()))?
-        .to_ascii_uppercase();
-    parts.extend(words);
-    // An optional trailing trace token joins the request to an existing
-    // trace on SCORE / TRANSFORM / PUSH; it is framing, not an argument.
-    let mut trace = None;
-    if matches!(verb.as_str(), "SCORE" | "TRANSFORM" | "PUSH") {
-        if let Some(last) = parts.last() {
-            if let Some(id) = pfr_obs::parse_trace_token(last) {
-                trace = Some(id);
-                parts.pop();
-            }
-        }
+    let line = line.trim_start();
+    let (word, args) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+    if word.is_empty() {
+        return Err(protocol_error("empty request line"));
     }
-    match verb.as_str() {
-        "LOAD" => {
-            if parts.len() != 2 {
-                return Err(ServeError::Protocol(
-                    "usage: LOAD <name> <path>".to_string(),
-                ));
-            }
-            Ok(Request::Load {
-                name: parts[0].to_string(),
-                path: parts[1].to_string(),
+    let Some(verb) = VERBS.into_iter().find(|v| v.eq_ignore_ascii_case(word)) else {
+        return Err(ServeError::Protocol(format!(
+            "unknown verb '{}'",
+            echo(word).to_ascii_uppercase()
+        )));
+    };
+    match verb {
+        "SCORE" | "TRANSFORM" => {
+            let (args, trace) = peel_trace(args);
+            let (name, features) = parse_vector(verb, args)?;
+            let name = name.to_string();
+            Ok(if verb == "SCORE" {
+                Request::Score {
+                    name,
+                    features,
+                    trace,
+                }
+            } else {
+                Request::Transform {
+                    name,
+                    features,
+                    trace,
+                }
             })
         }
         "PUSH" => {
-            if parts.len() != 2 {
-                return Err(ServeError::Protocol(
-                    "usage: PUSH <name> <nbytes>".to_string(),
-                ));
-            }
-            let nbytes = parts[1].parse::<usize>().map_err(|_| {
-                ServeError::Protocol(format!("'{}' is not a payload length", parts[1]))
-            })?;
-            if nbytes == 0 || nbytes > MAX_PUSH_BYTES {
-                return Err(ServeError::Protocol(format!(
-                    "payload length {nbytes} is outside 1..={MAX_PUSH_BYTES}"
-                )));
-            }
+            let (args, trace) = peel_trace(args);
+            let [name, nbytes] =
+                exactly(args).ok_or_else(|| protocol_error("usage: PUSH <name> <nbytes>"))?;
             Ok(Request::Push {
-                name: parts[0].to_string(),
-                nbytes,
+                name: name.to_string(),
+                nbytes: payload_length(nbytes)?,
                 trace,
             })
         }
-        "SCORE" | "TRANSFORM" => {
-            if parts.len() < 2 {
-                return Err(ServeError::Protocol(format!(
-                    "usage: {verb} <name> <v1> ... <vm>"
-                )));
-            }
-            let name = parts[0].to_string();
-            let features = parts[1..]
-                .iter()
-                .map(|v| {
-                    v.parse::<f64>()
-                        .map_err(|_| ServeError::Protocol(format!("'{v}' is not a number")))
-                })
-                .collect::<Result<Vec<f64>>>()?;
-            if verb == "SCORE" {
-                Ok(Request::Score {
-                    name,
-                    features,
-                    trace,
-                })
-            } else {
-                Ok(Request::Transform {
-                    name,
-                    features,
-                    trace,
-                })
-            }
-        }
-        "STATS" => {
-            if !parts.is_empty() {
-                return Err(ServeError::Protocol("STATS takes no arguments".to_string()));
-            }
-            Ok(Request::Stats)
-        }
-        "HEALTH" => {
-            if !parts.is_empty() {
-                return Err(ServeError::Protocol(
-                    "HEALTH takes no arguments".to_string(),
-                ));
-            }
-            Ok(Request::Health)
-        }
-        "EPOCH" => {
-            if parts.len() != 1 {
-                return Err(ServeError::Protocol("usage: EPOCH <name>".to_string()));
-            }
-            Ok(Request::Epoch {
-                name: parts[0].to_string(),
+        "LOAD" => {
+            let [name, path] =
+                exactly(args).ok_or_else(|| protocol_error("usage: LOAD <name> <path>"))?;
+            Ok(Request::Load {
+                name: name.to_string(),
+                path: path.to_string(),
             })
         }
-        "METRICS" => {
-            if !parts.is_empty() {
-                return Err(ServeError::Protocol(
-                    "METRICS takes no arguments".to_string(),
-                ));
-            }
-            Ok(Request::Metrics)
+        "STATS" => bare(verb, args, Request::Stats),
+        "HEALTH" => bare(verb, args, Request::Health),
+        "METRICS" => bare(verb, args, Request::Metrics),
+        "QUIT" => bare(verb, args, Request::Quit),
+        "EPOCH" => {
+            let [name] = exactly(args).ok_or_else(|| protocol_error("usage: EPOCH <name>"))?;
+            Ok(Request::Epoch {
+                name: name.to_string(),
+            })
         }
         "TRACE" => {
-            if parts.len() != 1 {
-                return Err(ServeError::Protocol("usage: TRACE <hex-id>".to_string()));
-            }
-            let id = u64::from_str_radix(parts[0], 16)
+            let [hex] = exactly(args).ok_or_else(|| protocol_error("usage: TRACE <hex-id>"))?;
+            let id = u64::from_str_radix(hex, 16)
                 .ok()
                 .filter(|&id| id != 0)
-                .ok_or_else(|| ServeError::Protocol(format!("'{}' is not a trace id", parts[0])))?;
+                .ok_or_else(|| {
+                    ServeError::Protocol(format!("'{}' is not a trace id", echo(hex)))
+                })?;
             Ok(Request::Trace { id })
         }
-        "CATALOG" => match parts.as_slice() {
-            [] => Ok(Request::Catalog { full: false }),
-            [arg] if arg.eq_ignore_ascii_case("FULL") => Ok(Request::Catalog { full: true }),
-            _ => Err(ServeError::Protocol("usage: CATALOG [FULL]".to_string())),
+        "CATALOG" => match args.trim() {
+            "" => Ok(Request::Catalog { full: false }),
+            arg if arg.eq_ignore_ascii_case("FULL") => Ok(Request::Catalog { full: true }),
+            _ => Err(protocol_error("usage: CATALOG [FULL]")),
         },
         "SYNC" => {
-            if parts.len() != 1 {
-                return Err(ServeError::Protocol("usage: SYNC <nbytes>".to_string()));
-            }
-            let nbytes = parts[0].parse::<usize>().map_err(|_| {
-                ServeError::Protocol(format!("'{}' is not a payload length", parts[0]))
-            })?;
-            if nbytes == 0 || nbytes > MAX_PUSH_BYTES {
-                return Err(ServeError::Protocol(format!(
-                    "payload length {nbytes} is outside 1..={MAX_PUSH_BYTES}"
-                )));
-            }
-            Ok(Request::Sync { nbytes })
+            let [nbytes] = exactly(args).ok_or_else(|| protocol_error("usage: SYNC <nbytes>"))?;
+            Ok(Request::Sync {
+                nbytes: payload_length(nbytes)?,
+            })
         }
-        "QUIT" => {
-            if !parts.is_empty() {
-                return Err(ServeError::Protocol("QUIT takes no arguments".to_string()));
-            }
-            Ok(Request::Quit)
-        }
-        other => Err(ServeError::Protocol(format!("unknown verb '{other}'"))),
+        _ => unreachable!("every verb in VERBS has an arm"),
     }
+}
+
+fn protocol_error(msg: &str) -> ServeError {
+    ServeError::Protocol(msg.to_string())
+}
+
+/// `token` as an error message quotes it: at most [`MAX_ECHO`] bytes, cut
+/// on a character boundary and marked with `…` when cut.
+pub(crate) fn echo(token: &str) -> String {
+    if token.len() <= MAX_ECHO {
+        return token.to_string();
+    }
+    let mut end = MAX_ECHO;
+    while !token.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}…", &token[..end])
+}
+
+/// Splits an optional trailing `T=<hex>` trace token off `args`. The token
+/// is framing, not an argument; anything that is not a well-formed token
+/// stays an argument (and fails that argument's parse).
+fn peel_trace(args: &str) -> (&str, Option<u64>) {
+    let args = args.trim_end();
+    let (head, last) = args.rsplit_once(char::is_whitespace).unwrap_or(("", args));
+    match pfr_obs::parse_trace_token(last) {
+        Some(id) => (head, Some(id)),
+        None => (args, None),
+    }
+}
+
+/// The whitespace-separated tokens of a request, exactly as
+/// `str::split_whitespace` yields them.
+#[derive(Clone)]
+enum Words<'a> {
+    /// An ASCII line without a vertical tab — every line the encoder
+    /// writes — splits byte by byte, about 3× faster than decoding chars.
+    /// (`\x0B` is the one ASCII char `char::is_whitespace` accepts and
+    /// `u8::is_ascii_whitespace` does not.)
+    Ascii(std::str::SplitAsciiWhitespace<'a>),
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+fn words(s: &str) -> Words<'_> {
+    if s.is_ascii() && !s.contains('\x0B') {
+        Words::Ascii(s.split_ascii_whitespace())
+    } else {
+        Words::Unicode(s.split_whitespace())
+    }
+}
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Words::Ascii(words) => words.next(),
+            Words::Unicode(words) => words.next(),
+        }
+    }
+}
+
+/// Exactly `N` whitespace-separated tokens, or `None`.
+fn exactly<const N: usize>(args: &str) -> Option<[&str; N]> {
+    let mut tokens = words(args);
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = tokens.next()?;
+    }
+    tokens.next().is_none().then_some(out)
+}
+
+/// A verb that takes no arguments.
+fn bare(verb: &str, args: &str, request: Request) -> Result<Request> {
+    match exactly::<0>(args) {
+        Some([]) => Ok(request),
+        None => Err(ServeError::Protocol(format!("{verb} takes no arguments"))),
+    }
+}
+
+/// The counted-payload length of a `PUSH`/`SYNC` header.
+fn payload_length(token: &str) -> Result<usize> {
+    let nbytes = token
+        .parse::<usize>()
+        .map_err(|_| ServeError::Protocol(format!("'{}' is not a payload length", echo(token))))?;
+    if nbytes == 0 || nbytes > MAX_PUSH_BYTES {
+        return Err(ServeError::Protocol(format!(
+            "payload length {nbytes} is outside 1..={MAX_PUSH_BYTES}"
+        )));
+    }
+    Ok(nbytes)
+}
+
+/// Features [`parse_vector`] parses on the stack before moving them to the
+/// heap: any realistic feature vector fits in one chunk.
+const FEATURE_CHUNK: usize = 256;
+
+/// `<name> v1 ... vm` of a `SCORE`/`TRANSFORM`: the name, and the features
+/// parsed in one pass. Up to [`FEATURE_CHUNK`] features, the vector is
+/// allocated once at its exact length.
+fn parse_vector<'a>(verb: &str, args: &'a str) -> Result<(&'a str, Vec<f64>)> {
+    let usage = || ServeError::Protocol(format!("usage: {verb} <name> <v1> ... <vm>"));
+    let mut tokens = words(args);
+    let name = tokens.next().ok_or_else(usage)?;
+    let mut chunk = [0.0; FEATURE_CHUNK];
+    let mut filled = 0;
+    let mut features = Vec::new();
+    for (position, token) in tokens.enumerate() {
+        let value = token
+            .parse::<f64>()
+            .map_err(|_| ServeError::Protocol(format!("'{}' is not a number", echo(token))))?;
+        // Rust's parser accepts `NaN` and `inf`; a model scores them to
+        // NaN, which would be answered (and journaled) as a decision.
+        if !value.is_finite() {
+            return Err(ServeError::Protocol(format!(
+                "feature {position} is not finite ({value})"
+            )));
+        }
+        if filled == FEATURE_CHUNK {
+            features.extend_from_slice(&chunk);
+            filled = 0;
+        }
+        chunk[filled] = value;
+        filled += 1;
+    }
+    if features.is_empty() {
+        if filled == 0 {
+            return Err(usage());
+        }
+        return Ok((name, chunk[..filled].to_vec()));
+    }
+    features.extend_from_slice(&chunk[..filled]);
+    Ok((name, features))
 }
 
 /// Renders a successful response payload.
@@ -311,24 +425,69 @@ pub fn ok_response(payload: &str) -> String {
     if payload.is_empty() {
         "OK".to_string()
     } else {
-        format!("OK {payload}")
+        let mut out = String::with_capacity(payload.len() + 3);
+        out.push_str("OK ");
+        out.push_str(payload);
+        out
     }
+}
+
+/// Renders a `SCORE` response, `OK <probability> <hard-label>`, into one
+/// `String` with room left for a trace echo.
+pub fn score_response(score: f64, label: bool) -> String {
+    let mut out = String::with_capacity(64);
+    write!(out, "OK {score} {}", u8::from(label)).expect("writing to a String cannot fail");
+    out
+}
+
+/// Appends ` T=<id>`: the trailing trace token of a traced request, or
+/// its echo on the response line.
+pub fn push_trace_token(response: &mut String, id: u64) {
+    write!(response, " {}", pfr_obs::TraceToken(id)).expect("writing to a String cannot fail");
 }
 
 /// Renders an error response.
 pub fn err_response(err: &ServeError) -> String {
+    let mut out = String::from("ERR ");
+    write!(out, "{err}").expect("writing to a String cannot fail");
     // Keep responses single-line whatever the error contains.
-    let msg = err.to_string().replace('\n', " ");
-    format!("ERR {msg}")
+    if out.contains('\n') {
+        out = out.replace('\n', " ");
+    }
+    out
+}
+
+/// Writes `values` space-separated with shortest-round-trip formatting —
+/// the one number writer of the text protocol, appending to `out`.
+pub fn write_numbers(out: &mut String, values: &[f64]) {
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        write!(out, "{v}").expect("writing to a String cannot fail");
+    }
 }
 
 /// Renders a vector of numbers with shortest-round-trip formatting.
 pub fn format_numbers(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v}"))
-        .collect::<Vec<_>>()
-        .join(" ")
+    let mut out = String::with_capacity(values.len() * NUMBER_BYTES);
+    write_numbers(&mut out, values);
+    out
+}
+
+/// Appends one `SCORE` request frame, `SCORE <model> v1 ... vm[ T=<id>]`
+/// and its newline, to `out`: the bytes a client ships, formatted once.
+/// A buffer with room for the frame takes it without allocating.
+pub fn write_score_request(out: &mut String, model: &str, features: &[f64], trace: Option<u64>) {
+    out.reserve(model.len() + features.len() * NUMBER_BYTES + 32);
+    out.push_str("SCORE ");
+    out.push_str(model);
+    out.push(' ');
+    write_numbers(out, features);
+    if let Some(id) = trace {
+        push_trace_token(out, id);
+    }
+    out.push('\n');
 }
 
 #[cfg(test)]
@@ -486,6 +645,107 @@ mod tests {
         for (a, b) in values.iter().zip(parsed.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn words_split_exactly_as_split_whitespace_does() {
+        for s in [
+            "",
+            "  ",
+            "SCORE risk 1 -2.5 3e-4",
+            " a\tb\nc\x0Cd\re  ",
+            "a\x0Bb c",
+            "1\u{a0}2\u{2003}3 é\u{85}4",
+        ] {
+            assert_eq!(
+                words(s).collect::<Vec<_>>(),
+                s.split_whitespace().collect::<Vec<_>>(),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_by_position() {
+        for (line, position) in [
+            ("SCORE risk NaN 1", 0),
+            ("SCORE risk 1 2 inf", 2),
+            ("TRANSFORM risk 1 -infinity 3 T=00000000000000aa", 1),
+            ("score risk 0.5 nan", 1),
+        ] {
+            let err = parse_request(line).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("feature {position} is not finite")),
+                "'{line}': {err}"
+            );
+        }
+        // Large finite values are features like any other.
+        assert!(parse_request("SCORE risk 1e308 -1.7976931348623157e308").is_ok());
+        // Positions count across parse chunks.
+        let long = format!("SCORE risk {} inf", "1 ".repeat(FEATURE_CHUNK + 44));
+        let err = parse_request(&long).unwrap_err().to_string();
+        assert!(err.contains(&format!("feature {} is not finite", FEATURE_CHUNK + 44)));
+    }
+
+    #[test]
+    fn vectors_of_any_length_parse_in_order() {
+        for len in [
+            1,
+            FEATURE_CHUNK - 1,
+            FEATURE_CHUNK,
+            FEATURE_CHUNK + 1,
+            2 * FEATURE_CHUNK + 3,
+        ] {
+            let values: Vec<f64> = (0..len).map(|i| i as f64 - 0.5).collect();
+            let line = format!("TRANSFORM risk {}", format_numbers(&values));
+            match parse_request(&line).unwrap() {
+                Request::Transform { features, .. } => assert_eq!(features, values, "{len}"),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn err_lines_quote_at_most_a_bounded_prefix_of_the_offending_token() {
+        let junk = "9".repeat(1 << 20) + "x";
+        for line in [
+            format!("SCORE risk 1 {junk}"),
+            format!("PUSH risk {junk}"),
+            format!("SYNC {junk}"),
+            format!("TRACE {junk}"),
+            format!("{junk} 1 2"),
+            // A multi-byte character straddling the cut.
+            format!("SCORE risk {}é{junk}", "x".repeat(MAX_ECHO - 1)),
+        ] {
+            let response = err_response(&parse_request(&line).unwrap_err());
+            assert!(response.len() < 128, "{} bytes", response.len());
+            assert!(response.contains('…'), "{response}");
+        }
+        let missing = err_response(&ServeError::ModelNotFound(junk));
+        assert!(missing.len() < 128, "{} bytes", missing.len());
+        assert!(missing.contains(MODEL_NOT_FOUND_PREFIX));
+        // Short tokens are quoted whole.
+        let response = err_response(&parse_request("SCORE risk 1 abc").unwrap_err());
+        assert!(response.ends_with("'abc' is not a number"), "{response}");
+    }
+
+    #[test]
+    fn score_requests_and_responses_are_written_in_wire_form() {
+        let mut frame = String::new();
+        write_score_request(&mut frame, "risk", &[0.5, -2.0, 1e-7], None);
+        assert_eq!(frame, "SCORE risk 0.5 -2 0.0000001\n");
+        write_score_request(&mut frame, "risk", &[1.0], Some(0xaa));
+        assert_eq!(
+            frame,
+            "SCORE risk 0.5 -2 0.0000001\nSCORE risk 1 T=00000000000000aa\n"
+        );
+        assert_eq!(format_numbers(&[0.1 + 0.2, -0.0]), "0.30000000000000004 -0");
+        assert_eq!(format_numbers(&[]), "");
+        let mut response = score_response(0.25, false);
+        assert_eq!(response, "OK 0.25 0");
+        push_trace_token(&mut response, 0xaa);
+        assert_eq!(response, "OK 0.25 0 T=00000000000000aa");
+        assert_eq!(score_response(0.75, true), "OK 0.75 1");
     }
 
     #[test]

@@ -642,14 +642,14 @@ impl Reactor {
         // batcher or the pool is gone — and the error is its inline answer,
         // instead of a request pending forever.
         let inline = match call.execute(request, payload, || self.sink(token, seq)) {
-            Step::Done(result) => Some(result),
+            Step::Done(outcome) => Some(outcome),
             Step::Batch { model, features } => {
                 let sink = ScoreSink::Net(self.sink(token, seq));
                 self.context
                     .batcher
                     .submit_sink(model, features, sink)
                     .err()
-                    .map(Err)
+                    .map(|e| Outcome::Text(Err(e)))
             }
             Step::Pool(job) => {
                 let sink = self.sink(token, seq);
@@ -657,11 +657,10 @@ impl Reactor {
                     .pool
                     .execute(move || sink.send(Outcome::Text(job())))
                     .err()
-                    .map(Err)
+                    .map(|e| Outcome::Text(Err(e)))
             }
         };
-        let released =
-            inline.and_then(|result| call.arrive(Arrival::Outcome(Outcome::Text(result))));
+        let released = inline.and_then(|outcome| call.arrive(Arrival::Outcome(outcome)));
         match released {
             Some(outcome) => self.answer(token, seq, call, outcome),
             None => {
@@ -818,6 +817,48 @@ mod tests {
             reader.read_line(&mut response).unwrap();
             assert!(response.starts_with("OK up"), "{response}");
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn non_finite_and_junk_features_are_answered_with_bounded_errs() {
+        let (server, x) = reactor_server(None);
+        let model = server.registry().get("risk").unwrap();
+        let want = model.score_batch(&x).unwrap()[0];
+        let mut tokens: Vec<String> = x.row(0).iter().map(|v| v.to_string()).collect();
+        tokens[1] = "NaN".to_string();
+        let nan = tokens.join(" ");
+        tokens[1] = "9".repeat(1 << 19) + "x";
+        let junk = tokens.join(" ");
+        let good = protocol::format_numbers(x.row(0));
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let burst = format!(
+            "SCORE risk {nan}\nTRANSFORM risk {nan}\nSCORE risk {junk}\nSCORE risk {good}\n"
+        );
+        writer.write_all(burst.as_bytes()).unwrap();
+        let mut read = || {
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            response
+        };
+        for _ in 0..2 {
+            let response = read();
+            assert!(
+                response.starts_with("ERR ") && response.contains("feature 1 is not finite"),
+                "{response}"
+            );
+        }
+        let response = read();
+        assert!(response.starts_with("ERR "), "{response}");
+        assert!(response.len() < 128, "a {}-byte ERR line", response.len());
+        // The connection is still in step: the good request is answered.
+        let response = read();
+        let score: f64 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
+        assert_eq!(score.to_bits(), want.to_bits(), "{response}");
+        assert_eq!(server.stats().score.requests(), 1);
         server.shutdown();
     }
 

@@ -57,8 +57,8 @@ pub(crate) type Job = Box<dyn FnOnce() -> Result<String> + Send>;
 
 /// What executing a request came to.
 pub(crate) enum Step {
-    /// Answered here; the payload (or the error) is final.
-    Done(Result<String>),
+    /// Answered here; the outcome is final.
+    Done(Outcome),
     /// A `SCORE` cache miss: the micro-batcher scores `features` with
     /// `model` and the score comes back as [`Outcome::Score`].
     Batch {
@@ -77,6 +77,9 @@ pub(crate) enum Step {
 pub(crate) enum Outcome {
     /// A batched score, still to be cached, labelled and rendered.
     Score(Result<f64>),
+    /// A score the cache answered at admission, still to be labelled and
+    /// rendered.
+    Cached(f64),
     /// A finished response payload.
     Text(Result<String>),
 }
@@ -185,24 +188,22 @@ impl Call {
     ) -> Step {
         let context = &*self.context;
         match request {
-            Request::Stats => Step::Done(Ok(context.metrics.render_line())),
-            Request::Health => Step::Done(Ok(health(context))),
-            Request::Epoch { name } => Step::Done(epoch(context, &name)),
-            Request::Metrics => {
-                Step::Done(Ok(pfr_obs::escape_multiline(&context.metrics.render())))
-            }
-            Request::Trace { id } => Step::Done(trace(context, id)),
-            Request::Catalog { full } => Step::Done(Ok(catalog(context, full))),
+            Request::Stats => done(Ok(context.metrics.render_line())),
+            Request::Health => done(Ok(health(context))),
+            Request::Epoch { name } => done(epoch(context, &name)),
+            Request::Metrics => done(Ok(pfr_obs::escape_multiline(&context.metrics.render()))),
+            Request::Trace { id } => done(trace(context, id)),
+            Request::Catalog { full } => done(Ok(catalog(context, full))),
             // The catalog is a control-plane-sized value; merging it here
             // costs less than a pool round trip.
-            Request::Sync { .. } => Step::Done(sync(context, &payload)),
-            Request::Quit => Step::Done(Ok("bye".to_string())),
+            Request::Sync { .. } => done(sync(context, &payload)),
+            Request::Quit => done(Ok("bye".to_string())),
             Request::Score { name, features, .. } => self
                 .score(&name, features, ack)
-                .unwrap_or_else(|e| Step::Done(Err(e))),
+                .unwrap_or_else(|e| done(Err(e))),
             Request::Transform { name, features, .. } => self
                 .transform(&name, features, ack)
-                .unwrap_or_else(|e| Step::Done(Err(e))),
+                .unwrap_or_else(|e| done(Err(e))),
             Request::Load { name, path } => {
                 let context = Arc::clone(&self.context);
                 self.defer("install", move || load(&context, &name, Path::new(&path)))
@@ -268,15 +269,15 @@ impl Call {
                 .expect("cache lock poisoned")
                 .get(key)
         });
+        self.threshold = model.threshold();
         if let Some(score) = cached {
             self.context.stats.record_cache_hit();
             self.event("cache-hit");
-            return Ok(Step::Done(Ok(score_payload(score, model.threshold()))));
+            return Ok(Step::Done(Outcome::Cached(score)));
         }
         self.context.stats.record_cache_miss();
         self.event("cache-miss");
         self.key = key;
-        self.threshold = model.threshold();
         Ok(Step::Batch { model, features })
     }
 
@@ -323,7 +324,7 @@ impl Call {
                     // Queue wait, batch assembly and the GEMM all sit
                     // between "cache-miss" and this event.
                     Outcome::Score(Ok(_)) => self.event("batch-scored"),
-                    Outcome::Score(Err(_)) => {}
+                    Outcome::Score(Err(_)) | Outcome::Cached(_) => {}
                     Outcome::Text(_) => {
                         if let Some(stage) = self.pool_stage {
                             self.event(stage);
@@ -369,10 +370,11 @@ impl Call {
                         .insert(key, score);
                     self.event("cache-insert");
                 }
-                Ok(score_payload(score, self.threshold))
+                Ok(Answer::Score(score))
             }
+            (_, Outcome::Cached(score)) => Ok(Answer::Score(score)),
             (_, Outcome::Score(Err(e))) => Err(e),
-            (_, Outcome::Text(result)) => result,
+            (_, Outcome::Text(result)) => result.map(Answer::Text),
         };
         if let Some(bucket) = self.bucket {
             bucket(&self.context.stats).record(self.start.elapsed(), result.is_ok());
@@ -380,13 +382,15 @@ impl Call {
         if let Some(span) = self.span.take() {
             finish_span(&self.context, span, ring);
         }
+        // One `String` per response: a score is written straight into it,
+        // and so is the trace echo.
         let mut response = match result {
-            Ok(payload) => protocol::ok_response(&payload),
+            Ok(Answer::Score(score)) => protocol::score_response(score, score >= self.threshold),
+            Ok(Answer::Text(payload)) => protocol::ok_response(&payload),
             Err(e) => protocol::err_response(&e),
         };
         if let Some(id) = self.echo {
-            response.push(' ');
-            response.push_str(&pfr_obs::trace_token(id));
+            protocol::push_trace_token(&mut response, id);
         }
         response
     }
@@ -428,8 +432,17 @@ fn finish_span(context: &ServeContext, span: ActiveSpan, ring: &SpanRing) {
     }
 }
 
-fn score_payload(score: f64, threshold: f64) -> String {
-    format!("{score} {}", u8::from(score >= threshold))
+/// What a successful call answers, before it is rendered.
+enum Answer {
+    /// A `SCORE`: labelled against the call's threshold.
+    Score(f64),
+    /// Any other verb's payload.
+    Text(String),
+}
+
+/// A step answered on the calling thread with a text payload or an error.
+fn done(result: Result<String>) -> Step {
+    Step::Done(Outcome::Text(result))
 }
 
 /// `HEALTH`: liveness plus the signals a routing tier keys decisions on —
