@@ -81,8 +81,7 @@ pub struct JournalConfig {
     /// Keep at most this many segments, deleting the oldest sealed ones
     /// after a roll. `0` keeps everything — the only setting under which
     /// replay is guaranteed to reconstruct the full registry (deleting a
-    /// sealed segment may drop the `LOAD`/`PUSH` frame that installed a
-    /// model).
+    /// sealed segment may drop the `PUSH` frame that installed a model).
     pub retain_segments: usize,
     /// Durability policy (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
@@ -983,7 +982,7 @@ mod tests {
                 model: "a".into(),
                 features: vec![-0.0, 2.5],
             },
-            Record::Load {
+            Record::Push {
                 model: "c".into(),
                 bundle_text: "x".repeat(1000),
             },

@@ -1,7 +1,7 @@
 //! # pfr-journal — durable write-ahead request journal
 //!
 //! A std-only, segmented, append-only journal for the PFR serving tier.
-//! Every accepted request (`SCORE`, `TRANSFORM`, `LOAD`, `PUSH`) becomes a
+//! Every accepted request (`SCORE`, `TRANSFORM`, `PUSH`) becomes a
 //! checksummed, length-prefixed binary frame; a group-commit writer thread
 //! covers every append in flight with one write and one fsync
 //! ([`Journal::submit`] enqueues without waiting, [`Journal::append`]

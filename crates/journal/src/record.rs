@@ -1,11 +1,14 @@
-//! Journal record payloads: the four serving-tier mutations/reads worth
-//! replaying after a crash, with a compact binary body encoding.
+//! Journal record payloads: the serving-tier requests worth replaying after
+//! a crash (`Score`, `Transform`, `Push`) and the slow-trace diagnostic,
+//! with a compact binary body encoding.
 //!
 //! Feature vectors are stored as raw IEEE-754 bit patterns (not decimal
 //! text), so a replayed `Score` reproduces the exact `f64`s the live server
 //! saw — including NaN payloads — and cache re-warming stays bit-exact.
-//! Bundle text is inlined verbatim for `Load` and `Push`, so recovery never
-//! needs the filesystem the original `LOAD` read from.
+//! Bundle text is inlined verbatim in `Push`, so recovery never needs a
+//! file. Kind 3 is read-only: journals once held path-based installs under
+//! it, with a body laid out exactly like `Push`'s, and they still replay —
+//! as `Push` records. Nothing writes kind 3 any more.
 
 /// One journaled request, decoded.
 #[derive(Debug, Clone)]
@@ -23,14 +26,6 @@ pub enum Record {
         model: String,
         /// Feature vector exactly as transformed.
         features: Vec<f64>,
-    },
-    /// A successful `LOAD`: the bundle text is inlined so replay does not
-    /// depend on the file the original request named.
-    Load {
-        /// Registry name the bundle was installed under.
-        model: String,
-        /// Canonical bundle text ([`pfr_core::persistence::bundle_to_string`]).
-        bundle_text: String,
     },
     /// A successful `PUSH`: bundle text exactly as received on the wire.
     Push {
@@ -68,10 +63,6 @@ pub enum RecordRef<'a> {
         model: &'a str,
         features: &'a [f64],
     },
-    Load {
-        model: &'a str,
-        bundle_text: &'a str,
-    },
     Push {
         model: &'a str,
         bundle_text: &'a str,
@@ -89,7 +80,6 @@ impl<'a> RecordRef<'a> {
         match self {
             RecordRef::Score { .. } => KIND_SCORE,
             RecordRef::Transform { .. } => KIND_TRANSFORM,
-            RecordRef::Load { .. } => KIND_LOAD,
             RecordRef::Push { .. } => KIND_PUSH,
             RecordRef::SlowTrace { .. } => KIND_SLOW_TRACE,
         }
@@ -101,7 +91,6 @@ impl<'a> RecordRef<'a> {
         match self {
             RecordRef::Score { model, .. }
             | RecordRef::Transform { model, .. }
-            | RecordRef::Load { model, .. }
             | RecordRef::Push { model, .. } => model,
             RecordRef::SlowTrace { .. } => "",
         }
@@ -115,9 +104,7 @@ impl<'a> RecordRef<'a> {
                 RecordRef::Score { features, .. } | RecordRef::Transform { features, .. } => {
                     4 + 8 * features.len()
                 }
-                RecordRef::Load { bundle_text, .. } | RecordRef::Push { bundle_text, .. } => {
-                    4 + bundle_text.len()
-                }
+                RecordRef::Push { bundle_text, .. } => 4 + bundle_text.len(),
                 RecordRef::SlowTrace { text, .. } => 8 + 8 + 4 + text.len(),
             }
     }
@@ -135,7 +122,7 @@ impl<'a> RecordRef<'a> {
                     out.extend_from_slice(&value.to_bits().to_le_bytes());
                 }
             }
-            RecordRef::Load { bundle_text, .. } | RecordRef::Push { bundle_text, .. } => {
+            RecordRef::Push { bundle_text, .. } => {
                 out.extend_from_slice(&(bundle_text.len() as u32).to_le_bytes());
                 out.extend_from_slice(bundle_text.as_bytes());
             }
@@ -156,6 +143,8 @@ impl<'a> RecordRef<'a> {
 /// Frame kind tags (one byte on disk).
 const KIND_SCORE: u8 = 1;
 const KIND_TRANSFORM: u8 = 2;
+/// Read-only: the path-based `LOAD` install journals once wrote, decoded
+/// as [`Record::Push`] (same body layout) and never encoded.
 const KIND_LOAD: u8 = 3;
 const KIND_PUSH: u8 = 4;
 const KIND_SLOW_TRACE: u8 = 5;
@@ -177,7 +166,6 @@ impl Record {
         match self {
             Record::Score { model, features } => RecordRef::Score { model, features },
             Record::Transform { model, features } => RecordRef::Transform { model, features },
-            Record::Load { model, bundle_text } => RecordRef::Load { model, bundle_text },
             Record::Push { model, bundle_text } => RecordRef::Push { model, bundle_text },
             Record::SlowTrace {
                 trace_id,
@@ -218,15 +206,11 @@ impl Record {
                     Record::Transform { model, features }
                 }
             }
-            KIND_LOAD | KIND_PUSH => {
+            KIND_PUSH | KIND_LOAD => {
                 let len = cursor.u32()? as usize;
                 let bundle_text = String::from_utf8(cursor.take(len)?.to_vec())
                     .map_err(|_| "bundle text is not utf-8".to_string())?;
-                if kind == KIND_LOAD {
-                    Record::Load { model, bundle_text }
-                } else {
-                    Record::Push { model, bundle_text }
-                }
+                Record::Push { model, bundle_text }
             }
             KIND_SLOW_TRACE => {
                 let trace_id = cursor.u64()?;
@@ -280,16 +264,6 @@ impl Record {
                 },
             ) => m1 == m2 && features_eq(f1, f2),
             (
-                Record::Load {
-                    model: m1,
-                    bundle_text: t1,
-                },
-                Record::Load {
-                    model: m2,
-                    bundle_text: t2,
-                },
-            )
-            | (
                 Record::Push {
                     model: m1,
                     bundle_text: t1,
@@ -379,11 +353,10 @@ mod tests {
             bundle_text: "pfr-bundle v1\nweights 1 2 3\n".into(),
         };
         assert!(p.bitwise_eq(&roundtrip(&p)));
-        let l = Record::Load {
-            model: "m".into(),
-            bundle_text: String::new(),
-        };
-        assert!(l.bitwise_eq(&roundtrip(&l)));
+        // Kind 3 (read-only) has `Push`'s body, and decodes as a `Push`.
+        let mut body = Vec::new();
+        p.encode_body(&mut body);
+        assert!(Record::decode_body(3, &body).unwrap().bitwise_eq(&p));
     }
 
     #[test]

@@ -235,14 +235,14 @@ impl ShadowGate {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pfr_core::persistence::bundle_to_string;
     use pfr_core::persistence::{ClassifierSection, StandardizerParams};
     use pfr_core::{Pfr, PfrConfig};
     use pfr_graph::{KnnGraphBuilder, SparseGraph};
 
-    fn toy_bundle() -> (ModelBundle, Matrix) {
+    pub(crate) fn toy_bundle() -> (ModelBundle, Matrix) {
         let x = Matrix::from_rows(&[
             vec![0.0, 0.1, 1.0],
             vec![0.5, 0.4, 0.0],

@@ -24,9 +24,9 @@ use crate::error::RefitError;
 use crate::gate::{GateConfig, GateReport, ShadowGate};
 use crate::window::FeatureWindow;
 use crate::Result;
-use pfr_core::persistence::{bundle_from_string, bundle_text_digest, ModelBundle};
+use pfr_core::persistence::{bundle_digest, bundle_from_string, ModelBundle};
 use pfr_journal::{JournalCursor, Record};
-use pfr_router::Router;
+use pfr_router::{ConnConfig, Router};
 use pfr_serve::ServableModel;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -253,7 +253,7 @@ impl RefitLoop {
             ));
         }
         let serving = bundle_from_string(serving_text)?;
-        let serving_digest = bundle_text_digest(serving_text)?;
+        let serving_digest = bundle_digest(&serving);
         let params = serving.standardizer.as_ref().ok_or_else(|| {
             RefitError::Config(
                 "serving bundle carries no standardizer; no drift baseline available".to_string(),
@@ -352,20 +352,16 @@ impl RefitLoop {
                 self.frames_since_check += 1;
                 self.frames_since_refit = self.frames_since_refit.saturating_add(1);
             }
-            Record::Push { model, bundle_text } | Record::Load { model, bundle_text }
-                if model == self.config.model =>
-            {
+            Record::Push { model, bundle_text } if model == self.config.model => {
                 // Someone installed a bundle for our model. If it is not
                 // the one we already track (including our own swap coming
                 // back through the tail), rebase on it: new baseline, new
                 // teacher, fresh window. Unparseable text cannot
                 // have been installed by a backend either — skip it.
-                if let Ok(digest) = bundle_text_digest(&bundle_text) {
-                    if digest != self.serving_digest {
-                        if let Ok(bundle) = bundle_from_string(&bundle_text) {
-                            self.install_serving(bundle, digest)?;
-                            self.stats.bump_rebases();
-                        }
+                if let Ok(bundle) = bundle_from_string(&bundle_text) {
+                    if bundle_digest(&bundle) != self.serving_digest {
+                        self.install_serving(bundle)?;
+                        self.stats.bump_rebases();
                     }
                 }
             }
@@ -414,9 +410,7 @@ impl RefitLoop {
 
         let placed = self.ship(&outcome.bundle_text)?;
         self.stats.bump_refits_swapped();
-        let digest = bundle_text_digest(&outcome.bundle_text)?;
-        let candidate = bundle_from_string(&outcome.bundle_text)?;
-        self.install_serving(candidate, digest)?;
+        self.install_serving(bundle_from_string(&outcome.bundle_text)?)?;
         Ok(RefitStep::Swapped {
             drift,
             gate,
@@ -451,14 +445,19 @@ impl RefitLoop {
         }
     }
 
-    fn install_serving(&mut self, bundle: ModelBundle, digest: u64) -> Result<()> {
+    /// Adopts `bundle` as the serving model, or — if its baseline or its
+    /// model cannot be built — leaves every part of the current one as it
+    /// was.
+    fn install_serving(&mut self, bundle: ModelBundle) -> Result<()> {
         let params = bundle.standardizer.as_ref().ok_or_else(|| {
             RefitError::Config("installed bundle carries no standardizer".to_string())
         })?;
-        self.detector = DriftDetector::from_standardizer(self.config.drift.clone(), params)?;
-        self.serving_model = ServableModel::from_bundle("refit-serving", &bundle)?;
+        let detector = DriftDetector::from_standardizer(self.config.drift.clone(), params)?;
+        let serving_model = ServableModel::from_bundle("refit-serving", &bundle)?;
+        self.detector = detector;
+        self.serving_model = serving_model;
+        self.serving_digest = bundle_digest(&bundle);
         self.serving = bundle;
-        self.serving_digest = digest;
         // Pre-swap traffic must not be judged against the new baseline.
         self.window.clear();
         self.frames_since_check = 0;
@@ -467,9 +466,14 @@ impl RefitLoop {
     }
 }
 
-/// One raw wire-level `PUSH <name> <nbytes>\n<payload>` exchange.
+/// One raw wire-level `PUSH <name> <nbytes>\n<payload>` exchange, under
+/// the routing tier's default connect and io timeouts: a backend that
+/// accepts and never answers fails the push instead of wedging the worker.
 fn push_raw(addr: &SocketAddr, model: &str, bundle_text: &str) -> std::io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
+    let timeouts = ConnConfig::default();
+    let stream = TcpStream::connect_timeout(addr, timeouts.connect_timeout)?;
+    stream.set_read_timeout(Some(timeouts.io_timeout))?;
+    stream.set_write_timeout(Some(timeouts.io_timeout))?;
     stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
     let mut frame = format!("PUSH {model} {}\n", bundle_text.len()).into_bytes();
@@ -566,6 +570,76 @@ impl Drop for RefitWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::tests::toy_bundle;
+    use pfr_core::persistence::bundle_to_string;
+    use pfr_journal::{FsyncPolicy, Journal, JournalConfig};
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    /// A loop serving the toy bundle as model `m`, tailing a fresh journal
+    /// that holds `records`. Returns the journal directory for cleanup.
+    fn loop_over(tag: &str, records: &[Record], target: SwapTarget) -> (RefitLoop, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("pfr_refit_worker_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Journal::open(JournalConfig {
+            fsync: FsyncPolicy::Never,
+            ..JournalConfig::new(&dir)
+        })
+        .unwrap();
+        for record in records {
+            journal.append(record).unwrap();
+        }
+        journal.close();
+        let (bundle, _) = toy_bundle();
+        let config = RefitConfig::new(&dir, "m");
+        let refit_loop = RefitLoop::new(config, &bundle_to_string(&bundle), target).unwrap();
+        (refit_loop, dir)
+    }
+
+    #[test]
+    fn a_tailed_bundle_that_cannot_serve_is_not_half_adopted() {
+        // A new baseline the detector would accept, and a classifier the
+        // projection cannot feed.
+        let (mut bad, _) = toy_bundle();
+        bad.standardizer.as_mut().unwrap().means = vec![9.0; 3];
+        bad.classifier.as_mut().unwrap().text =
+            "pfr-logreg-v1 intercept=0 features=3\nweights 1 2 3\n".to_string();
+        let push = Record::Push {
+            model: "m".into(),
+            bundle_text: bundle_to_string(&bad),
+        };
+        let (mut refit_loop, dir) = loop_over("half_adopt", &[push], SwapTarget::DryRun);
+        let serving = bundle_to_string(refit_loop.serving());
+        let detector = format!("{:?}", refit_loop.detector);
+        assert!(refit_loop.pump(16).is_err(), "the frame is reported");
+        assert_eq!(bundle_to_string(refit_loop.serving()), serving);
+        assert_eq!(format!("{:?}", refit_loop.detector), detector);
+        assert_eq!(refit_loop.stats().rebases(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shipping_to_a_backend_that_never_answers_is_rejected_in_bounded_time() {
+        // The kernel completes the handshake from the backlog; nobody
+        // accepts, reads or answers.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let target = SwapTarget::Backends(vec![silent.local_addr().unwrap()]);
+        let (refit_loop, dir) = loop_over("silent", &[], target);
+        let started = Instant::now();
+        let shipped = refit_loop.ship(&bundle_to_string(refit_loop.serving()));
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(shipped, Err(RefitError::SwapRejected(_))),
+            "{shipped:?}"
+        );
+        assert!(
+            elapsed < 3 * ConnConfig::default().io_timeout,
+            "{elapsed:?}"
+        );
+        drop(silent);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn refit_gauges_render_counters_and_cursor_lag() {

@@ -1,6 +1,6 @@
 //! An in-process cluster harness: N real `pfr-serve` servers on ephemeral
-//! loopback ports, plus helpers to build a router over them, place model
-//! bundles on the right replicas, boot extra backends at runtime
+//! loopback ports, plus helpers to build a router over them (which places
+//! bundles with [`crate::Router::push`]), boot extra backends at runtime
 //! (elasticity tests) and kill backends mid-test.
 //!
 //! This is the zero-infrastructure way to exercise the routing tier: every
@@ -9,10 +9,8 @@
 
 use crate::router::{Router, RouterConfig};
 use crate::Result;
-use pfr_core::persistence::{self, ModelBundle};
 use pfr_serve::{Server, ServerConfig};
 use std::net::SocketAddr;
-use std::path::PathBuf;
 
 /// A booted set of serve backends, killable one by one and growable at
 /// runtime.
@@ -20,7 +18,6 @@ use std::path::PathBuf;
 pub struct LocalCluster {
     servers: Vec<Option<Server>>,
     addrs: Vec<SocketAddr>,
-    scratch: Vec<PathBuf>,
     config: ServerConfig,
 }
 
@@ -31,7 +28,6 @@ impl LocalCluster {
         let mut cluster = LocalCluster {
             servers: Vec::with_capacity(n),
             addrs: Vec::with_capacity(n),
-            scratch: Vec::new(),
             config,
         };
         for _ in 0..n {
@@ -94,28 +90,6 @@ impl LocalCluster {
         Router::connect(&self.addrs, config)
     }
 
-    /// Places `bundle` under `model` via the router's own **file-based**
-    /// placement: the bundle is written to a scratch file and `LOAD`ed
-    /// onto the replica set the ring picks (an in-process cluster shares
-    /// the filesystem by construction). Returns how many replicas loaded
-    /// it. [`crate::Router::push`] is the wire-level alternative that
-    /// needs no file at all.
-    pub fn place(&mut self, router: &Router, model: &str, bundle: &ModelBundle) -> Result<usize> {
-        // The filename carries a process-wide counter besides pid and model
-        // name: concurrent clusters in one test binary may place the same
-        // model name, and sharing a scratch path would race save/LOAD/drop.
-        static PLACEMENTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let unique = PLACEMENTS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "pfr_router_cluster_{}_{unique}_{model}.bundle",
-            std::process::id()
-        ));
-        persistence::save_bundle(bundle, &path)
-            .map_err(|e| crate::RouterError::Backend(e.to_string()))?;
-        self.scratch.push(path.clone());
-        router.load(model, &path)
-    }
-
     /// Kills backend `i`: its server shuts down (closing every established
     /// connection), its port goes dead. Returns whether it was alive.
     pub fn kill(&mut self, i: usize) -> bool {
@@ -134,9 +108,6 @@ impl Drop for LocalCluster {
         for server in self.servers.iter_mut().filter_map(Option::take) {
             server.shutdown();
         }
-        for path in &self.scratch {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -144,7 +115,7 @@ impl Drop for LocalCluster {
 mod tests {
     use super::*;
     use crate::backend::{BreakerConfig, ConnConfig};
-    use pfr_core::persistence::{ClassifierSection, StandardizerParams};
+    use pfr_core::persistence::{ClassifierSection, ModelBundle, StandardizerParams};
     use pfr_core::{Pfr, PfrConfig};
     use pfr_graph::{KnnGraphBuilder, SparseGraph};
     use pfr_linalg::Matrix;
@@ -204,10 +175,10 @@ mod tests {
 
     #[test]
     fn placement_loads_onto_exactly_the_replica_set() {
-        let mut cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
+        let cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
         let router = cluster.router(quick_router_config()).unwrap();
         let (bundle, _) = toy_bundle();
-        let loaded = cluster.place(&router, "toy", &bundle).unwrap();
+        let loaded = router.push("toy", &bundle).unwrap();
         assert_eq!(loaded, 2, "replication factor 2 places two copies");
         let replicas = router.replica_set("toy");
         for id in 0..cluster.len() {
@@ -225,7 +196,7 @@ mod tests {
 
     #[test]
     fn routed_scores_match_direct_scores_bitwise() {
-        let mut cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
+        let cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
         // The hot-key cache would answer the repeated batch without a
         // scatter; this test is about the network path, so disable it.
         let router = cluster
@@ -235,7 +206,7 @@ mod tests {
             })
             .unwrap();
         let (bundle, x) = toy_bundle();
-        cluster.place(&router, "toy", &bundle).unwrap();
+        router.push("toy", &bundle).unwrap();
         let replica = router.replica_set("toy")[0];
         let expected = cluster
             .server(replica)
@@ -261,7 +232,7 @@ mod tests {
 
     #[test]
     fn a_batch_with_every_replica_ejected_falls_to_the_per_row_retry() {
-        let mut cluster = LocalCluster::boot(2, ServerConfig::default()).unwrap();
+        let cluster = LocalCluster::boot(2, ServerConfig::default()).unwrap();
         // Nothing may re-admit a backend behind the test's back.
         let router = cluster
             .router(RouterConfig {
@@ -276,7 +247,7 @@ mod tests {
             })
             .unwrap();
         let (bundle, x) = toy_bundle();
-        cluster.place(&router, "toy", &bundle).unwrap();
+        router.push("toy", &bundle).unwrap();
         let model = cluster.server(0).unwrap().registry().get("toy").unwrap();
         let expected = model.score_batch(&x).unwrap();
         for backend in router.backends() {
@@ -299,7 +270,6 @@ mod tests {
         let cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
         let router = cluster.router(quick_router_config()).unwrap();
         let (bundle, x) = toy_bundle();
-        // Wire-level placement: no scratch file, no LOAD.
         assert_eq!(router.push("toy", &bundle).unwrap(), 2);
         let first = router.score("toy", x.row(0)).unwrap();
         assert_eq!(router.stats().hot_cache_hits(), 0);
@@ -324,14 +294,14 @@ mod tests {
 
     #[test]
     fn unknown_model_and_malformed_vectors_error_without_failover_storms() {
-        let mut cluster = LocalCluster::boot(2, ServerConfig::default()).unwrap();
+        let cluster = LocalCluster::boot(2, ServerConfig::default()).unwrap();
         let router = cluster.router(quick_router_config()).unwrap();
         assert!(matches!(
             router.score("ghost", &[1.0, 2.0, 3.0]),
             Err(crate::RouterError::Unavailable(_))
         ));
         let (bundle, _) = toy_bundle();
-        cluster.place(&router, "toy", &bundle).unwrap();
+        router.push("toy", &bundle).unwrap();
         // Wrong arity is a deterministic request error.
         assert!(matches!(
             router.score("toy", &[1.0]),
@@ -434,7 +404,7 @@ mod tests {
         let mut cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
         let router = cluster.router(quick_router_config()).unwrap();
         let (bundle, x) = toy_bundle();
-        cluster.place(&router, "toy", &bundle).unwrap();
+        router.push("toy", &bundle).unwrap();
         let expected = router.score("toy", x.row(0)).unwrap();
         let victim = router.replica_set("toy")[0];
         assert!(cluster.kill(victim));

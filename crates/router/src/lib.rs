@@ -22,7 +22,7 @@
 //!   background [`HealthChecker`] feed the same breaker (the prober reads
 //!   the live membership every round, so new members are probed at once).
 //! * [`Router`] — placement ([`Router::push`] ships bundle text over the
-//!   wire; `LOAD` remains for shared-filesystem setups), single-vector
+//!   wire and catalogs it), single-vector
 //!   scoring with failover behind a bit-exact hot-key LRU, scatter-gather
 //!   batch scoring that stripes rows over live replicas and reassembles in
 //!   order, `EPOCH`-digest verification that all replicas serve

@@ -28,8 +28,7 @@
 //! repair themselves without an operator shipping files around.
 //!
 //! **Placement** ships `ModelBundle` text over the wire (`PUSH`), so
-//! backends need no shared filesystem; `LOAD` (path-based) remains for
-//! single-host setups.
+//! backends need no shared filesystem, and every placement is cataloged.
 //!
 //! **The hot-key cache** is the same bit-exact LRU the backends use
 //! ([`pfr_serve::ScoreCache`]), keyed by a router-local model id instead
@@ -68,7 +67,6 @@ use pfr_serve::cache::{ScoreCache, ScoreKey};
 use pfr_serve::protocol::write_score_request;
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -183,7 +181,7 @@ impl RouterStats {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Bundle installs (`LOAD`/`PUSH`) placed through this router —
+    /// Bundle installs (`PUSH`) placed through this router —
     /// operator pushes and refit hot-swaps alike.
     pub fn pushes(&self) -> u64 {
         self.pushes.load(Ordering::Relaxed)
@@ -603,31 +601,6 @@ impl Router {
         Ok(())
     }
 
-    /// Sends `LOAD` to every backend of `model`'s replica set. Returns how
-    /// many replicas loaded it; errors only if none did. The path must be
-    /// readable by the backend processes (shared filesystem or local
-    /// cluster) — [`Router::push`] is the placement verb that drops that
-    /// assumption. If the *router* can read the path too, the bundle is
-    /// cataloged so membership changes re-place it automatically.
-    pub fn load(&self, model: &str, path: &Path) -> Result<usize> {
-        let line = format!("LOAD {model} {}", path.display());
-        let loaded = self.place_on_replicas(model, |backend| backend.exchange(&line))?;
-        self.stats.pushes.fetch_add(1, Ordering::Relaxed);
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let cataloged = self
-                .catalog
-                .lock()
-                .expect("catalog lock poisoned")
-                .upsert_placement(self.writer, model, &text)
-                .is_ok();
-            if cataloged {
-                self.control.publish();
-            }
-        }
-        self.invalidate_hot_keys_for(model);
-        Ok(loaded)
-    }
-
     /// Places `bundle` under `model` by shipping its text to every replica
     /// over the wire (`PUSH`) — no shared filesystem required. Returns how
     /// many replicas accepted it; errors only if none did. The bundle is
@@ -638,7 +611,7 @@ impl Router {
 
     /// [`Router::push`] for already-serialized bundle text.
     pub fn push_text(&self, model: &str, text: &str) -> Result<usize> {
-        let placed = self.place_on_replicas(model, |backend| backend.push(model, text))?;
+        let placed = self.place_on_replicas(model, text)?;
         self.stats.pushes.fetch_add(1, Ordering::Relaxed);
         // The replicas accepted the bundle, so it parses; cataloging can
         // only fail on a digest-invalid text, which cannot reach here.
@@ -655,19 +628,15 @@ impl Router {
         Ok(placed)
     }
 
-    /// The shared placement walk behind `LOAD` and `PUSH`: runs
-    /// `per_backend` on every member of `model`'s replica set under one
-    /// membership snapshot, counting successes. Replicas whose breaker is
+    /// The placement walk behind [`Router::push_text`]: `PUSH`es `text` to
+    /// every member of `model`'s replica set under one membership
+    /// snapshot, counting successes. Replicas whose breaker is
     /// open are skipped — installing into an ejected backend cannot
     /// succeed, and the catalog repairs them on readmission (the prober
     /// lets them back in, the next sync round digest-checks and pushes
     /// what they missed). Errors only if *no* replica accepted,
     /// surfacing the last failure.
-    fn place_on_replicas(
-        &self,
-        model: &str,
-        per_backend: impl Fn(&Backend) -> std::io::Result<String>,
-    ) -> Result<usize> {
+    fn place_on_replicas(&self, model: &str, text: &str) -> Result<usize> {
         let snapshot = self.membership();
         let mut placed = 0;
         let mut last_error: Option<RouterError> = None;
@@ -682,7 +651,7 @@ impl Router {
                 last_error = Some(RouterError::Unavailable(model.to_string()));
                 continue;
             }
-            match per_backend(backend) {
+            match backend.push(model, text) {
                 Ok(response) => match classify(&response) {
                     Reply::Payload(_) => placed += 1,
                     Reply::NotLoaded | Reply::Busy | Reply::Rejected(_) => {

@@ -19,8 +19,8 @@
 //! * [`ScoreCache`] — a fixed-capacity LRU keyed by (model generation,
 //!   exact feature bits); deterministic scoring makes hits exact, and
 //!   hot swaps invalidate implicitly via the generation.
-//! * [`Server`] — a line-delimited TCP protocol (`LOAD` / `SCORE` /
-//!   `TRANSFORM` / `STATS` / `HEALTH` / `EPOCH` / `QUIT`) with per-verb
+//! * [`Server`] — a line-delimited TCP protocol (`PUSH` / `SCORE` /
+//!   `TRANSFORM` / `STATS` / `HEALTH` / `EPOCH` / `QUIT` and more) with per-verb
 //!   latency and hit-rate counters ([`ServerStats`]), a pool of epoll
 //!   reactor threads multiplexing every connection, and a graceful
 //!   shutdown that closes every connection and joins every thread.
@@ -28,7 +28,7 @@
 //!   liveness/queue-depth probes and cross-process model-content digests.
 //!
 //! Durability is optional: configure [`ServerConfig::journal`] and every
-//! accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is enqueued to a `pfr-journal`
+//! accepted `SCORE`/`TRANSFORM`/`PUSH` is enqueued to a `pfr-journal`
 //! write-ahead log before it executes and answered only once durable — the
 //! response waits for the fsync, the reactor does not, so one fsync covers
 //! every request in flight; after a crash,
@@ -41,12 +41,9 @@
 //! use pfr_serve::{Server, ServerConfig};
 //!
 //! let server = Server::spawn(ServerConfig::default()).unwrap();
-//! server
-//!     .registry()
-//!     .load_from_file("admissions", std::path::Path::new("model.bundle"))
-//!     .unwrap();
 //! println!("serving on {}", server.addr());
-//! // ... clients connect and send `SCORE admissions 0.3 1.2 ...` lines ...
+//! // ... a client installs a bundle with `PUSH admissions <nbytes>` followed
+//! // by the bundle text, then sends `SCORE admissions 0.3 1.2 ...` lines ...
 //! server.shutdown();
 //! ```
 //!

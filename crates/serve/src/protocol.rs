@@ -3,7 +3,6 @@
 //! One request per line, one response line per request:
 //!
 //! ```text
-//! LOAD <name> <path>            -> OK loaded <name>@<gen> features=<m> dim=<d>
 //! PUSH <name> <nbytes>          -> OK loaded <name>@<gen> features=<m> dim=<d>
 //!   (the header line is followed by exactly <nbytes> bytes of bundle
 //!    text — newlines inside the payload are data, not framing)
@@ -35,11 +34,12 @@
 //! escaped onto one line (`pfr_obs::wire::escape_multiline`), keeping the
 //! one-response-line-per-request framing every tier pipelines on.
 //!
-//! `PUSH` is `LOAD` without the shared-filesystem assumption: the client
+//! `PUSH` is the one way a model is installed over the wire: the client
 //! (typically the routing tier placing a replica) ships the serialized
-//! [`ModelBundle`](pfr_core::persistence::ModelBundle) text over the wire
-//! as a counted payload instead of naming a path the server must be able
-//! to read. `PUSH` requests are counted under the `load` stats verb.
+//! [`ModelBundle`](pfr_core::persistence::ModelBundle) text as a counted
+//! payload, so the server never reads a path a client names. The bundle is
+//! validated in full before it is journaled, and `PUSH` requests are
+//! counted under the `load` stats verb.
 //!
 //! `CATALOG` and `SYNC` make every backend a **replication point for the
 //! router tier's placement catalog** (`pfr-control`): a router publishes
@@ -72,9 +72,10 @@
 //! verb case-insensitively in place and parses features in one pass into a
 //! vector sized once, so a `SCORE` parse allocates the model name and the
 //! features and nothing else. Non-finite features are refused by position,
-//! and an `ERR` line quotes at most [`MAX_ECHO`] bytes of whatever it
-//! rejects. `crates/serve/DESIGN.md` § "Allocation ledger of one routed
-//! SCORE" lists what a request still allocates, and why.
+//! an `ERR` line quotes at most [`MAX_ECHO`] bytes of whatever token it
+//! rejects, and no `ERR` line is longer than [`MAX_ERR_BYTES`].
+//! `crates/serve/DESIGN.md` § "Allocation ledger of one routed SCORE" lists
+//! what a request still allocates, and why.
 
 use crate::error::ServeError;
 use crate::Result;
@@ -103,16 +104,8 @@ pub const MAX_PUSH_BYTES: usize = 64 << 20;
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Load (or hot-swap) the bundle file at `path` under `name`.
-    Load {
-        /// Registry name to serve the model under.
-        name: String,
-        /// Filesystem path of the serialized bundle.
-        path: String,
-    },
-    /// Load (or hot-swap) a bundle whose text follows the header line as a
-    /// counted payload of `nbytes` bytes — wire-level model distribution
-    /// with no shared filesystem.
+    /// Install (or hot-swap) a bundle whose text follows the header line as
+    /// a counted payload of `nbytes` bytes.
     Push {
         /// Registry name to serve the model under.
         name: String,
@@ -173,11 +166,10 @@ pub enum Request {
 
 /// The verbs [`parse_request`] knows, in their canonical (upper) case.
 /// A request's verb matches one of these case-insensitively.
-const VERBS: [&str; 12] = [
+const VERBS: [&str; 11] = [
     "SCORE",
     "TRANSFORM",
     "PUSH",
-    "LOAD",
     "STATS",
     "HEALTH",
     "EPOCH",
@@ -193,6 +185,11 @@ const VERBS: [&str; 12] = [
 /// a 1 MiB token must not become a 1 MiB error line.
 pub const MAX_ECHO: usize = 32;
 
+/// Longest `ERR` line, in bytes, a server sends. Parsers quote payloads as
+/// well as tokens — a bundle's first line, a catalog line — so the whole
+/// message is capped once, where it is rendered.
+pub const MAX_ERR_BYTES: usize = 256;
+
 /// Bytes reserved per number when sizing an encode buffer: the
 /// shortest-round-trip text of a typical feature is 18–21 bytes plus its
 /// separator, so a vector of such values encodes without regrowing.
@@ -200,8 +197,8 @@ const NUMBER_BYTES: usize = 24;
 
 /// Parses one request line.
 ///
-/// Allocates only what the [`Request`] owns: the model name (and path)
-/// and, for `SCORE`/`TRANSFORM`, the feature vector at its exact length.
+/// Allocates only what the [`Request`] owns: the model name and, for
+/// `SCORE`/`TRANSFORM`, the feature vector at its exact length.
 /// Non-finite features are rejected by position.
 pub fn parse_request(line: &str) -> Result<Request> {
     let line = line.trim_start();
@@ -242,14 +239,6 @@ pub fn parse_request(line: &str) -> Result<Request> {
                 name: name.to_string(),
                 nbytes: payload_length(nbytes)?,
                 trace,
-            })
-        }
-        "LOAD" => {
-            let [name, path] =
-                exactly(args).ok_or_else(|| protocol_error("usage: LOAD <name> <path>"))?;
-            Ok(Request::Load {
-                name: name.to_string(),
-                path: path.to_string(),
             })
         }
         "STATS" => bare(verb, args, Request::Stats),
@@ -297,11 +286,17 @@ pub(crate) fn echo(token: &str) -> String {
     if token.len() <= MAX_ECHO {
         return token.to_string();
     }
-    let mut end = MAX_ECHO;
-    while !token.is_char_boundary(end) {
+    format!("{}…", prefix(token, MAX_ECHO))
+}
+
+/// The longest prefix of `s` that is at most `max` bytes and ends on a
+/// character boundary.
+fn prefix(s: &str, max: usize) -> &str {
+    let mut end = max.min(s.len());
+    while !s.is_char_boundary(end) {
         end -= 1;
     }
-    format!("{}…", &token[..end])
+    &s[..end]
 }
 
 /// Splits an optional trailing `T=<hex>` trace token off `args`. The token
@@ -446,10 +441,16 @@ pub fn push_trace_token(response: &mut String, id: u64) {
     write!(response, " {}", pfr_obs::TraceToken(id)).expect("writing to a String cannot fail");
 }
 
-/// Renders an error response.
+/// Renders an error response: one line of at most [`MAX_ERR_BYTES`] bytes,
+/// cut on a character boundary and marked with `…` when cut.
 pub fn err_response(err: &ServeError) -> String {
     let mut out = String::from("ERR ");
     write!(out, "{err}").expect("writing to a String cannot fail");
+    if out.len() > MAX_ERR_BYTES {
+        let keep = prefix(&out, MAX_ERR_BYTES - '…'.len_utf8()).len();
+        out.truncate(keep);
+        out.push('…');
+    }
     // Keep responses single-line whatever the error contains.
     if out.contains('\n') {
         out = out.replace('\n', " ");
@@ -496,13 +497,6 @@ mod tests {
 
     #[test]
     fn parses_every_verb() {
-        assert_eq!(
-            parse_request("LOAD risk /tmp/m.bundle").unwrap(),
-            Request::Load {
-                name: "risk".to_string(),
-                path: "/tmp/m.bundle".to_string()
-            }
-        );
         assert_eq!(
             parse_request("PUSH risk 4096").unwrap(),
             Request::Push {
@@ -567,9 +561,7 @@ mod tests {
         for bad in [
             "",
             "   ",
-            "LOAD",
-            "LOAD onlyname",
-            "LOAD a b c",
+            "LOAD risk /tmp/m.bundle",
             "PUSH",
             "PUSH onlyname",
             "PUSH a b c",
@@ -755,5 +747,14 @@ mod tests {
         let err = ServeError::Model("multi\nline".to_string());
         assert!(!err_response(&err).contains('\n'));
         assert!(err_response(&err).starts_with("ERR "));
+        // A message that quotes a whole payload line is cut, on a character
+        // boundary, to the line cap.
+        let err = ServeError::Model(format!("unknown bundle format '{}'", "é\n".repeat(1 << 19)));
+        let response = err_response(&err);
+        assert!(response.len() <= MAX_ERR_BYTES, "{} bytes", response.len());
+        assert!(
+            response.ends_with('…') && !response.contains('\n'),
+            "{response}"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //!                    │  verbs::Call::execute                  │──► replies
 //!                    │   Done:  emitted in request order      │
 //!                    │   Batch: SCORE miss ► MicroBatcher ┐   │
-//!                    │   Pool:  TRANSFORM/LOAD/PUSH ► pool │  │
+//!                    │   Pool:  TRANSFORM/PUSH ► pool      │  │
 //!                    └──────────▲──────────────────────────┼──┘
 //!                               │ eventfd wake + completion│
 //!                               └──────────────────────────┘
@@ -39,7 +39,7 @@
 //! overshoot the limit by at most the pool width, which is the accepted
 //! cost of keeping the admission check lock-free.
 //!
-//! Work that can block (scoring, transforms, disk loads) never runs on the
+//! Work that can block (scoring, transforms, bundle installs) never runs on the
 //! reactor: the verb layer hands it back as a deferred step, and the
 //! reactor submits it to the micro-batcher or the worker pool with a
 //! [`NetSink`] that records a completion and rings the reactor's eventfd.

@@ -11,7 +11,6 @@ use crate::model::ServableModel;
 use crate::Result;
 use pfr_core::persistence;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -47,16 +46,17 @@ impl ModelRegistry {
     /// version label is `name@generation`, so repeated loads of the same
     /// name are distinguishable in stats and cache keys.
     pub fn load_from_str(&self, name: &str, bundle_text: &str) -> Result<Arc<ServableModel>> {
+        Ok(self.insert(name, Self::materialize(name, bundle_text)?))
+    }
+
+    /// The model [`ModelRegistry::load_from_str`] would register under
+    /// `name`, fully validated and labelled, but not registered: the `PUSH`
+    /// install builds it before journaling and registers this same model.
+    pub(crate) fn materialize(name: &str, bundle_text: &str) -> Result<ServableModel> {
         let bundle = persistence::bundle_from_string(bundle_text).map_err(ServeError::model)?;
         let mut model = ServableModel::from_bundle(name, &bundle)?;
         model.set_version(format!("{name}@{}", model.generation()));
-        Ok(self.insert(name, model))
-    }
-
-    /// Reads a bundle file and registers it under `name`.
-    pub fn load_from_file(&self, name: &str, path: &Path) -> Result<Arc<ServableModel>> {
-        let text = std::fs::read_to_string(path)?;
-        self.load_from_str(name, &text)
+        Ok(model)
     }
 
     /// The latest generation registered under `name`, if any.
@@ -72,14 +72,6 @@ impl ModelRegistry {
     pub fn resolve(&self, name: &str) -> Result<Arc<ServableModel>> {
         self.get(name)
             .ok_or_else(|| ServeError::ModelNotFound(name.to_string()))
-    }
-
-    /// Unregisters a model; returns the handle that was being served.
-    pub fn remove(&self, name: &str) -> Option<Arc<ServableModel>> {
-        self.models
-            .write()
-            .expect("registry lock poisoned")
-            .remove(name)
     }
 
     /// Registered model names, sorted for stable output.
@@ -118,7 +110,7 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn insert_get_remove_round_trip() {
+    fn insert_then_get_and_resolve() {
         let registry = ModelRegistry::new();
         assert!(registry.is_empty());
         let (bundle, _) = toy_bundle();
@@ -134,8 +126,6 @@ mod tests {
             registry.resolve("other"),
             Err(ServeError::ModelNotFound(_))
         ));
-        assert!(registry.remove("risk").is_some());
-        assert!(registry.is_empty());
     }
 
     #[test]

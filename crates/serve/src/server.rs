@@ -10,7 +10,7 @@
 //!                  │ verbs                     ▲
 //!                  ▼                           │
 //!            ┌────────────┐              ┌───────────┐
-//!            │ ScoreCache │              │ Registry  │ (LOAD/PUSH hot-swap)
+//!            │ ScoreCache │              │ Registry  │ (PUSH hot-swap)
 //!            └────────────┘              └───────────┘
 //! ```
 //!
@@ -72,33 +72,28 @@ pub struct ServerConfig {
     pub batcher: BatcherConfig,
     /// LRU score-cache capacity (0 disables caching).
     pub cache_capacity: usize,
-    /// Directory the network-facing `LOAD` verb may read bundles from.
-    /// `None` allows any path — acceptable on the default loopback bind,
-    /// but a server exposed beyond localhost should restrict `LOAD` (the
-    /// verb otherwise lets any client probe arbitrary filesystem paths).
-    /// In-process loading via [`Server::registry`] is never restricted.
-    pub bundle_dir: Option<std::path::PathBuf>,
     /// Drop connections idle longer than this (`None` = never). A
     /// connection that is still owed a reply — a request in the batcher,
     /// the pool or an fsync, or output the peer has not read yet — is not
     /// idle, however long ago its last byte arrived.
     pub idle_timeout: Option<Duration>,
     /// Write-ahead journal configuration (`None` = no journaling). When
-    /// set, every accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is enqueued to
-    /// the journal *before* it executes (bundle text inlined for `LOAD` and
-    /// `PUSH`, so replay needs no filesystem) and answered only once the
-    /// journal has acknowledged it — under the default per-record policy,
-    /// once the fsync covering its frame has returned. Execution does not
-    /// wait for that: a `SCORE` is scored while its frame is being flushed,
-    /// and one fsync covers every request admitted meanwhile, so a durable
-    /// server costs about the CPU of journaling rather than a disk flush
-    /// per request. [`Server::recover_from_journal`] can rebuild the
+    /// set, every accepted `SCORE`/`TRANSFORM` is enqueued to the journal
+    /// *before* it executes, and every `PUSH` whose bundle the server
+    /// accepts is appended — bundle text inlined — before it is installed;
+    /// a `PUSH` answered `ERR` journals nothing. A request is answered only
+    /// once the journal has acknowledged it — under the default per-record
+    /// policy, once the fsync covering its frame has returned. Execution
+    /// does not wait for that: a `SCORE` is scored while its frame is being
+    /// flushed, and one fsync covers every request admitted meanwhile, so a
+    /// durable server costs about the CPU of journaling rather than a disk
+    /// flush per request. [`Server::recover_from_journal`] can rebuild the
     /// registry and re-warm the score cache to the exact pre-crash state. A
     /// request the journal cannot record fails with an `ERR`, whatever it
     /// computed, and its score is not cached — durability is part of
     /// accepting it. Note that models installed in-process via
     /// [`Server::registry`] bypass the wire handlers and are **not**
-    /// journaled; use `LOAD`/`PUSH` for installs that must survive a crash.
+    /// journaled; use `PUSH` for installs that must survive a crash.
     pub journal: Option<JournalConfig>,
     /// Most simultaneously connected clients the server admits
     /// (`None` = unlimited). A connection accepted past the limit is
@@ -127,7 +122,6 @@ impl Default for ServerConfig {
             workers: 4,
             batcher: BatcherConfig::default(),
             cache_capacity: 4096,
-            bundle_dir: None,
             idle_timeout: None,
             journal: None,
             max_connections: None,
@@ -146,7 +140,6 @@ pub(crate) struct ServeContext {
     pub(crate) batcher: MicroBatcher,
     pub(crate) pool: Arc<crate::pool::WorkerPool>,
     pub(crate) stats: Arc<ServerStats>,
-    pub(crate) bundle_dir: Option<std::path::PathBuf>,
     pub(crate) journal: Option<Arc<Journal>>,
     /// What the last [`Server::recover_from_journal`] rebuilt; the
     /// `pfr_serve_recovered_*` gauges read it, so replay truncation/skips
@@ -174,7 +167,8 @@ pub(crate) struct ServeContext {
 pub struct RecoveryReport {
     /// Total checksum-valid frames replayed.
     pub frames: u64,
-    /// `LOAD`/`PUSH` frames whose inlined bundle was reinstalled.
+    /// Install frames whose inlined bundle was reinstalled (`PUSH` frames,
+    /// and the kind-3 frames journals once held for a path-based install).
     pub installs: usize,
     /// `SCORE` frames replayed against a loaded model (cached or not).
     pub scores: usize,
@@ -317,7 +311,6 @@ impl Server {
             batcher,
             pool,
             stats,
-            bundle_dir: config.bundle_dir.clone(),
             journal,
             recovery,
             metrics,
@@ -350,8 +343,8 @@ impl Server {
     }
 
     /// The server's model registry — loading a model here is equivalent to a
-    /// `LOAD` request, which lets a process pre-load models before exposing
-    /// the port to clients.
+    /// `PUSH` request, except that it is not journaled, which lets a process
+    /// pre-load models before exposing the port to clients.
     pub fn registry(&self) -> &ModelRegistry {
         &self.context.registry
     }
@@ -379,7 +372,7 @@ impl Server {
     }
 
     /// Replays the configured journal to rebuild this server's state to the
-    /// exact pre-crash point: `LOAD`/`PUSH` frames reinstall their inlined
+    /// exact pre-crash point: install frames reinstall their inlined
     /// bundles into the registry, and `SCORE` frames re-score and re-insert
     /// into the cache (in journal order, so even the LRU recency order
     /// matches what the crashed server held). Scoring is deterministic, so
@@ -401,7 +394,7 @@ impl Server {
         let mut report = RecoveryReport::default();
         let summary = journal
             .replay(|_seq, record| match record {
-                Record::Load { model, bundle_text } | Record::Push { model, bundle_text } => {
+                Record::Push { model, bundle_text } => {
                     match registry.load_from_str(&model, &bundle_text) {
                         Ok(_) => report.installs += 1,
                         Err(_) => report.skipped += 1,
@@ -592,26 +585,6 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn load_verb_loads_from_disk_and_reports_the_version() {
-        let (bundle, _) = toy_bundle();
-        let dir = std::env::temp_dir();
-        let path = dir.join("pfr_serve_load_test.bundle");
-        persistence::save_bundle(&bundle, &path).unwrap();
-        let server = Server::spawn(ServerConfig::default()).unwrap();
-        let responses = request(server.addr(), &[format!("LOAD risk {}", path.display())]);
-        assert!(
-            responses[0].starts_with("OK loaded risk@"),
-            "{}",
-            responses[0]
-        );
-        assert!(responses[0].contains("features=3"));
-        assert!(responses[0].contains("dim=2"));
-        assert!(server.registry().get("risk").is_some());
-        let _ = std::fs::remove_file(&path);
-        server.shutdown();
-    }
-
     /// Writes a `PUSH` frame (header + counted payload) and reads the one
     /// response line.
     fn push_request(addr: SocketAddr, name: &str, text: &str) -> String {
@@ -633,8 +606,6 @@ mod tests {
         for frontend in [Frontend::reactor(1), Frontend::reactor(4)] {
             let server = Server::spawn(ServerConfig {
                 frontend,
-                // A bundle_dir that PUSH must ignore: no path is read.
-                bundle_dir: Some(std::path::PathBuf::from("/definitely/not/there")),
                 ..ServerConfig::default()
             })
             .unwrap();
@@ -676,7 +647,7 @@ mod tests {
             })
             .unwrap();
             // Pre-load so the pipelined PUSH below is a hot swap: PUSH
-            // installs on the worker pool (like LOAD), so a same-burst
+            // installs on the worker pool, so a same-burst
             // SCORE may run before the push lands — it must
             // still resolve a model. What this test pins down is the
             // *framing*: payload bytes followed immediately by more
@@ -755,59 +726,6 @@ mod tests {
         assert!(responses[3].starts_with("ERR"), "{}", responses[3]);
         assert!(responses[4].starts_with("ERR") && responses[4].contains("unknown verb"));
         server.shutdown();
-    }
-
-    #[test]
-    fn load_respects_the_configured_bundle_directory() {
-        let (bundle, _) = toy_bundle();
-        let dir = std::env::temp_dir().join("pfr_serve_bundle_dir_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let inside = dir.join("ok.bundle");
-        persistence::save_bundle(&bundle, &inside).unwrap();
-        let outside = std::env::temp_dir().join("pfr_serve_outside.bundle");
-        persistence::save_bundle(&bundle, &outside).unwrap();
-
-        let server = Server::spawn(ServerConfig {
-            bundle_dir: Some(dir.clone()),
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let responses = request(
-            server.addr(),
-            &[
-                format!("LOAD good {}", inside.display()),
-                format!("LOAD evil {}", outside.display()),
-                format!("LOAD sneaky {}/../pfr_serve_outside.bundle", dir.display()),
-                "LOAD ghost /definitely/not/there".to_string(),
-            ],
-        );
-        assert!(
-            responses[0].starts_with("OK loaded good@"),
-            "{}",
-            responses[0]
-        );
-        assert!(
-            responses[1].starts_with("ERR") && responses[1].contains("outside"),
-            "{}",
-            responses[1]
-        );
-        assert!(
-            responses[2].starts_with("ERR") && responses[2].contains("outside"),
-            "{}",
-            responses[2]
-        );
-        // Nonexistent paths are reported without leaking io details.
-        assert!(
-            responses[3].starts_with("ERR") && responses[3].contains("no bundle at"),
-            "{}",
-            responses[3]
-        );
-        assert!(server.registry().get("evil").is_none());
-        assert!(server.registry().get("sneaky").is_none());
-        server.shutdown();
-        let _ = std::fs::remove_file(&inside);
-        let _ = std::fs::remove_file(&outside);
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
@@ -1018,12 +936,6 @@ mod tests {
     fn every_verb_session(journal: Option<JournalConfig>) {
         let (bundle, x) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
-        let path = std::env::temp_dir().join(format!(
-            "pfr_serve_accounting_{}_{}",
-            journal.is_some(),
-            std::process::id()
-        ));
-        persistence::save_bundle(&bundle, &path).unwrap();
         let server = Server::spawn(ServerConfig {
             journal,
             ..ServerConfig::default()
@@ -1037,9 +949,9 @@ mod tests {
         // prefix its response must have).
         let session: Vec<(String, &str, &str)> = vec![
             (
-                format!("LOAD a {}\n", path.display()),
-                "load",
-                "OK loaded a@",
+                "LOAD a /models/a.bundle\n".to_string(),
+                "parse",
+                "ERR protocol error: unknown verb",
             ),
             (
                 format!("PUSH b {}\n{text}", text.len()),
@@ -1120,7 +1032,7 @@ mod tests {
             }
         }
         assert!(
-            scrape.contains("pfr_serve_errors_total{kind=\"parse\"} 2\n"),
+            scrape.contains("pfr_serve_errors_total{kind=\"parse\"} 3\n"),
             "{scrape}"
         );
         assert!(
@@ -1156,7 +1068,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         drop(held);
-        let _ = std::fs::remove_file(&path);
         server.shutdown();
     }
 }

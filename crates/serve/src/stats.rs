@@ -59,7 +59,7 @@ impl VerbStats {
 /// Aggregate statistics for a serving instance.
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    /// `LOAD` verb counters.
+    /// `PUSH` verb counters (the `verb="load"` series).
     pub load: VerbStats,
     /// `SCORE` verb counters.
     pub score: VerbStats,

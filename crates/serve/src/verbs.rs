@@ -11,8 +11,7 @@
 //!   cache holds, and every early error (unknown model);
 //! * [`Step::Batch`] — a `SCORE` cache miss, for the micro-batcher;
 //! * [`Step::Pool`] — work that may block (`TRANSFORM`'s linear algebra,
-//!   `LOAD`'s disk read, the bundle parse of `LOAD` and `PUSH`), for a pool
-//!   thread.
+//!   the bundle parse and journal append of `PUSH`), for a pool thread.
 //!
 //! Whoever runs a deferred step hands its [`Outcome`] back through
 //! [`Call::arrive`], which is also where an inline answer goes; the
@@ -42,12 +41,12 @@ use crate::error::ServeError;
 use crate::model::ServableModel;
 use crate::protocol::{self, Request};
 use crate::reactor_front::NetSink;
+use crate::registry::ModelRegistry;
 use crate::server::ServeContext;
 use crate::stats::{ServerStats, VerbStats};
 use crate::Result;
 use pfr_journal::{Record, RecordRef};
 use pfr_obs::{ActiveSpan, SpanRing};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -143,7 +142,6 @@ impl Call {
                 (Some(|s| &s.transform), Some(("serve/TRANSFORM", *trace)))
             }
             Request::Push { trace, .. } => (Some(|s| &s.load), Some(("serve/PUSH", *trace))),
-            Request::Load { .. } => (Some(|s| &s.load), None),
             Request::Stats | Request::Metrics | Request::Trace { .. } => (Some(|s| &s.stats), None),
             Request::Health => (Some(|s| &s.health), None),
             Request::Epoch { .. } => (Some(|s| &s.epoch), None),
@@ -204,19 +202,9 @@ impl Call {
             Request::Transform { name, features, .. } => self
                 .transform(&name, features, ack)
                 .unwrap_or_else(|e| done(Err(e))),
-            Request::Load { name, path } => {
-                let context = Arc::clone(&self.context);
-                self.defer("install", move || load(&context, &name, Path::new(&path)))
-            }
-            // `LOAD` without the shared-filesystem assumption: no
-            // server-side path is read, so `bundle_dir` does not apply.
             Request::Push { name, .. } => {
                 let context = Arc::clone(&self.context);
-                self.defer("install", move || {
-                    install(&context, &name, &payload, |model, bundle_text| {
-                        Record::Push { model, bundle_text }
-                    })
-                })
+                self.defer("install", move || install(&context, &name, payload))
             }
         }
     }
@@ -481,56 +469,27 @@ fn trace(context: &ServeContext, id: u64) -> Result<String> {
     Ok(pfr_obs::escape_multiline(&text))
 }
 
-/// `LOAD <name> <path>`: check the path against `bundle_dir`, read the
-/// file, then the same [`install`] as `PUSH` — the bundle text is inlined
-/// in the journal either way, so replay needs no filesystem.
-fn load(context: &ServeContext, name: &str, path: &Path) -> Result<String> {
-    if let Some(dir) = &context.bundle_dir {
-        // Canonicalize both sides so `..` segments and symlinks cannot
-        // escape the configured bundle directory.
-        let canonical = path
-            .canonicalize()
-            .map_err(|_| ServeError::Model(format!("no bundle at '{}'", path.display())))?;
-        let dir = dir
-            .canonicalize()
-            .map_err(|_| ServeError::Model("bundle directory is unavailable".to_string()))?;
-        if !canonical.starts_with(&dir) {
-            return Err(ServeError::Model(format!(
-                "'{}' is outside the served bundle directory",
-                path.display()
-            )));
-        }
-    }
-    install(
-        context,
-        name,
-        &std::fs::read(path)?,
-        |model, bundle_text| Record::Load { model, bundle_text },
-    )
-}
-
-/// The one bundle install behind `LOAD` and `PUSH`: the text is validated
-/// before it is journaled, so garbage never occupies a frame (the
-/// registry re-parses, but installs are rare and bundles are small), and
-/// journaled before it is registered — with the blocking append, on this
+/// `PUSH <name> <nbytes>` + payload, the one bundle install. The payload
+/// becomes the model it will serve *first* — every check the registry
+/// makes, made once — so a bundle the server would refuse never occupies a
+/// journal frame. Then it is journaled, with the blocking append on this
 /// pool thread: the frame must be durable before the registry swap, and an
-/// install the journal cannot record fails. `record` is the verb's journal
-/// record kind.
-fn install(
-    context: &ServeContext,
-    name: &str,
-    bundle: &[u8],
-    record: fn(String, String) -> Record,
-) -> Result<String> {
-    let text = std::str::from_utf8(bundle)
+/// install the journal cannot record fails. Then that same model is
+/// registered.
+fn install(context: &ServeContext, name: &str, payload: Vec<u8>) -> Result<String> {
+    let text = String::from_utf8(payload)
         .map_err(|_| ServeError::Protocol("bundle text is not valid utf-8".to_string()))?;
-    pfr_core::persistence::bundle_from_string(text).map_err(ServeError::model)?;
+    let model = ModelRegistry::materialize(name, &text)?;
     if let Some(journal) = &context.journal {
+        let record = Record::Push {
+            model: name.to_string(),
+            bundle_text: text,
+        };
         journal
-            .append(&record(name.to_string(), text.to_string()))
+            .append(&record)
             .map_err(|e| ServeError::Journal(e.to_string()))?;
     }
-    let model = context.registry.load_from_str(name, text)?;
+    let model = context.registry.insert(name, model);
     Ok(format!(
         "loaded {} features={} dim={}",
         model.version(),

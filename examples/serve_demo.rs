@@ -1,6 +1,6 @@
-//! Demo of the serving subsystem: train a fair pipeline offline, persist it
-//! as a bundle, serve it over TCP, and hammer it from concurrent client
-//! threads — then print the server's own statistics.
+//! Demo of the serving subsystem: train a fair pipeline offline, serialize
+//! it as a bundle, install it over TCP with `PUSH`, and hammer it from
+//! concurrent client threads — then print the server's own statistics.
 //!
 //! ```text
 //! cargo run --release --example serve_demo
@@ -73,11 +73,10 @@ fn main() {
     .fit(&train, &fairness_graph(&train))
     .expect("pipeline fits");
 
-    // 2. Persist the deployable bundle.
+    // 2. Serialize the deployable bundle.
     let bundle = fitted.into_bundle().expect("bundle assembles");
-    let path = std::env::temp_dir().join("pfr_serve_demo.bundle");
-    pfr::core::persistence::save_bundle(&bundle, &path).expect("bundle saves");
-    println!("bundle persisted to {}", path.display());
+    let bundle_text = pfr::core::persistence::bundle_to_string(&bundle);
+    println!("bundle serialized ({} bytes)", bundle_text.len());
 
     // 3. Serve it on an ephemeral port — an event-driven reactor *pool*
     //    sized to the machine (one epoll loop per thread, accepted
@@ -121,16 +120,23 @@ fn main() {
 
     let (raw, _) = test.features_with_protected().expect("raw features");
 
-    // 4. A client loads the model over the wire ...
+    // 4. A client installs the model over the wire: a `PUSH` header line
+    //    and the bundle text as a counted payload ...
     {
         let stream = TcpStream::connect(addr).expect("client connects");
         stream.set_nodelay(true).expect("nodelay sets");
         let mut reader = BufReader::new(stream.try_clone().expect("stream clones"));
         let mut writer = stream;
-        writeln!(writer, "LOAD admissions {}", path.display()).expect("request writes");
+        write!(
+            writer,
+            "PUSH admissions {}\n{bundle_text}",
+            bundle_text.len()
+        )
+        .expect("request writes");
         let mut response = String::new();
         reader.read_line(&mut response).expect("response reads");
-        println!("LOAD -> {}", response.trim_end());
+        println!("PUSH -> {}", response.trim_end());
+        assert!(response.starts_with("OK loaded"), "{response}");
     }
 
     // 5. ... and four client threads score the whole test split concurrently.
@@ -215,7 +221,6 @@ fn main() {
     //    keep scoring.
     if refit_mode {
         println!("starting the refit worker (tailing the journal) ...");
-        let serving_text = pfr::core::persistence::bundle_to_string(&bundle);
         let mut refit_config = RefitConfig::new(
             journal_dir.clone().expect("refit mode forces a journal"),
             "admissions",
@@ -238,12 +243,9 @@ fn main() {
             max_mean_abs_diff: 0.35,
             min_rows: 8,
         };
-        let refit_loop = RefitLoop::new(
-            refit_config,
-            &serving_text,
-            SwapTarget::Backends(vec![addr]),
-        )
-        .expect("refit loop builds");
+        let refit_loop =
+            RefitLoop::new(refit_config, &bundle_text, SwapTarget::Backends(vec![addr]))
+                .expect("refit loop builds");
         let worker = RefitWorker::spawn(refit_loop);
         // The worker's gauges (cursor lag against the server's journal tip
         // included) join the server's registry, so both its METRICS
@@ -370,5 +372,4 @@ fn main() {
     } else {
         server.shutdown();
     }
-    let _ = std::fs::remove_file(&path);
 }

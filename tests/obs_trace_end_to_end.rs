@@ -83,7 +83,7 @@ fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
             ..RouterConfig::default()
         })
         .unwrap();
-    assert_eq!(cluster.place(&router, "admissions", &bundle).unwrap(), 2);
+    assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
 
     // --- Traffic: distinct rows so every request reaches a backend. --------
     for i in 0..20 {
@@ -143,7 +143,7 @@ fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
         .scalar("pfr_serve_requests_total{verb=\"score\"}")
         .expect("merged score-request counter");
     assert!(scored >= 20.0, "merged score requests = {scored}");
-    // Every accepted request was journaled before it executed: two LOAD
+    // Every accepted request was journaled before it executed: two PUSH
     // placements plus the scores.
     let appends = merged
         .scalar("pfr_journal_appends_total")

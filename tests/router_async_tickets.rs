@@ -59,7 +59,7 @@ fn one_caller_thread_sustains_thousands_of_in_flight_tickets() {
     let rows: Vec<Vec<f64>> = (0..raw.rows()).map(|i| raw.row(i).to_vec()).collect();
 
     // --- A 3-shard cluster; reactor front ends behind a reactor router. ----
-    let mut cluster = LocalCluster::boot(
+    let cluster = LocalCluster::boot(
         3,
         ServerConfig {
             frontend: Frontend::reactor(2),
@@ -78,7 +78,7 @@ fn one_caller_thread_sustains_thousands_of_in_flight_tickets() {
             ..RouterConfig::default()
         })
         .unwrap();
-    assert_eq!(cluster.place(&router, "admissions", &bundle).unwrap(), 2);
+    assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
     router.verify("admissions").unwrap();
 
     // --- Phase 1: thousands of tickets in flight from one thread. ----------

@@ -81,7 +81,7 @@ fn cluster_survives_a_backend_kill(frontend: Frontend) {
             })
             .unwrap(),
     );
-    assert_eq!(cluster.place(&router, "admissions", &bundle).unwrap(), 2);
+    assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
     // Both replicas serve bit-identical content before traffic starts.
     let digest = router.verify("admissions").unwrap();
     assert_eq!(digest.len(), 16);

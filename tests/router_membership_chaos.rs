@@ -3,13 +3,7 @@
 //! replica is **removed** (then its process killed) — with zero failed
 //! requests, every response bitwise equal to offline predictions, the
 //! `≤ 2/N` remap bound holding on the live ring at both transitions, and
-//! every replica populated over the wire via `PUSH` (no shared-filesystem
-//! `LOAD` for the model under traffic).
-//!
-//! Also pins down the placement-path equivalence the routing tier's
-//! correctness story rests on: a PUSH-placed replica serves scores
-//! bitwise identical to a file-LOADed one (same bundle, two placement
-//! verbs, one truth).
+//! every replica populated over the wire via `PUSH`.
 
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
 use pfr::router::{BreakerConfig, ConnConfig, HashRing, LocalCluster, RouterConfig};
@@ -95,7 +89,7 @@ fn membership_changes_under_load_keep_every_score_bitwise_identical() {
             .unwrap(),
     );
 
-    // --- Placement is wire-level only: PUSH, never a shared-fs LOAD. -------
+    // --- Placement is wire-level: PUSH. -------------------------------------
     assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
     let digest = router.verify("admissions").unwrap();
     // Auxiliary models spread placements over the whole ring, so the
@@ -103,19 +97,6 @@ fn membership_changes_under_load_keep_every_score_bitwise_identical() {
     // them — proving reconciliation populates a newcomer via PUSH.
     for aux in 0..8 {
         assert!(router.push(&format!("aux-{aux}"), &bundle).unwrap() >= 1);
-    }
-
-    // --- PUSH-placed and file-LOADed replicas are interchangeable. ---------
-    assert!(cluster.place(&router, "filed", &bundle).unwrap() >= 1);
-    for (i, want) in expected.iter().enumerate().take(8) {
-        let pushed = router.score("admissions", raw.row(i)).unwrap();
-        let filed = router.score("filed", raw.row(i)).unwrap();
-        assert_eq!(
-            pushed.to_bits(),
-            filed.to_bits(),
-            "row {i}: PUSH and LOAD placement must serve identical bits"
-        );
-        assert_eq!(pushed.to_bits(), want.to_bits(), "row {i}");
     }
 
     // --- ≥ 200 concurrent scores; the cluster grows and shrinks with -------

@@ -1,5 +1,5 @@
-//! End-to-end serving test: train offline, persist a bundle, `LOAD` it into
-//! a live TCP server, fire concurrent `SCORE` requests from several client
+//! End-to-end serving test: train offline, serialize a bundle, `PUSH` it
+//! into a live TCP server, fire concurrent `SCORE` requests from several client
 //! threads, and assert every response is *bitwise* identical to offline
 //! `FittedFairPipeline::predict_proba` — plus that the score cache actually
 //! absorbed repeated requests.
@@ -37,15 +37,15 @@ fn roundtrip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &s
 
 #[test]
 fn concurrent_tcp_scores_match_offline_predictions_bitwise_reactor() {
-    concurrent_tcp_scores_match_offline_predictions_bitwise(Frontend::reactor(1), "reactor1");
+    concurrent_tcp_scores_match_offline_predictions_bitwise(Frontend::reactor(1));
 }
 
 #[test]
 fn concurrent_tcp_scores_match_offline_predictions_bitwise_reactor_pool() {
-    concurrent_tcp_scores_match_offline_predictions_bitwise(Frontend::reactor(4), "reactor4");
+    concurrent_tcp_scores_match_offline_predictions_bitwise(Frontend::reactor(4));
 }
 
-fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, label: &str) {
+fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend) {
     // --- Train offline on synthetic admissions data. -----------------------
     let dataset = synthetic::generate_default(77).unwrap();
     let split = split::train_test_split(&dataset, 0.3, 77).unwrap();
@@ -64,11 +64,8 @@ fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, l
     let expected = fitted.predict_proba(&test).unwrap();
     let (raw, _) = test.features_with_protected().unwrap();
 
-    // --- Persist the bundle (one scratch file per front-end mode: the
-    // mode variants of this test may run concurrently). ----------------------
-    let bundle = fitted.into_bundle().unwrap();
-    let path = std::env::temp_dir().join(format!("pfr_serve_e2e_{label}.bundle"));
-    pfr::core::persistence::save_bundle(&bundle, &path).unwrap();
+    // --- Serialize the deployable bundle. ----------------------------------
+    let text = pfr::core::persistence::bundle_to_string(&fitted.into_bundle().unwrap());
 
     // --- Serve it. ----------------------------------------------------------
     let server = Server::spawn(ServerConfig {
@@ -85,11 +82,10 @@ fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, l
         stream.set_nodelay(true).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
-        let response = roundtrip(
-            &mut reader,
-            &mut writer,
-            &format!("LOAD admissions {}", path.display()),
-        );
+        write!(writer, "PUSH admissions {}\n{text}", text.len()).unwrap();
+        writer.flush().unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
         assert!(response.starts_with("OK loaded admissions@"), "{response}");
     }
 
@@ -165,7 +161,6 @@ fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, l
     assert_eq!(roundtrip(&mut reader, &mut writer, "QUIT"), "OK bye");
 
     server.shutdown();
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -201,7 +196,21 @@ fn server_survives_malformed_traffic_while_serving(frontend: Frontend) {
     let mut writer = stream;
     // Interleave garbage with a valid request; the valid one still works.
     assert!(roundtrip(&mut reader, &mut writer, "SCORE m not numbers").starts_with("ERR"));
-    assert!(roundtrip(&mut reader, &mut writer, "LOAD m /no/such/file").starts_with("ERR"));
+    // `LOAD` is no verb: it reads no file, so it cannot quote the first
+    // line of one (a secret, here) or tell a client whether a path exists.
+    let secret = std::env::temp_dir().join(format!("pfr_serve_secret_{}", server.addr().port()));
+    std::fs::write(&secret, "api_key=hunter2-very-secret\n").unwrap();
+    let load = roundtrip(
+        &mut reader,
+        &mut writer,
+        &format!("LOAD m {}", secret.display()),
+    );
+    assert_eq!(load, "ERR protocol error: unknown verb 'LOAD'");
+    assert_eq!(
+        roundtrip(&mut reader, &mut writer, "LOAD m /no/such/file"),
+        load
+    );
+    let _ = std::fs::remove_file(&secret);
     assert!(roundtrip(&mut reader, &mut writer, "SCORE nobody 1 2").starts_with("ERR"));
     let line = format!(
         "SCORE m {}",

@@ -7,7 +7,8 @@
 //! * **Round trip** — parsing an encoded frame gives the features back
 //!   bit-exactly.
 //! * **Hostile lines** — seeded junk never panics the parser, and every
-//!   rejection renders as a short single-line `ERR`.
+//!   rejection renders as a short single-line `ERR`; so does junk in the
+//!   counted payload of a `PUSH` or `SYNC`, which a server parses further.
 //! * **Allocation budget** — counted by a global allocator local to this
 //!   test binary: encoding into a warmed buffer allocates nothing, a parse
 //!   allocates the name and the feature vector, a response one `String`.
@@ -17,11 +18,14 @@
 use pfr::serve::error::ServeError;
 use pfr::serve::protocol::{
     err_response, format_numbers, parse_request, push_trace_token, score_response,
-    write_score_request, Request, MAX_ECHO,
+    write_score_request, Request, MAX_ECHO, MAX_ERR_BYTES,
 };
+use pfr::serve::{Server, ServerConfig};
 use proptest::TestRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 /// Counts allocations (and reallocations) made by the current thread, so
 /// tests running in parallel do not see each other's.
@@ -275,6 +279,33 @@ fn hostile_lines_are_rejected_not_panicked_on() {
         Request::Score { features, .. } => assert_eq!(features.len(), 100_000),
         other => panic!("{other:?}"),
     }
+
+    // A counted payload is parsed past the codec — as a bundle, as a
+    // catalog — and those parsers quote the line they reject.
+    let server = Server::spawn(ServerConfig::default()).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for header in ["PUSH risk", "SYNC"] {
+        for payload in [
+            "7".repeat(1 << 20),
+            format!("pfr-bundle-v1\n@{long_junk}\n"),
+            "é".repeat(1 << 19),
+        ] {
+            write!(writer, "{header} {}\n{payload}", payload.len()).unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            let response = response.trim_end();
+            assert!(response.starts_with("ERR "), "{header}: {response}");
+            assert!(
+                response.len() <= MAX_ERR_BYTES,
+                "{header}: a {}-byte ERR line for a {}-byte payload",
+                response.len(),
+                payload.len()
+            );
+        }
+    }
+    server.shutdown();
 }
 
 #[test]
