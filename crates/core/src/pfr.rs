@@ -31,8 +31,8 @@ impl Default for PfrConfig {
 /// The two γ-independent halves of the PFR objective (Equation 7): the
 /// `m x m` quadratic forms `Xᵀ Lˣ X / |Wˣ|` and `Xᵀ Lᶠ X / |Wᶠ|`.
 ///
-/// Assembling them is the expensive part of a fit — a pass over every edge
-/// of both graphs — and does not depend on γ or `d`. A γ sweep or grid
+/// Assembling them is the expensive part of a fit — a pass over both graphs'
+/// residual edges and blocks — and does not depend on γ or `d`. A γ sweep or grid
 /// search assembles once per data split and calls [`Pfr::fit_objective`]
 /// per grid point; [`Pfr::fit`] is the same two steps back to back, so both
 /// routes give the same bits.

@@ -88,12 +88,8 @@ impl DatasetSpec {
                     }
                 }
                 let sub = fairness::between_group_quantile_graph(&groups, &scores, quantiles)?;
-                // Re-embed into the full index space.
-                let mut full = SparseGraph::new(n);
-                for e in sub.edges() {
-                    full.add_edge(index_map[e.i as usize], index_map[e.j as usize], e.weight)?;
-                }
-                Ok(full)
+                // Re-embed into the full index space, blocks kept.
+                Ok(sub.relabel(n, &index_map)?)
             }
             DatasetSpec::Crime => {
                 let ratings: Vec<Option<f64>> = dataset.side_information().to_vec();

@@ -8,28 +8,37 @@
 use crate::sparse::SparseGraph;
 
 /// Labels each node with the id of its connected component (0-based, in
-/// order of discovery). Isolated nodes get their own component.
+/// order of discovery by node index: the component of node 0 is 0, the next
+/// node outside it starts component 1, and so on). Isolated nodes get their
+/// own component.
+///
+/// A union-find over the graph's blocks and residual edges: a block joins
+/// all its members at once, so no block is expanded into its edges.
 pub fn connected_components(graph: &SparseGraph) -> Vec<usize> {
     let n = graph.num_nodes();
-    let adj = graph.adjacency_list();
+    let mut parent: Vec<usize> = (0..n).collect();
+    let find = |parent: &mut [usize], mut u: usize| {
+        while parent[u] != u {
+            // Path halving: point every other node on the way at its
+            // grandparent.
+            parent[u] = parent[parent[u]];
+            u = parent[u];
+        }
+        u
+    };
+    for (a, b) in graph.spanning_pairs() {
+        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+        parent[ra.max(rb)] = ra.min(rb);
+    }
     let mut labels = vec![usize::MAX; n];
     let mut current = 0usize;
-    let mut stack = Vec::new();
-    for start in 0..n {
-        if labels[start] != usize::MAX {
-            continue;
+    for node in 0..n {
+        let root = find(&mut parent, node);
+        if labels[root] == usize::MAX {
+            labels[root] = current;
+            current += 1;
         }
-        labels[start] = current;
-        stack.push(start);
-        while let Some(u) = stack.pop() {
-            for &(v, _) in &adj[u] {
-                if labels[v] == usize::MAX {
-                    labels[v] = current;
-                    stack.push(v);
-                }
-            }
-        }
-        current += 1;
+        labels[node] = labels[root];
     }
     labels
 }
@@ -97,6 +106,19 @@ mod tests {
         assert_eq!(stats.largest_component, 3);
         assert_eq!(stats.covered_nodes, 6);
         assert_eq!(stats.num_edges, 6);
+    }
+
+    #[test]
+    fn labels_follow_discovery_by_node_index() {
+        // Block {5 | 2, 7} and residual edge {1, 6}; 0, 3 and 4 isolated.
+        let mut g = SparseGraph::new(8);
+        g.add_block([vec![5], vec![2, 7]], 1.0).unwrap();
+        g.add_edge(6, 1, 1.0).unwrap();
+        assert_eq!(connected_components(&g), vec![0, 1, 2, 3, 4, 2, 1, 2]);
+        let stats = graph_stats(&g);
+        assert_eq!(stats.covered_nodes, 5);
+        assert_eq!(stats.num_edges, 3);
+        assert_eq!(stats.largest_component, 3);
     }
 
     #[test]

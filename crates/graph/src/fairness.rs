@@ -36,15 +36,12 @@ pub fn pairwise_judgment_graph(n: usize, pairs: &[(usize, usize)]) -> Result<Spa
 ///
 /// `classes[i]` is the (optional) equivalence class of individual `i`;
 /// individuals without a judgment (`None`) stay isolated. Two individuals are
-/// linked with weight 1.0 iff they belong to the same class.
-///
-/// Note that a class with `c` members produces a clique with `c(c-1)/2`
-/// edges; for very large classes consider following up with
-/// [`SparseGraph::subsample_edges`].
+/// linked with weight 1.0 iff they belong to the same class. Each class is
+/// one clique block ([`SparseGraph::add_block`]), classes in ascending order:
+/// `O(n)` memory whatever the class sizes.
 pub fn equivalence_class_graph(classes: &[Option<usize>]) -> Result<SparseGraph> {
     let n = classes.len();
     let mut g = SparseGraph::new(n);
-    // Bucket members per class, then emit cliques.
     let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
         std::collections::BTreeMap::new();
     for (i, class) in classes.iter().enumerate() {
@@ -53,11 +50,7 @@ pub fn equivalence_class_graph(classes: &[Option<usize>]) -> Result<SparseGraph>
         }
     }
     for members in buckets.values() {
-        for (a_idx, &a) in members.iter().enumerate() {
-            for &b in members.iter().skip(a_idx + 1) {
-                g.add_edge(a, b, 1.0)?;
-            }
-        }
+        g.add_block(members.iter().map(std::slice::from_ref), 1.0)?;
     }
     Ok(g)
 }
@@ -75,6 +68,10 @@ pub fn equivalence_class_graph(classes: &[Option<usize>]) -> Result<SparseGraph>
 /// buckets of their own group's score distribution; every pair of individuals
 /// in the *same* bucket but *different* groups is connected with weight 1.0.
 /// Same-group pairs are never connected — exactly Equation 2 of the paper.
+/// Each bucket is one block whose parts are its members per group
+/// ([`SparseGraph::add_block`]), so the graph takes `O(n)` memory.
+///
+/// A non-finite score is rejected with its index: NaN has no rank.
 pub fn between_group_quantile_graph(
     groups: &[usize],
     scores: &[f64],
@@ -92,6 +89,12 @@ pub fn between_group_quantile_graph(
         return Err(GraphError::InvalidParameter(
             "the number of quantiles must be positive".to_string(),
         ));
+    }
+    if let Some(i) = scores.iter().position(|s| !s.is_finite()) {
+        return Err(GraphError::InvalidParameter(format!(
+            "score of individual {i} is not finite ({})",
+            scores[i]
+        )));
     }
 
     // Partition indices by group.
@@ -112,29 +115,15 @@ pub fn between_group_quantile_graph(
         }
     }
 
-    // Connect cross-group pairs in the same bucket.
-    let group_ids: Vec<usize> = by_group.keys().copied().collect();
+    // Connect cross-group pairs in the same bucket: one block per bucket,
+    // one part per group.
     let mut graph = SparseGraph::new(n);
     for q in 0..num_quantiles {
-        // Members of this quantile per group.
-        let mut members_per_group: Vec<Vec<usize>> = Vec::with_capacity(group_ids.len());
-        for gid in &group_ids {
-            let members: Vec<usize> = by_group[gid]
-                .iter()
-                .copied()
-                .filter(|&i| bucket_of[i] == q)
-                .collect();
-            members_per_group.push(members);
-        }
-        for a in 0..members_per_group.len() {
-            for b in (a + 1)..members_per_group.len() {
-                for &i in &members_per_group[a] {
-                    for &j in &members_per_group[b] {
-                        graph.add_edge(i, j, 1.0)?;
-                    }
-                }
-            }
-        }
+        let members_per_group = by_group.values().map(|members| {
+            let in_bucket = members.iter().copied().filter(|&i| bucket_of[i] == q);
+            in_bucket.collect::<Vec<_>>()
+        });
+        graph.add_block(members_per_group, 1.0)?;
     }
     Ok(graph)
 }
@@ -145,17 +134,22 @@ pub fn between_group_quantile_graph(
 /// neighbourhood).
 ///
 /// `ratings[i] = None` models a neighbourhood for which no reviews could be
-/// collected (the paper covers ~1500 of ~2000 communities).
+/// collected (the paper covers ~1500 of ~2000 communities). A non-finite
+/// rating is rejected with its index rather than rounded into a class (a
+/// NaN would otherwise join class 0).
 pub fn rating_equivalence_graph(ratings: &[Option<f64>]) -> Result<SparseGraph> {
-    let classes: Vec<Option<usize>> = ratings
-        .iter()
-        .map(|r| {
-            r.map(|v| {
-                let clamped = v.clamp(0.0, 10.0);
-                clamped.round() as usize
-            })
-        })
-        .collect();
+    let mut classes = Vec::with_capacity(ratings.len());
+    for (i, rating) in ratings.iter().enumerate() {
+        classes.push(match *rating {
+            Some(v) if !v.is_finite() => {
+                return Err(GraphError::InvalidParameter(format!(
+                    "rating of individual {i} is not finite ({v})"
+                )))
+            }
+            Some(v) => Some(v.clamp(0.0, 10.0).round() as usize),
+            None => None,
+        });
+    }
     equivalence_class_graph(&classes)
 }
 
@@ -177,9 +171,7 @@ mod tests {
         let g = equivalence_class_graph(&classes).unwrap();
         // Class 0 clique: 3 edges; class 1 clique: 1 edge; None: isolated.
         assert_eq!(g.num_edges(), 4);
-        let adj = g.adjacency_list();
-        assert!(adj[5].is_empty());
-        assert_eq!(adj[0].len(), 2);
+        assert_eq!(g.degrees(), vec![2.0, 2.0, 2.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -239,8 +231,39 @@ mod tests {
         let g = rating_equivalence_graph(&ratings).unwrap();
         // 4.4 → 4, 3.6 → 4, 3.9 → 4 form a clique of 3; others isolated.
         assert_eq!(g.num_edges(), 3);
-        let adj = g.adjacency_list();
-        assert!(adj[3].is_empty());
-        assert!(adj[4].is_empty());
+        assert_eq!(g.degrees(), vec![2.0, 2.0, 2.0, 0.0, 0.0]);
+    }
+
+    /// The message names the position: the caller can find the row.
+    fn names_index(result: Result<SparseGraph>, index: &str) -> bool {
+        matches!(result, Err(GraphError::InvalidParameter(msg)) if msg.contains(index))
+    }
+
+    #[test]
+    fn rating_graph_rejects_a_non_finite_rating_by_position() {
+        // Rounded, the NaN would join class 0 and link nodes 0, 1 and 2.
+        let ratings = [Some(0.2), Some(f64::NAN), Some(0.4), Some(4.0)];
+        assert!(names_index(
+            rating_equivalence_graph(&ratings),
+            "individual 1"
+        ));
+        let ratings = [None, Some(3.0), Some(f64::INFINITY)];
+        assert!(names_index(
+            rating_equivalence_graph(&ratings),
+            "individual 2"
+        ));
+    }
+
+    #[test]
+    fn quantile_graph_rejects_a_non_finite_score_by_position() {
+        // The ranking's comparator calls NaN equal to every score, so it
+        // would land in whatever bucket the sort leaves it in.
+        let groups = [0, 0, 0, 1, 1, 1];
+        let scores = [1.0, 2.0, 3.0, 1.0, f64::NAN, 3.0];
+        let built = between_group_quantile_graph(&groups, &scores, 3);
+        assert!(names_index(built, "individual 4"));
+        let scores = [f64::NEG_INFINITY, 2.0, 3.0, 1.0, 2.0, 3.0];
+        let built = between_group_quantile_graph(&groups, &scores, 3);
+        assert!(names_index(built, "individual 0"));
     }
 }

@@ -12,10 +12,12 @@
 //!   [`fairness`]: pairwise judgments, equivalence classes (Definition 1) and
 //!   between-group quantile graphs (Definitions 2 and 3).
 //!
-//! Both are represented by [`SparseGraph`], an undirected weighted edge-list
-//! graph that can compute graph Laplacians and — crucially — the quadratic
-//! form `Xᵀ L X` *without materializing the `n x n` Laplacian*, which keeps
-//! the COMPAS-sized problems (n ≈ 8800) cheap in memory.
+//! Both are represented by [`SparseGraph`], an undirected weighted graph held
+//! as complete multipartite blocks (the fairness graphs' classes and quantile
+//! buckets) beside a residual edge list, that can compute graph Laplacians
+//! and — crucially — the quadratic form `Xᵀ L X` *without materializing the
+//! `n x n` Laplacian or a block's edges*, which keeps the COMPAS-sized
+//! problems (n ≈ 8800, 1.93 M fairness pairs) `O(n)` in memory.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

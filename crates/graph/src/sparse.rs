@@ -4,28 +4,53 @@
 //! matrix, `m` = number of features) where `L = D - W` is the graph Laplacian
 //! of either the similarity graph `WX` or the fairness graph `WF`. `L` is
 //! `n x n` (and `n` can be several thousand), so it is never built densely
-//! for real workloads. Two ways to avoid it, with different cost models:
+//! for real workloads.
 //!
-//! * [`SparseGraph::quadratic_form`] — the product form, as the paper writes
-//!   it: one pass over the edge list builds `Y = L·Xc` (`n x m`, row `i`
-//!   collecting `Σ_j w_ij (x_i − x_j)`), then one GEMM gives `Xcᵀ·Y`. Cost
-//!   `O(E·m + n·m²)`. `Xc` is `x` with its column means removed: `L·1 = 0`,
-//!   so centring changes nothing in exact arithmetic, and it keeps the
-//!   GEMM's rounding error independent of where the columns sit (an offset
-//!   of 10⁶ costs five digits otherwise; centred, none).
+//! A graph is held in two parts. The paper's scalable elicitation models
+//! (§3.2, Definitions 1–3) produce unions of complete multipartite *blocks*:
+//! a rating class is a clique, and a quantile bucket links every pair of its
+//! members that sit in different groups. A block is stored as its member
+//! lists, `O(|S|)` for a member set `S`, never as its `O(|S|²)` edges
+//! ([`SparseGraph::add_block`]). Everything else — pairwise judgments, k-NN
+//! graphs — is a residual edge list ([`SparseGraph::add_edge`]). Three ways
+//! to evaluate the form, with different cost models:
+//!
+//! * [`SparseGraph::quadratic_form`] on the residual edges — the product
+//!   form, as the paper writes it: one pass over the edge list builds
+//!   `Y = L·Xc` (`n x m`, row `i` collecting `Σ_j w_ij (x_i − x_j)`), then one
+//!   GEMM gives `Xcᵀ·Y`. Cost `O(E·m + n·m²)`. `Xc` is `x` with its column
+//!   means removed: `L·1 = 0`, so centring changes nothing in exact
+//!   arithmetic, and it keeps the GEMM's rounding error independent of where
+//!   the columns sit (an offset of 10⁶ costs five digits otherwise; centred,
+//!   none).
+//! * [`SparseGraph::quadratic_form`] on the blocks — the same `Y`, from the
+//!   closed form of a block's Laplacian. For a block with parts `P₁…P_g` over
+//!   `S` and weight `w`,
+//!   `(L·X)ᵢ = w·[(|S| − |P(i)|)·xᵢ − (Σ_S x − Σ_{P(i)} x)]`, so a block's
+//!   rows cost `O(|S|·m)` whatever its edge count. With the disjoint blocks
+//!   every builder makes, the whole form costs
+//!   `O(n·m + E_residual·m + n·m²)`: the 8 803-row COMPAS-like fairness
+//!   graph is ten blocks, not 1.93 M edges.
 //! * [`SparseGraph::quadratic_form_by_edges`] — the identity
 //!   `Xᵀ L X = Σ_{(i,j) ∈ E} w_ij (x_i − x_j)(x_i − x_j)ᵀ`, one rank-1
-//!   update per edge. Cost `O(E·m²)`: `m/2` times the work of the product
-//!   form on a dense fairness graph (203 379 edges, `m = 96`: 3.75 GFLOP
-//!   against 0.12). It is a sum of positive semi-definite terms with no
-//!   cancellation at all, which makes it the test oracle for the product
-//!   form and the right tool when the *null space* of the result matters
-//!   more than its cost — kernel PFR's rank-deficient `K L K`, on graphs of
-//!   a few hundred edges.
+//!   update per edge of [`SparseGraph::edges`]. Cost `O(E·m²)`: `m/2` times
+//!   the work of the product form on a dense fairness graph (203 379 edges,
+//!   `m = 96`: 3.75 GFLOP against 0.12). It is a sum of positive
+//!   semi-definite terms with no cancellation at all, which makes it the test
+//!   oracle for the product form and the right tool when the *null space* of
+//!   the result matters more than its cost — kernel PFR's rank-deficient
+//!   `K L K`, on graphs of a few hundred edges.
+//!
+//! Edge counts, degrees, total weight, the smoothness loss and the weighted
+//! disagreement (Consistency) are closed form on blocks as well; only
+//! [`SparseGraph::edges`] and what is defined through it (the normalized
+//! Laplacian, the dense helpers, [`SparseGraph::subsample_edges`]) pay for
+//! every edge.
 
 use crate::error::GraphError;
 use crate::Result;
 use pfr_linalg::stats::column_means;
+use pfr_linalg::vector::{axpy, dot};
 use pfr_linalg::Matrix;
 
 /// Which graph Laplacian to use.
@@ -50,13 +75,142 @@ pub struct Edge {
     pub weight: f64,
 }
 
-/// An undirected, weighted graph over `n` nodes stored as an edge list.
+impl Edge {
+    /// The edge `{a, b}`, smaller endpoint first.
+    fn new(a: u32, b: u32, weight: f64) -> Edge {
+        let (i, j) = if a < b { (a, b) } else { (b, a) };
+        Edge { i, j, weight }
+    }
+}
+
+/// A complete multipartite block: every pair of members in different parts
+/// is linked with `weight`. Part `p` is `members[starts[p]..starts[p + 1]]`;
+/// every part is non-empty and there are at least two.
+#[derive(Debug, Clone)]
+struct Block {
+    members: Vec<u32>,
+    starts: Vec<usize>,
+    weight: f64,
+}
+
+impl Block {
+    fn parts(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.starts.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+
+    /// Linked pairs: `(|S|² − Σ_p |P_p|²) / 2`.
+    fn num_pairs(&self) -> usize {
+        let size = self.members.len();
+        let within: usize = self.parts().map(|p| p.len() * p.len()).sum();
+        (size * size - within) / 2
+    }
+
+    /// The edges a loop of `add_edge` calls over the parts emits, in its
+    /// order: part pairs `a < b` in order, then each member of `a` with each
+    /// member of `b`.
+    fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        let count = self.starts.len() - 1;
+        let part = move |p: usize| &self.members[self.starts[p]..self.starts[p + 1]];
+        (0..count).flat_map(move |a| {
+            (a + 1..count).flat_map(move |b| {
+                part(a)
+                    .iter()
+                    .flat_map(move |&i| part(b).iter().map(move |&j| Edge::new(i, j, self.weight)))
+            })
+        })
+    }
+
+    /// Calls `visit(i, row)` for every member `i` with its row of the
+    /// block's `L·X`: `w·[(|S| − |P(i)|)·xᵢ − (Σ_S x − Σ_{P(i)} x)]`.
+    fn for_each_product(&self, x: &Matrix, mut visit: impl FnMut(usize, &[f64])) {
+        let total = row_sum(x, &self.members);
+        let mut row = vec![0.0; x.cols()];
+        for part in self.parts() {
+            let outside = (self.members.len() - part.len()) as f64;
+            let mut rest = row_sum(x, part);
+            for (r, t) in rest.iter_mut().zip(&total) {
+                *r = t - *r;
+            }
+            for &i in part {
+                let i = i as usize;
+                for ((v, xi), r) in row.iter_mut().zip(x.row(i)).zip(&rest) {
+                    *v = self.weight * (outside * xi - r);
+                }
+                visit(i, &row);
+            }
+        }
+    }
+
+    /// `Σ |y_i − y_j|` over the block's pairs: the sum over every pair of
+    /// members less the sum over the pairs inside each part, each from sorted
+    /// prefix sums. Exact when `y` holds small integers (0/1 predictions).
+    fn abs_difference_sum(&self, y: &[f64]) -> f64 {
+        let mut scratch = Vec::with_capacity(self.members.len());
+        let within: f64 = self
+            .parts()
+            .map(|part| all_pairs_abs_difference(part, y, &mut scratch))
+            .sum();
+        all_pairs_abs_difference(&self.members, y, &mut scratch) - within
+    }
+}
+
+/// `Σ_{a<b} |y_a − y_b|` over `members`: sorted ascending, the `k`-th value
+/// exceeds each of the `k` before it, so it contributes `k·v − prefix`.
+fn all_pairs_abs_difference(members: &[u32], y: &[f64], scratch: &mut Vec<f64>) -> f64 {
+    scratch.clear();
+    scratch.extend(members.iter().map(|&i| y[i as usize]));
+    scratch.sort_unstable_by(f64::total_cmp);
+    let (mut prefix, mut sum) = (0.0, 0.0);
+    for (k, &v) in scratch.iter().enumerate() {
+        sum += k as f64 * v - prefix;
+        prefix += v;
+    }
+    sum
+}
+
+/// Column sums of the rows `rows` of `x`.
+fn row_sum(x: &Matrix, rows: &[u32]) -> Vec<f64> {
+    let mut sum = vec![0.0; x.cols()];
+    for &r in rows {
+        axpy(1.0, x.row(r as usize), &mut sum);
+    }
+    sum
+}
+
+/// `x` with its column means removed.
+fn centred(x: &Matrix) -> Matrix {
+    let means = column_means(x);
+    let mut xc = x.clone();
+    for r in 0..x.rows() {
+        for (v, mean) in xc.row_mut(r).iter_mut().zip(&means) {
+            *v -= mean;
+        }
+    }
+    xc
+}
+
+/// Similarity and fairness graphs are non-negative and finite by
+/// construction. NaN compares false with everything, so `weight < 0.0` alone
+/// would let it through; the range test rejects it along with ±∞.
+fn check_weight(weight: f64) -> Result<()> {
+    if !(0.0..f64::INFINITY).contains(&weight) {
+        return Err(GraphError::InvalidParameter(format!(
+            "edge weight must be finite and non-negative, got {weight}"
+        )));
+    }
+    Ok(())
+}
+
+/// An undirected, weighted graph over `n` nodes: complete multipartite
+/// blocks beside a residual edge list (see the module docs).
 ///
-/// Edges are stored once with `i < j`. Duplicate insertions of the same pair
-/// accumulate weight (see [`SparseGraph::add_edge`]).
+/// Residual edges are stored once with `i < j`. Duplicate insertions of the
+/// same pair, and residual edges that repeat a block's pair, accumulate
+/// weight (see [`SparseGraph::add_edge`]).
 #[derive(Debug, Clone, Default)]
 pub struct SparseGraph {
     n: usize,
+    blocks: Vec<Block>,
     edges: Vec<Edge>,
 }
 
@@ -65,6 +219,7 @@ impl SparseGraph {
     pub fn new(n: usize) -> Self {
         SparseGraph {
             n,
+            blocks: Vec::new(),
             edges: Vec::new(),
         }
     }
@@ -75,25 +230,28 @@ impl SparseGraph {
         self.n
     }
 
-    /// Number of (undirected) edges.
-    #[inline]
+    /// Number of (undirected) edges, blocks' pairs included.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.blocks.iter().map(Block::num_pairs).sum::<usize>() + self.edges.len()
     }
 
     /// Returns `true` when the graph has no edges.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.blocks.is_empty() && self.edges.is_empty()
     }
 
-    /// Immutable view of the edge list.
-    #[inline]
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    /// Every edge: each block's pairs, blocks in the order they were added,
+    /// then the residual list in insertion order. Within a block the order
+    /// is that of [`SparseGraph::add_block`]. `O(E)`: nothing on a fit path
+    /// calls it.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        let blocks = self.blocks.iter().flat_map(Block::edges);
+        blocks.chain(self.edges.iter().copied())
     }
 
-    /// Adds an undirected edge `{i, j}` with the given weight.
+    /// Adds an undirected edge `{i, j}` with the given weight to the
+    /// residual list.
     ///
     /// Self-loops and out-of-range nodes are rejected; a weight of exactly
     /// zero is silently ignored; negative and non-finite weights are
@@ -109,32 +267,125 @@ impl SparseGraph {
         if i == j {
             return Err(GraphError::SelfLoop { node: i });
         }
-        // NaN compares false with everything, so `weight < 0.0` alone would
-        // let it through; the range test rejects it along with ±∞.
-        if !(0.0..f64::INFINITY).contains(&weight) {
-            return Err(GraphError::InvalidParameter(format!(
-                "edge weight must be finite and non-negative, got {weight}"
-            )));
-        }
+        check_weight(weight)?;
         if weight == 0.0 {
             return Ok(());
         }
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
-        self.edges.push(Edge {
-            i: a as u32,
-            j: b as u32,
-            weight,
-        });
+        self.edges.push(Edge::new(i as u32, j as u32, weight));
         Ok(())
     }
 
-    /// Merges duplicate edges by summing their weights. Useful after bulk
-    /// construction where the same pair may have been inserted repeatedly.
+    /// Adds a complete multipartite block: every pair of nodes from two
+    /// different `parts` is linked with `weight`, no pair inside one part is.
+    /// A clique is the case where every part is a single node. The block is
+    /// stored as its member lists, never as its edges.
+    ///
+    /// Its edges are those of `add_edge(i, j, weight)` called for each part
+    /// pair `a < b` in order, each `i` of part `a` and each `j` of part `b`,
+    /// in that order; [`SparseGraph::edges`] yields them so.
+    ///
+    /// Nodes are validated as in [`SparseGraph::add_edge`], and a node may
+    /// appear only once in a block. Empty parts are dropped; a block left
+    /// with fewer than two parts, or with a weight of exactly zero, adds
+    /// nothing.
+    pub fn add_block<P: AsRef<[usize]>>(
+        &mut self,
+        parts: impl IntoIterator<Item = P>,
+        weight: f64,
+    ) -> Result<()> {
+        let mut members = Vec::new();
+        let mut starts = vec![0];
+        for part in parts {
+            let part = part.as_ref();
+            if part.is_empty() {
+                continue;
+            }
+            for &i in part {
+                if i >= self.n {
+                    return Err(GraphError::NodeOutOfRange { node: i, n: self.n });
+                }
+                members.push(i as u32);
+            }
+            starts.push(members.len());
+        }
+        let mut sorted = members.clone();
+        sorted.sort_unstable();
+        if let Some(twice) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(GraphError::InvalidParameter(format!(
+                "node {} appears twice in one block",
+                twice[0]
+            )));
+        }
+        check_weight(weight)?;
+        if weight > 0.0 && starts.len() > 2 {
+            self.blocks.push(Block {
+                members,
+                starts,
+                weight,
+            });
+        }
+        Ok(())
+    }
+
+    /// The same graph over `n` nodes with node `k` renamed `new_index[k]`:
+    /// blocks stay blocks, and [`SparseGraph::edges`] yields the renamed
+    /// edges in the same order. Embeds a graph built on a sub-population
+    /// into the full index space; `new_index` must be injective.
+    pub fn relabel(&self, n: usize, new_index: &[usize]) -> Result<SparseGraph> {
+        if new_index.len() != self.n {
+            return Err(GraphError::LengthMismatch {
+                what: "node relabelling",
+                got: new_index.len(),
+                expected: self.n,
+            });
+        }
+        let mut taken = vec![false; n];
+        for &k in new_index {
+            if k >= n {
+                return Err(GraphError::NodeOutOfRange { node: k, n });
+            }
+            if std::mem::replace(&mut taken[k], true) {
+                return Err(GraphError::InvalidParameter(format!(
+                    "node relabelling maps two nodes to {k}"
+                )));
+            }
+        }
+        let rename = |i: u32| new_index[i as usize] as u32;
+        let blocks = self.blocks.iter().map(|b| Block {
+            members: b.members.iter().map(|&i| rename(i)).collect(),
+            starts: b.starts.clone(),
+            weight: b.weight,
+        });
+        let edges = self.edges.iter();
+        let edges = edges.map(|e| Edge::new(rename(e.i), rename(e.j), e.weight));
+        Ok(SparseGraph {
+            n,
+            blocks: blocks.collect(),
+            edges: edges.collect(),
+        })
+    }
+
+    /// Pairs whose transitive closure connects exactly what the edges do:
+    /// each block's first member with every other member (a block has at
+    /// least two non-empty parts, so it is connected), then the residual
+    /// edges. `O(n + E_residual)` for disjoint blocks.
+    pub(crate) fn spanning_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let blocks = self.blocks.iter().flat_map(|b| {
+            let first = b.members[0] as usize;
+            b.members[1..].iter().map(move |&i| (first, i as usize))
+        });
+        blocks.chain(self.edges.iter().map(|e| (e.i as usize, e.j as usize)))
+    }
+
+    /// Merges duplicate residual edges by summing their weights. Useful
+    /// after bulk construction where the same pair may have been inserted
+    /// repeatedly. Blocks are left alone.
     pub fn coalesce(&mut self) {
         self.coalesce_with(|kept, next| kept + next);
     }
 
-    /// Caps duplicate edges at the maximum weight rather than the sum.
+    /// Caps duplicate residual edges at the maximum weight rather than the
+    /// sum.
     ///
     /// Used by the k-NN builder, where `i ∈ Np(j)` and `j ∈ Np(i)` would
     /// otherwise double the kernel weight.
@@ -155,9 +406,18 @@ impl SparseGraph {
         });
     }
 
-    /// Weighted node degrees `d_i = Σ_j w_ij`.
+    /// Weighted node degrees `d_i = Σ_j w_ij`; a block member's is
+    /// `w·(|S| − |P(i)|)`.
     pub fn degrees(&self) -> Vec<f64> {
         let mut deg = vec![0.0; self.n];
+        for block in &self.blocks {
+            for part in block.parts() {
+                let d = block.weight * (block.members.len() - part.len()) as f64;
+                for &i in part {
+                    deg[i as usize] += d;
+                }
+            }
+        }
         for e in &self.edges {
             deg[e.i as usize] += e.weight;
             deg[e.j as usize] += e.weight;
@@ -165,27 +425,23 @@ impl SparseGraph {
         deg
     }
 
-    /// Sum of all edge weights.
+    /// Sum of all edge weights. A block contributes its weight times its
+    /// integer pair count, so unit-weight blocks sum exactly, as the edge
+    /// list they replace did.
     pub fn total_weight(&self) -> f64 {
-        self.edges.iter().map(|e| e.weight).sum()
-    }
-
-    /// Adjacency list representation: for each node, its `(neighbour, weight)`
-    /// pairs.
-    pub fn adjacency_list(&self) -> Vec<Vec<(usize, f64)>> {
-        let mut adj = vec![Vec::new(); self.n];
-        for e in &self.edges {
-            adj[e.i as usize].push((e.j as usize, e.weight));
-            adj[e.j as usize].push((e.i as usize, e.weight));
-        }
-        adj
+        let blocks: f64 = self
+            .blocks
+            .iter()
+            .map(|b| b.weight * b.num_pairs() as f64)
+            .sum();
+        self.edges.iter().fold(blocks, |total, e| total + e.weight)
     }
 
     /// Dense adjacency matrix `W`. Only intended for small graphs
     /// (tests, the synthetic dataset, visualization).
     pub fn adjacency_dense(&self) -> Matrix {
         let mut w = Matrix::zeros(self.n, self.n);
-        for e in &self.edges {
+        for e in self.edges() {
             let (i, j) = (e.i as usize, e.j as usize);
             w[(i, j)] += e.weight;
             w[(j, i)] += e.weight;
@@ -238,26 +494,24 @@ impl SparseGraph {
     /// Computes the quadratic form `Xᵀ L X` without materializing `L`, where
     /// `x` has one row per node (`n x m`) and the result is `m x m`.
     ///
-    /// The unnormalized Laplacian takes the product form `Xcᵀ (L Xc)` in
-    /// `O(E·m + n·m²)` (see the module docs; the same path for every graph
-    /// size). The normalized Laplacian follows its definition directly:
+    /// The unnormalized Laplacian takes the product form `Xcᵀ (L Xc)`: blocks
+    /// fill their rows of `L Xc` in closed form, residual edges one at a
+    /// time, in `O(Σ|S|·m + E_residual·m + n·m²)` (see the module docs). The
+    /// normalized Laplacian follows its definition directly, edge by edge:
     /// `Σ_{d_i > 0} x_i x_iᵀ − Σ_{(i,j)} w_ij/√(d_i d_j) (x_i x_jᵀ + x_j x_iᵀ)`.
     pub fn quadratic_form(&self, x: &Matrix, kind: LaplacianKind) -> Result<Matrix> {
         self.check_rows(x)?;
         let m = x.cols();
         match kind {
             LaplacianKind::Unnormalized => {
-                let means = column_means(x);
-                let mut xc = x.clone();
-                for r in 0..self.n {
-                    for (v, mean) in xc.row_mut(r).iter_mut().zip(&means) {
-                        *v -= mean;
-                    }
+                let xc = centred(x);
+                let mut y = Matrix::zeros(self.n, m);
+                for block in &self.blocks {
+                    block.for_each_product(&xc, |i, row| axpy(1.0, row, y.row_mut(i)));
                 }
                 // Y = L·Xc, one edge at a time: row i gains w (x_i − x_j)
                 // and row j loses it, which is D·Xc − W·Xc without ever
                 // forming the two terms that would then have to cancel.
-                let mut y = Matrix::zeros(self.n, m);
                 for e in &self.edges {
                     let (i, j) = (e.i as usize, e.j as usize);
                     // Edges are stored with i < j: row i sits in `upper`.
@@ -281,7 +535,7 @@ impl SparseGraph {
                         accumulate_outer(&mut acc, x.row(i), 1.0);
                     }
                 }
-                for e in &self.edges {
+                for e in self.edges() {
                     let (i, j) = (e.i as usize, e.j as usize);
                     let scale = e.weight / (deg[i].sqrt() * deg[j].sqrt());
                     accumulate_outer_cross(&mut acc, x.row(i), x.row(j), -scale);
@@ -292,16 +546,16 @@ impl SparseGraph {
     }
 
     /// The unnormalized `Xᵀ L X` as `Σ_{(i,j) ∈ E} w_ij (x_i − x_j)(x_i − x_j)ᵀ`,
-    /// one rank-1 update per edge in edge-list order: `O(E·m²)`, free of
-    /// cancellation. The oracle [`SparseGraph::quadratic_form`] is tested
-    /// against, and what `KernelPfr` uses (see the module docs for when
-    /// that trade is right).
+    /// one rank-1 update per edge in [`SparseGraph::edges`] order: `O(E·m²)`,
+    /// free of cancellation. The oracle [`SparseGraph::quadratic_form`] is
+    /// tested against, and what `KernelPfr` uses (see the module docs for
+    /// when that trade is right).
     pub fn quadratic_form_by_edges(&self, x: &Matrix) -> Result<Matrix> {
         self.check_rows(x)?;
         let m = x.cols();
         let mut acc = Matrix::zeros(m, m);
         let mut diff = vec![0.0; m];
-        for e in &self.edges {
+        for e in self.edges() {
             let xi = x.row(e.i as usize);
             let xj = x.row(e.j as usize);
             for ((d, &a), &b) in diff.iter_mut().zip(xi.iter()).zip(xj.iter()) {
@@ -326,6 +580,10 @@ impl SparseGraph {
     /// Smoothness loss `Σ_{(i,j) ∈ E} w_ij ‖z_i − z_j‖²` of a representation
     /// `z` (one row per node). This is exactly `LossX` / `LossF` from
     /// Equations 3 and 4 of the paper (with each unordered pair counted once).
+    ///
+    /// Blocks contribute `tr(Zcᵀ L Zc)` through the closed-form rows of
+    /// `L·Zc` that [`SparseGraph::quadratic_form`] uses; residual edges
+    /// their squared distances.
     pub fn smoothness_loss(&self, z: &Matrix) -> Result<f64> {
         if z.rows() != self.n {
             return Err(GraphError::LengthMismatch {
@@ -335,6 +593,12 @@ impl SparseGraph {
             });
         }
         let mut loss = 0.0;
+        if !self.blocks.is_empty() {
+            let zc = centred(z);
+            for block in &self.blocks {
+                block.for_each_product(&zc, |i, row| loss += dot(zc.row(i), row));
+            }
+        }
         for e in &self.edges {
             let zi = z.row(e.i as usize);
             let zj = z.row(e.j as usize);
@@ -353,7 +617,9 @@ impl SparseGraph {
 
     /// Weighted average absolute disagreement `Σ w_ij |y_i − y_j| / Σ w_ij`
     /// of a per-node score vector. This is the complement of the paper's
-    /// *consistency* metric: `Consistency = 1 − disagreement`.
+    /// *consistency* metric: `Consistency = 1 − disagreement`. A block's
+    /// share comes from sorted prefix sums in `O(|S| log |S|)`, exact on 0/1
+    /// predictions.
     ///
     /// Returns 0.0 for a graph without edges (perfectly consistent by
     /// convention).
@@ -370,21 +636,29 @@ impl SparseGraph {
             return Ok(0.0);
         }
         let mut dis = 0.0;
+        for block in &self.blocks {
+            dis += block.weight * block.abs_difference_sum(y);
+        }
         for e in &self.edges {
             dis += e.weight * (y[e.i as usize] - y[e.j as usize]).abs();
         }
         Ok(dis / total)
     }
 
-    /// Keeps each edge independently with probability `rate`, using a small
-    /// deterministic xorshift generator seeded by `seed`. Models the paper's
+    /// Keeps each edge of [`SparseGraph::edges`] independently with
+    /// probability `rate`, using a small deterministic xorshift generator
+    /// seeded by `seed`, one draw per edge in order. Models the paper's
     /// observation that pairwise judgments may only be available for a sparse
-    /// sample of pairs.
+    /// sample of pairs. The kept edges form a residual list; a rate of 1
+    /// keeps every edge, so it returns the graph as it is, blocks and all.
     pub fn subsample_edges(&self, rate: f64, seed: u64) -> Result<SparseGraph> {
         if !(0.0..=1.0).contains(&rate) {
             return Err(GraphError::InvalidParameter(format!(
                 "subsampling rate {rate} must lie in [0, 1]"
             )));
+        }
+        if rate == 1.0 {
+            return Ok(self.clone());
         }
         let mut state = seed.max(1);
         let mut next01 = move || {
@@ -394,44 +668,7 @@ impl SparseGraph {
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let mut out = SparseGraph::new(self.n);
-        for e in &self.edges {
-            if next01() < rate {
-                out.edges.push(*e);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Restricts the graph to the sub-population given by `indices` (the new
-    /// node `k` corresponds to old node `indices[k]`); edges with an endpoint
-    /// outside the sub-population are dropped.
-    ///
-    /// Used to carry a fairness graph defined on the full dataset over to a
-    /// train split.
-    pub fn induced_subgraph(&self, indices: &[usize]) -> Result<SparseGraph> {
-        let mut position = vec![usize::MAX; self.n];
-        for (new_idx, &old_idx) in indices.iter().enumerate() {
-            if old_idx >= self.n {
-                return Err(GraphError::NodeOutOfRange {
-                    node: old_idx,
-                    n: self.n,
-                });
-            }
-            position[old_idx] = new_idx;
-        }
-        let mut out = SparseGraph::new(indices.len());
-        for e in &self.edges {
-            let pi = position[e.i as usize];
-            let pj = position[e.j as usize];
-            if pi != usize::MAX && pj != usize::MAX {
-                let (a, b) = if pi < pj { (pi, pj) } else { (pj, pi) };
-                out.edges.push(Edge {
-                    i: a as u32,
-                    j: b as u32,
-                    weight: e.weight,
-                });
-            }
-        }
+        out.edges = self.edges().filter(|_| next01() < rate).collect();
         Ok(out)
     }
 
@@ -440,7 +677,7 @@ impl SparseGraph {
         if self.n == 0 {
             return 0.0;
         }
-        2.0 * self.edges.len() as f64 / self.n as f64
+        2.0 * self.num_edges() as f64 / self.n as f64
     }
 }
 
@@ -484,6 +721,25 @@ mod tests {
         g
     }
 
+    /// Parts {3, 0}, {}, {4}, {1, 5} over 7 nodes with weight 2 (node 2 and
+    /// 6 isolated), and the same pairs added edge by edge.
+    fn block_and_oracle() -> (SparseGraph, SparseGraph) {
+        let parts: [&[usize]; 4] = [&[3, 0], &[], &[4], &[1, 5]];
+        let mut block = SparseGraph::new(7);
+        block.add_block(parts, 2.0).unwrap();
+        let mut oracle = SparseGraph::new(7);
+        for (a, part_a) in parts.iter().enumerate() {
+            for part_b in &parts[a + 1..] {
+                for &i in *part_a {
+                    for &j in *part_b {
+                        oracle.add_edge(i, j, 2.0).unwrap();
+                    }
+                }
+            }
+        }
+        (block, oracle)
+    }
+
     #[test]
     fn add_edge_validation() {
         let mut g = SparseGraph::new(3);
@@ -497,8 +753,78 @@ mod tests {
         g.add_edge(0, 1, 0.0).unwrap();
         assert_eq!(g.num_edges(), 0);
         g.add_edge(2, 0, 2.0).unwrap();
-        assert_eq!(g.edges()[0].i, 0);
-        assert_eq!(g.edges()[0].j, 2);
+        let only = g.edges().next().unwrap();
+        assert_eq!((only.i, only.j), (0, 2));
+    }
+
+    #[test]
+    fn add_block_validation() {
+        let mut g = SparseGraph::new(4);
+        assert!(g.add_block([vec![0], vec![4]], 1.0).is_err());
+        assert!(g.add_block([vec![0, 1], vec![1]], 1.0).is_err());
+        assert!(g.add_block([vec![0, 0], vec![1]], 1.0).is_err());
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(g.add_block([vec![0], vec![1]], bad).is_err());
+        }
+        // Nothing to link: zero weight, one non-empty part, no parts.
+        g.add_block([vec![0], vec![1]], 0.0).unwrap();
+        g.add_block([vec![0, 1, 2], vec![]], 1.0).unwrap();
+        g.add_block(Vec::<Vec<usize>>::new(), 1.0).unwrap();
+        assert!(g.is_empty());
+        // A clique: every part a single node.
+        g.add_block([0usize, 2, 3].iter().map(std::slice::from_ref), 1.0)
+            .unwrap();
+        assert_eq!(g.num_edges(), 3);
+        let pairs: Vec<(u32, u32)> = g.edges().map(|e| (e.i, e.j)).collect();
+        assert_eq!(pairs, vec![(0, 2), (0, 3), (2, 3)]);
+    }
+
+    #[test]
+    fn block_closed_forms_match_its_edges() {
+        let (block, oracle) = block_and_oracle();
+        let edges: Vec<Edge> = block.edges().collect();
+        assert_eq!(edges, oracle.edges().collect::<Vec<_>>());
+        assert_eq!(block.num_edges(), 8);
+        assert_eq!(block.degrees(), oracle.degrees());
+        assert_eq!(block.total_weight(), 16.0);
+        assert_eq!(block.mean_degree(), oracle.mean_degree());
+        let y = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0];
+        assert_eq!(
+            block.weighted_disagreement(&y).unwrap(),
+            oracle.weighted_disagreement(&y).unwrap()
+        );
+        let x = Matrix::from_vec(7, 2, (0..14).map(|v| (v * v % 11) as f64).collect()).unwrap();
+        let q = block
+            .quadratic_form(&x, LaplacianKind::Unnormalized)
+            .unwrap();
+        let want = oracle.quadratic_form_by_edges(&x).unwrap();
+        assert!(q.sub(&want).unwrap().max_abs() <= 1e-12 * want.max_abs());
+        let loss = block.smoothness_loss(&x).unwrap();
+        let want_loss = oracle.smoothness_loss(&x).unwrap();
+        assert!((loss - want_loss).abs() <= 1e-12 * want_loss);
+    }
+
+    #[test]
+    fn relabel_keeps_blocks_and_edge_order() {
+        let (block, _) = block_and_oracle();
+        let new_index = [1, 3, 4, 6, 7, 8, 9];
+        let moved = block.relabel(10, &new_index).unwrap();
+        assert_eq!(moved.num_nodes(), 10);
+        assert_eq!(moved.blocks.len(), 1);
+        let renamed: Vec<Edge> = block
+            .edges()
+            .map(|e| {
+                Edge::new(
+                    new_index[e.i as usize] as u32,
+                    new_index[e.j as usize] as u32,
+                    e.weight,
+                )
+            })
+            .collect();
+        assert_eq!(moved.edges().collect::<Vec<_>>(), renamed);
+        assert!(block.relabel(10, &new_index[1..]).is_err());
+        assert!(block.relabel(8, &new_index).is_err());
+        assert!(block.relabel(10, &[1, 3, 4, 6, 7, 8, 1]).is_err());
     }
 
     #[test]
@@ -509,10 +835,10 @@ mod tests {
         let mut summed = g.clone();
         summed.coalesce();
         assert_eq!(summed.num_edges(), 1);
-        assert!((summed.edges()[0].weight - 3.0).abs() < 1e-12);
+        assert!((summed.total_weight() - 3.0).abs() < 1e-12);
         g.coalesce_max();
         assert_eq!(g.num_edges(), 1);
-        assert!((g.edges()[0].weight - 2.0).abs() < 1e-12);
+        assert!((g.total_weight() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -624,7 +950,10 @@ mod tests {
         // `x + offset` exact, so what is measured is the algorithm, not
         // the rounding of its input: 9e-16 relative with the centring,
         // 1.1e-10 without it (and growing with degree and offset).
-        let (g, x) = random_problem(120, 5, 2500, 5);
+        let (mut g, x) = random_problem(120, 5, 2500, 5);
+        // A block over a third of the nodes goes through the same centring.
+        let thirds: Vec<Vec<usize>> = (0..3).map(|p| (p * 13..p * 13 + 13).collect()).collect();
+        g.add_block(&thirds, 0.75).unwrap();
         let offsets = [1e6, -3e5, 0.0, 2e6, 7.0];
         let mut shifted = x.clone();
         for r in 0..shifted.rows() {
@@ -682,6 +1011,8 @@ mod tests {
         assert_eq!(g.subsample_edges(1.0, 7).unwrap().num_edges(), 2);
         assert_eq!(g.subsample_edges(0.0, 7).unwrap().num_edges(), 0);
         assert!(g.subsample_edges(1.5, 7).is_err());
+        let (block, _) = block_and_oracle();
+        assert_eq!(block.subsample_edges(1.0, 7).unwrap().blocks.len(), 1);
     }
 
     #[test]
@@ -700,27 +1031,5 @@ mod tests {
         assert!(c.num_edges() <= 99);
         // Roughly half the edges should survive.
         assert!(a.num_edges() > 25 && a.num_edges() < 75);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let mut g = SparseGraph::new(4);
-        g.add_edge(0, 1, 1.0).unwrap();
-        g.add_edge(1, 2, 2.0).unwrap();
-        g.add_edge(2, 3, 3.0).unwrap();
-        let sub = g.induced_subgraph(&[1, 2]).unwrap();
-        assert_eq!(sub.num_nodes(), 2);
-        assert_eq!(sub.num_edges(), 1);
-        assert!((sub.edges()[0].weight - 2.0).abs() < 1e-12);
-        assert!(g.induced_subgraph(&[9]).is_err());
-    }
-
-    #[test]
-    fn adjacency_list_is_symmetric() {
-        let g = path3();
-        let adj = g.adjacency_list();
-        assert_eq!(adj[0], vec![(1, 1.0)]);
-        assert_eq!(adj[1].len(), 2);
-        assert_eq!(adj[2], vec![(1, 1.0)]);
     }
 }

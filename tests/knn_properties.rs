@@ -13,7 +13,6 @@ use std::num::NonZeroUsize;
 fn edge_bits(graph: &SparseGraph) -> Vec<(u32, u32, u64)> {
     graph
         .edges()
-        .iter()
         .map(|e| (e.i, e.j, e.weight.to_bits()))
         .collect()
 }

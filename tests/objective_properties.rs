@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) for the cold-fit path: the one input
 //! preparation against the masked route it replaced, bitwise; the
-//! product-form Laplacian quadratic form against its two oracles; the one
+//! product-form Laplacian quadratic form against its two oracles; the block
+//! form of a fairness graph against the same pairs as an edge list; the one
 //! dense eigensolver against the retained Jacobi reference; the γ-free
 //! split of the PFR objective against `Pfr::fit` bitwise; and the refit
 //! engine's reproducibility.
@@ -9,6 +10,7 @@ use pfr::core::persistence::{
     bundle_from_string, ClassifierSection, ModelBundle, StandardizerParams,
 };
 use pfr::core::{FitInputs, Pfr, PfrConfig, PfrObjective};
+use pfr::graph::components::{connected_components, graph_stats};
 use pfr::graph::{fairness, KnnGraphBuilder, LaplacianKind, SparseGraph};
 use pfr::linalg::stats::Standardizer;
 use pfr::linalg::{Eigen, Matrix};
@@ -143,6 +145,159 @@ fn fit_rows() -> impl Strategy<Value = (Matrix, usize, usize)> {
     })
 }
 
+/// How a generated block's parts are laid out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum BlockKind {
+    /// Every part one node: an equivalence class.
+    Clique,
+    /// Members spread over 1–5 parts, some of them empty: a quantile
+    /// bucket with one part per group (one part links nothing).
+    Partition,
+}
+
+/// The xorshift64 generator `block_graphs` draws its structure from.
+struct Draws(u64);
+
+impl Draws {
+    /// Uniform in `0..bound`.
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % bound as u64) as usize
+    }
+
+    /// A uniform permutation of `0..len` (Fisher–Yates).
+    fn shuffled(&mut self, len: usize) -> Vec<usize> {
+        let mut v: Vec<usize> = (0..len).collect();
+        for k in (1..len).rev() {
+            v.swap(k, self.below(k + 1));
+        }
+        v
+    }
+}
+
+/// One generated block: its kind, its parts as added and its weight.
+type BlockSpec = (BlockKind, Vec<Vec<usize>>, f64);
+
+/// A block-form graph, the same pairs as an `add_edge` oracle, and the
+/// inputs every closed form is checked on.
+#[derive(Debug)]
+struct BlockCase {
+    blocks: SparseGraph,
+    oracle: SparseGraph,
+    x: Matrix,
+    /// Hard 0/1 predictions and probabilities, one per node.
+    predictions: Vec<f64>,
+    probabilities: Vec<f64>,
+    /// An injective map into `n + 5` nodes.
+    new_index: Vec<usize>,
+}
+
+/// The oracle: blocks emitted pair by pair with the loops the builders
+/// used before blocks existed — `equivalence_class_graph`'s clique loop
+/// over the members, `between_group_quantile_graph`'s loop over part pairs
+/// `a < b`, members of `a`, members of `b` — then the residual edges.
+fn materialise(n: usize, spec: &[BlockSpec], residual: &[(usize, usize, f64)]) -> SparseGraph {
+    let mut g = SparseGraph::new(n);
+    for (kind, parts, w) in spec {
+        match kind {
+            BlockKind::Clique => {
+                let members: Vec<usize> = parts.iter().flatten().copied().collect();
+                for (a_idx, &a) in members.iter().enumerate() {
+                    for &b in members.iter().skip(a_idx + 1) {
+                        g.add_edge(a, b, *w).unwrap();
+                    }
+                }
+            }
+            BlockKind::Partition => {
+                for a in 0..parts.len() {
+                    for b in (a + 1)..parts.len() {
+                        for &i in &parts[a] {
+                            for &j in &parts[b] {
+                                g.add_edge(i, j, *w).unwrap();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for &(i, j, w) in residual {
+        g.add_edge(i, j, w).unwrap();
+    }
+    g
+}
+
+/// Strategy: `n ∈ 1..=60` nodes, `m ∈ 1..=8` features, up to three blocks
+/// over random member subsets (cliques, partitions with empty parts, single
+/// parts; blocks may overlap, and nodes outside every block stay isolated
+/// unless a residual edge finds them), and up to `2n` residual edges, one
+/// of them repeating a block's pair when a block has two parts. Weights are
+/// multiples of 1/4 (blocks) and 1/8 (edges) other than 1, so every sum of
+/// weights is exact and the counting closed forms can be held to bits.
+fn block_graphs() -> impl Strategy<Value = BlockCase> {
+    (1usize..=60, 1usize..=8, any::<u64>()).prop_map(|(n, m, seed)| {
+        let mut draws = Draws(seed | 1);
+        let mut spec: Vec<BlockSpec> = Vec::new();
+        for _ in 0..draws.below(4) {
+            let mut members = draws.shuffled(n);
+            members.truncate(draws.below(n + 1));
+            let (kind, parts) = if draws.below(3) == 0 {
+                let parts = members.iter().map(|&i| vec![i]).collect();
+                (BlockKind::Clique, parts)
+            } else {
+                let count = 1 + draws.below(5);
+                let mut parts = vec![Vec::new(); count];
+                for i in members {
+                    parts[draws.below(count)].push(i);
+                }
+                (BlockKind::Partition, parts)
+            };
+            spec.push((kind, parts, [0.25, 0.5, 1.5, 2.0, 2.75][draws.below(5)]));
+        }
+        let mut residual = Vec::new();
+        for _ in 0..draws.below(2 * n + 1) {
+            let (i, j) = (draws.below(n), draws.below(n));
+            if i != j {
+                residual.push((i, j, (1 + draws.below(16)) as f64 / 8.0));
+            }
+        }
+        for (_, parts, _) in &spec {
+            let linked: Vec<&Vec<usize>> = parts.iter().filter(|p| !p.is_empty()).collect();
+            if let [a, b, ..] = linked[..] {
+                residual.push((a[0], b[0], 0.375));
+                break;
+            }
+        }
+
+        let mut blocks = SparseGraph::new(n);
+        for (_, parts, w) in &spec {
+            blocks.add_block(parts, *w).unwrap();
+        }
+        for &(i, j, w) in &residual {
+            blocks.add_edge(i, j, w).unwrap();
+        }
+        let data: Vec<f64> = (0..n * m)
+            .map(|_| draws.below(1 << 20) as f64 / (1 << 18) as f64 - 2.0)
+            .collect();
+        let predictions = (0..n).map(|_| draws.below(2) as f64).collect();
+        let probabilities = (0..n)
+            .map(|_| draws.below(1 << 30) as f64 / (1 << 30) as f64)
+            .collect();
+        let mut new_index = draws.shuffled(n + 5);
+        new_index.truncate(n);
+        BlockCase {
+            blocks,
+            oracle: materialise(n, &spec, &residual),
+            x: Matrix::from_vec(n, m, data).expect("shape matches the buffer"),
+            predictions,
+            probabilities,
+            new_index,
+        }
+    })
+}
+
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
@@ -151,7 +306,6 @@ fn bits(values: &[f64]) -> Vec<u64> {
 fn edge_bits(graph: &SparseGraph) -> Vec<(u32, u32, u64)> {
     graph
         .edges()
-        .iter()
         .map(|e| (e.i, e.j, e.weight.to_bits()))
         .collect()
 }
@@ -280,6 +434,66 @@ proptest! {
         for d in product.diag() {
             prop_assert!(d >= -1e-9 * scale, "diagonal {} of scale {}, {}", d, scale, label);
         }
+    }
+
+    /// The block form is the edge list it replaces. Its edges come out in
+    /// the builders' old emission order, bit for bit; edge count, total
+    /// weight, degrees, mean degree, graph statistics, components, the
+    /// normalized form (which walks the edges), subsampling at 5 % and
+    /// 100 % and a relabelling are bitwise the oracle's; Consistency is
+    /// bitwise on 0/1 predictions and within 1e-12 on probabilities; the
+    /// closed-form `Xᵀ L X` is within 1e-12 of the oracle's product form,
+    /// of the per-edge sum and of the dense Laplacian, and the smoothness
+    /// loss within 1e-12 of the oracle's, relative to their magnitudes.
+    #[test]
+    fn block_form_equals_the_materialised_edge_list(case in block_graphs()) {
+        let BlockCase { blocks, oracle, x, predictions, probabilities, new_index } = case;
+        let n = x.rows();
+        let label = format!("n={} m={} edges={}", n, x.cols(), oracle.num_edges());
+        prop_assert_eq!(edge_bits(&blocks), edge_bits(&oracle), "edge order, {}", label);
+        prop_assert_eq!(blocks.num_edges(), oracle.num_edges(), "{}", label);
+        prop_assert_eq!(blocks.is_empty(), oracle.is_empty(), "{}", label);
+        prop_assert_eq!(blocks.total_weight().to_bits(), oracle.total_weight().to_bits(), "{}", label);
+        prop_assert_eq!(bits(&blocks.degrees()), bits(&oracle.degrees()), "{}", label);
+        prop_assert_eq!(blocks.mean_degree().to_bits(), oracle.mean_degree().to_bits(), "{}", label);
+        prop_assert_eq!(graph_stats(&blocks), graph_stats(&oracle), "{}", label);
+        prop_assert_eq!(connected_components(&blocks), connected_components(&oracle), "{}", label);
+
+        let normalized = |g: &SparseGraph| {
+            bits(g.quadratic_form(&x, LaplacianKind::SymmetricNormalized).unwrap().as_slice())
+        };
+        prop_assert_eq!(normalized(&blocks), normalized(&oracle), "normalized, {}", label);
+        for (rate, seed) in [(0.05, 7), (1.0, 11)] {
+            let kept = blocks.subsample_edges(rate, seed).unwrap();
+            let want = oracle.subsample_edges(rate, seed).unwrap();
+            prop_assert_eq!(edge_bits(&kept), edge_bits(&want), "rate {}, {}", rate, label);
+            prop_assert_eq!(kept.num_edges(), want.num_edges(), "rate {}, {}", rate, label);
+        }
+        let moved = blocks.relabel(n + 5, &new_index).unwrap();
+        let want = oracle.relabel(n + 5, &new_index).unwrap();
+        prop_assert_eq!(edge_bits(&moved), edge_bits(&want), "relabelled, {}", label);
+
+        let hard = |g: &SparseGraph| g.weighted_disagreement(&predictions).unwrap().to_bits();
+        prop_assert_eq!(hard(&blocks), hard(&oracle), "0/1 consistency, {}", label);
+        let soft = |g: &SparseGraph| g.weighted_disagreement(&probabilities).unwrap();
+        prop_assert!((soft(&blocks) - soft(&oracle)).abs() <= 1e-12, "soft consistency, {}", label);
+
+        let form = blocks.quadratic_form(&x, LaplacianKind::Unnormalized).unwrap();
+        let by_edges = blocks.quadratic_form_by_edges(&x).unwrap();
+        let laplacian = oracle.laplacian_dense(LaplacianKind::Unnormalized);
+        let dense = x.transpose_matmul(&laplacian.matmul(&x).unwrap()).unwrap();
+        let scale = by_edges.max_abs();
+        for (what, want) in [
+            ("oracle", oracle.quadratic_form(&x, LaplacianKind::Unnormalized).unwrap()),
+            ("per-edge sum", oracle.quadratic_form_by_edges(&x).unwrap()),
+            ("dense Laplacian", dense),
+        ] {
+            let err = form.sub(&want).unwrap().max_abs();
+            prop_assert!(err <= 1e-12 * scale, "vs {}: {:e} of {:e}, {}", what, err, scale, label);
+        }
+        let loss = blocks.smoothness_loss(&x).unwrap();
+        let want = oracle.smoothness_loss(&x).unwrap();
+        prop_assert!((loss - want).abs() <= 1e-12 * want, "loss {} vs {}, {}", loss, want, label);
     }
 
     /// Householder + QL agrees with the Jacobi oracle on every eigenvalue to
