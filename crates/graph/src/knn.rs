@@ -15,33 +15,44 @@
 //!
 //! # Structure
 //!
-//! The search is exact — all `n·(n − 1)` distances are computed — and is
-//! the largest line of every cold fit, so it is blocked the way
-//! `pfr_linalg::gemm` is:
+//! The search is exact and is the largest line of every cold fit. A
+//! distance is symmetric in its pair, so the search computes each pair
+//! **once** — `n·(n − 1)/2` distances, one sweep over the upper triangle —
+//! and is blocked the way `pfr_linalg::gemm` is:
 //!
 //! * a **feature-major candidate layout**: the data matrix is copied once
 //!   into strips of `W` consecutive rows, each strip stored feature by
 //!   feature (`W` doubles per feature), so the candidates of a strip sit in
-//!   SIMD lanes and the whole buffer streams sequentially. `W` is 8 for
-//!   the AVX2 instantiation (two `ymm` per query) and 4 for the portable
-//!   one; both are the same generic body, the AVX2 one compiled with
-//!   `#[target_feature]` and chosen by runtime CPU detection;
-//! * **query tiling**: `Q = 4` query rows are scored against each strip
-//!   at once. The `Q x W` tile of squared distances lives in registers for
-//!   the whole feature loop, and every strip is loaded once per `Q`
-//!   queries rather than once per query;
-//! * a **streaming bounded top-k** per query: a tile is compared against
-//!   each query's threshold (its k-th best distance so far) in one vector
-//!   compare, and only strips with a candidate under the threshold reach
-//!   the scalar code that records it. No per-row distance vector exists:
-//!   a query holds at most `2k` candidates, compacted to the best `k`
-//!   whenever the buffer fills;
-//! * **row-band parallelism** over `std::thread::scope`: the query rows are
-//!   split into bands of whole tiles, one band per thread, each thread
-//!   writing its own rows' slice of the result. The thread count comes
-//!   from [`pfr_linalg::gemm::auto_threads`] — the search is an
-//!   `n x n x m` product as far as work goes — so a few-hundred-row refit
-//!   window stays on the caller's thread and nothing needs configuring.
+//!   SIMD lanes and the whole buffer streams sequentially. `W` is 16 for
+//!   the AVX-512F instantiation (two `zmm` per query), 8 for the AVX2 one
+//!   (two `ymm`) and 4 for the portable one; all three are the same generic
+//!   body, the vector ones compiled with `#[target_feature]` and chosen by
+//!   runtime CPU detection;
+//! * **query tiling over the upper triangle**: `Q = 4` query rows starting
+//!   at `i0` are scored against the strips `s ≥ i0 / W` only, all at once.
+//!   The `Q x W` tile of squared distances lives in registers for the whole
+//!   feature loop, and every strip is loaded once per `Q` queries;
+//! * **each pair once, offered both ways**: a lane `j > i` of query `i`'s
+//!   tile row offers `(d, j)` to row `i` and `(d, i)` to row `j` (lanes
+//!   `j ≤ i` are that pair seen from the other side, or the query itself);
+//! * a **bounded max-heap per row** under `(distance, index)`, held in that
+//!   row's `k` slots of the output buffer, beside a fill count and an
+//!   `n`-long array of admission bounds: NaN while the row holds fewer than
+//!   `k` (anything is admitted, `+∞` included), then its root's distance;
+//!   the padding lanes of the last strip hold `−∞`. A pair is worth
+//!   offering if it beats the query's bound or the lane's, so one vector
+//!   compare of a tile row against the larger of the two per lane (a NaN
+//!   wins) decides whether the strip reaches the scalar code that offers
+//!   its candidates. No per-row distance vector exists;
+//! * **row-band parallelism** over `std::thread::scope`: the query tiles are
+//!   split into bands of about equal *pair count* (an early tile sees more
+//!   strips than a late one), one band per thread. A band offers to rows
+//!   beyond it, so every thread after the first fills a private heap set,
+//!   and at the end each row keeps the `k` best of the union. The thread
+//!   count comes from [`pfr_linalg::gemm::auto_threads`] — the search is an
+//!   `n x n x m` product as far as the rule goes — so a few-hundred-row
+//!   refit window stays on the caller's thread and nothing needs
+//!   configuring.
 //!
 //! # Determinism
 //!
@@ -51,15 +62,21 @@
 //! * each pair's squared distance is its own lane's sum, accumulated from
 //!   `0.0` over the features in ascending order with a separate subtract,
 //!   multiply and add (never fused). That is the scalar
-//!   [`squared_distance`] loop exactly, so the distances — and the kernel
-//!   weights computed from them — have its bits. The tile only decides
-//!   which pairs are computed *together*;
+//!   [`squared_distance`] loop exactly, and `(a − b)²` and `(b − a)²` are
+//!   the same bits, so both rows of a pair receive its distance — and the
+//!   kernel weight computed from it — with those bits. The tile only
+//!   decides which pairs are computed *together*;
 //! * neighbours are selected under the total order `(distance, index)`:
 //!   of several equidistant candidates the one with the **smaller row
-//!   index** wins. Candidates arrive in ascending index order, which is
-//!   why the threshold test is a strict `<`;
-//! * a row's neighbours depend on that row alone, and the band split only
-//!   decides which thread computes it.
+//!   index** wins. Within one heap set every row `r` receives its
+//!   candidates in ascending index order — first the rows `i < r`, as a
+//!   lane of their queries (tiles in order, a tile's queries in order),
+//!   then the rows `j > r` of its own pass, strips in order. A candidate
+//!   that ties the root has the larger index and loses, which is why the
+//!   admission test is a strict `<`;
+//! * a heap set holds the exact `k` best of the candidates its band
+//!   offered, and the `k` best of the union of those is the `k` best of
+//!   all, so the band split only decides which thread computes a pair.
 //!
 //! The plain per-pair loop is kept as
 //! [`KnnGraphBuilder::build_reference`], the oracle
@@ -94,6 +111,44 @@ pub enum KernelWidth {
     /// The median of the squared distances to the selected neighbours
     /// (a standard, scale-free heuristic). This is the default.
     MedianHeuristic,
+}
+
+/// An instantiation of the search kernel, for the determinism tests: the
+/// graph is the same bit for bit whichever one runs.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// 4-row strips, baseline code generation.
+    Portable,
+    /// 8-row strips, two `ymm` per query row.
+    Avx2,
+    /// 16-row strips, two `zmm` per query row.
+    Avx512F,
+}
+
+impl Isa {
+    /// Every instantiation, narrowest first.
+    pub const ALL: [Isa; 3] = [Isa::Portable, Isa::Avx2, Isa::Avx512F];
+
+    /// Whether this CPU runs the instantiation.
+    pub fn is_available(self) -> bool {
+        match self {
+            Isa::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512F => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest instantiation this CPU runs: the one
+    /// [`KnnGraphBuilder::build`] uses.
+    pub fn detect() -> Isa {
+        let widest = Isa::ALL.into_iter().rev().find(|isa| isa.is_available());
+        widest.unwrap_or(Isa::Portable)
+    }
 }
 
 /// Builder for the k-nearest-neighbour RBF similarity graph.
@@ -136,48 +191,57 @@ impl KnnGraphBuilder {
     /// candidates are equally far from a point, the ones with the smaller
     /// row index are its neighbours. The result is the same bit for bit
     /// whatever the machine's core count or instruction set (see the
-    /// module docs). Every feature value must be finite.
+    /// module docs). Every feature value must be finite, and the row count
+    /// must fit 32-bit node indices.
     pub fn build(&self, x: &Matrix) -> Result<SparseGraph> {
-        self.build_forced(x, None, false)
+        self.build_forced(x, None, Isa::detect())
     }
 
     /// [`build`](Self::build) with the worker count forced (`None` sizes
-    /// it from the work, as `build` does) and, with `portable`, the
-    /// runtime-detected SIMD instantiation bypassed. The determinism tests
-    /// call this; the graph is the same for every combination.
+    /// it from the work, as `build` does) and the instantiation chosen
+    /// (an error if this CPU does not run it). The determinism tests call
+    /// this; the graph is the same for every combination.
     #[doc(hidden)]
     pub fn build_forced(
         &self,
         x: &Matrix,
         threads: Option<NonZeroUsize>,
-        portable: bool,
+        isa: Isa,
     ) -> Result<SparseGraph> {
         self.validate(x)?;
-        let (n, m) = x.shape();
-        let mut neighbours: Vec<Neighbour> = vec![(0.0, 0); n * self.k];
-        let n_threads = threads.map_or_else(|| auto_threads(n, n, m), NonZeroUsize::get);
-        #[cfg(target_arch = "x86_64")]
-        if !portable && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: runtime detection above confirmed AVX2, so the
-            // target-feature instantiation is safe on this CPU.
-            let band = |packed: &[f64], rows: Range<usize>, out: &mut [Neighbour]| unsafe {
-                band_avx2(x, packed, self.k, rows, out)
-            };
-            search::<8>(x, self.k, n_threads, &mut neighbours, band);
-            return self.assemble(n, neighbours);
+        if !isa.is_available() {
+            return Err(GraphError::InvalidParameter(format!(
+                "this CPU does not run the {isa:?} k-NN kernel"
+            )));
         }
-        let band = |packed: &[f64], rows: Range<usize>, out: &mut [Neighbour]| {
-            band_portable(x, packed, self.k, rows, out)
+        let (n, m) = x.shape();
+        let n_threads = threads.map_or_else(|| auto_threads(n, n, m), NonZeroUsize::get);
+        let k = self.k;
+        let neighbours = match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512F => search::<16>(x, k, n_threads, |packed, rows, heaps| {
+                // SAFETY: `is_available` confirmed AVX-512F above.
+                unsafe { band_avx512(x, packed, rows, heaps) }
+            }),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => search::<8>(x, k, n_threads, |packed, rows, heaps| {
+                // SAFETY: `is_available` confirmed AVX2 above.
+                unsafe { band_avx2(x, packed, rows, heaps) }
+            }),
+            // `Portable`; off x86-64 the vector variants never get here, as
+            // `is_available` refused them above.
+            _ => search::<4>(x, k, n_threads, |packed, rows, heaps| {
+                band_portable(x, packed, rows, heaps)
+            }),
         };
-        search::<4>(x, self.k, n_threads, &mut neighbours, band);
         self.assemble(n, neighbours)
     }
 
-    /// The brute-force search — one scalar [`squared_distance`] per pair,
-    /// a full `n − 1` record vector and a selection per row — under the
-    /// same `(distance, index)` order. Kept only as the oracle the
-    /// property tests compare [`build`](Self::build) against bitwise, the
-    /// role `Matrix::matmul_naive` plays for the GEMM kernel.
+    /// The brute-force search — one scalar [`squared_distance`] per
+    /// ordered pair, a full `n − 1` record vector and a selection per row —
+    /// under the same `(distance, index)` order. Kept only as the oracle
+    /// the property tests compare [`build`](Self::build) against bitwise,
+    /// the role `Matrix::matmul_naive` plays for the GEMM kernel.
     #[doc(hidden)]
     pub fn build_reference(&self, x: &Matrix) -> Result<SparseGraph> {
         self.validate(x)?;
@@ -206,6 +270,12 @@ impl KnnGraphBuilder {
                 "cannot build a k-NN graph from an empty data matrix".to_string(),
             ));
         }
+        // Neighbours and edges store row indices in 32 bits.
+        if u32::try_from(n - 1).is_err() {
+            return Err(GraphError::InvalidParameter(format!(
+                "{n} rows do not fit 32-bit node indices"
+            )));
+        }
         if self.k == 0 {
             return Err(GraphError::InvalidParameter(
                 "k must be at least 1".to_string(),
@@ -225,7 +295,7 @@ impl KnnGraphBuilder {
             }
         }
         // A distance computed from a NaN or an infinity is NaN, which is
-        // below no threshold: the scan would silently drop the candidate.
+        // below no bound: the scan would silently drop the candidate.
         if let Some(at) = x.as_slice().iter().position(|v| !v.is_finite()) {
             return Err(GraphError::InvalidParameter(format!(
                 "feature value at row {}, column {} is not finite ({})",
@@ -237,8 +307,8 @@ impl KnnGraphBuilder {
         Ok(())
     }
 
-    /// Turns the selected neighbours (row `i`'s at `[i·k, (i+1)·k)`) into
-    /// the weighted, merged graph.
+    /// Turns the selected neighbours (row `i`'s at `[i·k, (i+1)·k)`, in any
+    /// order) into the weighted, merged graph.
     fn assemble(&self, n: usize, neighbours: Vec<Neighbour>) -> Result<SparseGraph> {
         let t = match self.width {
             KernelWidth::Fixed(t) => t,
@@ -266,76 +336,133 @@ impl KnnGraphBuilder {
     }
 }
 
-/// The bounded running selection of one query row: the `k` best candidates
-/// offered so far under [`by_distance_then_index`], plus up to `k` more
-/// awaiting the next compaction.
-struct TopK {
-    k: usize,
-    buf: Vec<Neighbour>,
-    /// The k-th best distance as of the last compaction; infinite until
-    /// then. Once `k` candidates are held, a later one at or above it
-    /// cannot be selected.
-    threshold: f64,
+/// Whether a row whose admission bound is `bound` takes a candidate at
+/// distance `d`: `d < bound` once the row holds `k` (the strict `<` of the
+/// module docs), always while its bound is NaN (fewer than `k` held — even
+/// `+∞`, the square of a huge finite difference), never at `−∞` (a padding
+/// lane).
+#[inline(always)]
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must compare unordered
+fn admits(bound: f64, d: f64) -> bool {
+    !(bound <= d)
 }
 
-impl TopK {
-    fn new(k: usize, n: usize) -> Self {
-        TopK {
+/// One heap set: a bounded max-heap per row under [`by_distance_then_index`],
+/// each holding the best candidates offered to its row so far.
+struct Heaps {
+    k: usize,
+    /// Row `r`'s heap is `slots[r·k .. r·k + fill[r]]`, its worst at the
+    /// root.
+    slots: Vec<Neighbour>,
+    fill: Vec<u32>,
+    /// Row `r`'s admission bound (see [`admits`]), padded with `−∞` to whole
+    /// strips.
+    bound: Vec<f64>,
+}
+
+impl Heaps {
+    fn new(n: usize, k: usize, padded: usize) -> Self {
+        let mut bound = vec![f64::NAN; padded];
+        bound[n..].fill(f64::NEG_INFINITY);
+        Heaps {
             k,
-            buf: Vec::with_capacity((2 * k).min(n)),
-            threshold: f64::INFINITY,
+            slots: vec![(0.0, 0); n * k],
+            fill: vec![0; n],
+            bound,
         }
     }
 
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.threshold = f64::INFINITY;
-    }
-
-    /// Whether a strip with these distances may hold a selectable
-    /// candidate. While the threshold is infinite nothing can be ruled
-    /// out — squared distances of huge finite values overflow to `+∞`.
+    /// Whether the strip whose lanes start at row `j0` may hold a candidate
+    /// either query row `i` or a lane's own row takes. A superset of what
+    /// [`Heaps::offer`] records.
     #[inline(always)]
-    fn admits(&self, dists: &[f64]) -> bool {
-        self.threshold == f64::INFINITY
-            || dists
-                .iter()
-                .fold(false, |any, &d| any | (d < self.threshold))
+    fn strip_admits<const W: usize>(&self, dists: &[f64; W], i: usize, j0: usize) -> bool {
+        let query = self.bound[i];
+        if query.is_nan() {
+            return true;
+        }
+        // `admits(query, d) | admits(lane, d)` as one compare: against the
+        // larger bound, or the lane's if that is NaN.
+        let lanes = &self.bound[j0..j0 + W];
+        dists.iter().zip(lanes).fold(false, |any, (&d, &lane)| {
+            let bound = if lane <= query { query } else { lane };
+            any | admits(bound, d)
+        })
     }
 
-    /// Records every candidate of one strip (`dists[c]` is row `j0 + c`)
-    /// that can still be selected, is a real row and is not the query `i`
-    /// itself. Rows are offered in ascending order, so a candidate that
-    /// ties the k-th best has the larger index and loses: `<`.
+    /// Offers every real pair of query `i` with the strip whose lanes start
+    /// at row `j0` (`dists[c]` is row `j0 + c`), both ways: lanes `j > i`
+    /// only, in ascending order.
     #[inline(never)]
-    fn offer(&mut self, dists: &[f64], j0: usize, n: usize, i: usize) {
-        for (c, &d) in dists.iter().enumerate() {
-            let j = j0 + c;
-            if (d < self.threshold || self.buf.len() < self.k) && j < n && j != i {
-                self.buf.push((d, j as u32));
-                if self.buf.len() == 2 * self.k {
-                    self.compact();
-                }
+    fn offer(&mut self, dists: &[f64], j0: usize, i: usize, n: usize) {
+        let lanes = (i + 1).saturating_sub(j0)..dists.len().min(n - j0);
+        for (j, &d) in (j0 + lanes.start..).zip(&dists[lanes]) {
+            if admits(self.bound[i], d) {
+                self.push(i, (d, j as u32));
+            }
+            if admits(self.bound[j], d) {
+                self.push(j, (d, i as u32));
             }
         }
     }
 
-    /// Keeps the `k` best of the buffer and tightens the threshold to the
-    /// worst of them.
-    fn compact(&mut self) {
-        if self.buf.len() > self.k {
-            self.buf
-                .select_nth_unstable_by(self.k - 1, by_distance_then_index);
-            self.buf.truncate(self.k);
-            self.threshold = self.buf[self.k - 1].0;
+    /// Adds `cand` to row `r`'s heap, which must either hold fewer than `k`
+    /// or have a root that `cand` precedes; the root is then dropped.
+    fn push(&mut self, r: usize, cand: Neighbour) {
+        let k = self.k;
+        let heap = &mut self.slots[r * k..(r + 1) * k];
+        let fill = self.fill[r] as usize;
+        let greater = |a: &Neighbour, b: &Neighbour| by_distance_then_index(a, b).is_gt();
+        let mut at;
+        if fill < k {
+            at = fill;
+            while at > 0 && greater(&cand, &heap[(at - 1) / 2]) {
+                heap[at] = heap[(at - 1) / 2];
+                at = (at - 1) / 2;
+            }
+            self.fill[r] += 1;
+        } else {
+            at = 0;
+            loop {
+                let mut child = 2 * at + 1;
+                if child >= k {
+                    break;
+                }
+                if child + 1 < k && greater(&heap[child + 1], &heap[child]) {
+                    child += 1;
+                }
+                if !greater(&heap[child], &cand) {
+                    break;
+                }
+                heap[at] = heap[child];
+                at = child;
+            }
+        }
+        heap[at] = cand;
+        if fill + 1 >= k {
+            self.bound[r] = heap[0].0;
+        }
+    }
+
+    /// Folds another heap set in: each row keeps the `k` best of both.
+    fn merge(&mut self, other: &Heaps) {
+        let k = self.k;
+        for (r, &fill) in other.fill.iter().enumerate() {
+            for &cand in &other.slots[r * k..r * k + fill as usize] {
+                if (self.fill[r] as usize) < k
+                    || by_distance_then_index(&cand, &self.slots[r * k]).is_lt()
+                {
+                    self.push(r, cand);
+                }
+            }
         }
     }
 }
 
 /// Copies `x` into `W`-row strips, each feature-major: the value of row
 /// `s·W + c`, feature `f` lives at `s·m·W + f·W + c`. The last strip is
-/// padded with zeros (padded lanes are never selected, see
-/// [`TopK::offer`]).
+/// padded with zeros (padded lanes are never offered, see
+/// [`Heaps::offer`]).
 fn pack_strips<const W: usize>(x: &Matrix) -> Vec<f64> {
     let (n, m) = x.shape();
     let mut packed = vec![0.0f64; n.div_ceil(W) * m * W];
@@ -348,19 +475,12 @@ fn pack_strips<const W: usize>(x: &Matrix) -> Vec<f64> {
     packed
 }
 
-/// Shared body of one thread's band: selects the `k` nearest neighbours
-/// of every query row in `rows` (whole [`Q`]-tiles, except at the end of
-/// the matrix) and writes row `i`'s at `out[(i − rows.start)·k ..]`.
+/// Shared body of one thread's band: scores the query rows in `rows`
+/// (whole [`Q`]-tiles, except at the end of the matrix) against every row
+/// after them and offers each pair to both of its rows in `heaps`.
 #[inline(always)]
-fn band_body<const W: usize>(
-    x: &Matrix,
-    packed: &[f64],
-    k: usize,
-    rows: Range<usize>,
-    out: &mut [Neighbour],
-) {
+fn band_body<const W: usize>(x: &Matrix, packed: &[f64], rows: Range<usize>, heaps: &mut Heaps) {
     let (n, m) = x.shape();
-    let mut best: [TopK; Q] = std::array::from_fn(|_| TopK::new(k, n));
     // The tile's query rows, feature-major: `queries[f·Q + q]`.
     let mut queries = vec![0.0f64; m * Q];
     for i0 in rows.clone().step_by(Q) {
@@ -370,83 +490,115 @@ fn band_body<const W: usize>(
                 queries[f * Q + q] = v;
             }
         }
-        best.iter_mut().for_each(TopK::clear);
-        // Tile rows past the end of the band select nothing.
-        for dead in &mut best[live..] {
-            dead.threshold = f64::NEG_INFINITY;
-        }
 
-        for s in 0..n.div_ceil(W) {
-            let strip = &packed[s * m * W..(s + 1) * m * W];
-            // A non-escaping local tile stays in SIMD registers for the
-            // whole feature loop (cf. gemm's micro-kernel).
-            let mut tile = [[0.0f64; W]; Q];
-            for (col, xq) in strip.chunks_exact(W).zip(queries.chunks_exact(Q)) {
-                for (acc, &xqf) in tile.iter_mut().zip(xq.iter()) {
-                    for (a, &xjf) in acc.iter_mut().zip(col.iter()) {
-                        let d = xqf - xjf;
-                        *a += d * d;
-                    }
+        // `Q` divides `W`, so the tile's rows share its first strip.
+        const { assert!(W.is_multiple_of(Q)) };
+        for s in i0 / W..n.div_ceil(W) {
+            let tile = distances::<W>(&packed[s * m * W..(s + 1) * m * W], &queries);
+            // Tile rows past the end of the matrix offer nothing.
+            for (i, dists) in (i0..).zip(&tile[..live]) {
+                if heaps.strip_admits(dists, i, s * W) {
+                    heaps.offer(dists, s * W, i, n);
                 }
             }
-            for (q, dists) in tile.iter().enumerate() {
-                if best[q].admits(dists) {
-                    best[q].offer(dists, s * W, n, i0 + q);
-                }
-            }
-        }
-
-        for (q, top) in best.iter_mut().enumerate().take(live) {
-            top.compact();
-            let at = (i0 + q - rows.start) * k;
-            out[at..at + k].copy_from_slice(&top.buf);
         }
     }
 }
 
-/// Portable instantiation: 4-row strips, baseline code generation.
-fn band_portable(x: &Matrix, packed: &[f64], k: usize, rows: Range<usize>, out: &mut [Neighbour]) {
-    band_body::<4>(x, packed, k, rows, out);
+/// The `Q x W` tile of squared distances between the query rows
+/// (`queries[f·Q + q]`) and one strip. The accumulators are a local that
+/// only escapes once the feature loop is done, so they stay in SIMD
+/// registers for all of it (cf. gemm's micro-kernel).
+#[inline(always)]
+fn distances<const W: usize>(strip: &[f64], queries: &[f64]) -> [[f64; W]; Q] {
+    let mut tile = [[0.0f64; W]; Q];
+    for (col, xq) in strip.chunks_exact(W).zip(queries.chunks_exact(Q)) {
+        for (acc, &xqf) in tile.iter_mut().zip(xq.iter()) {
+            for (a, &xjf) in acc.iter_mut().zip(col.iter()) {
+                let d = xqf - xjf;
+                *a += d * d;
+            }
+        }
+    }
+    tile
 }
 
-/// AVX2 instantiation: 8-row strips (two `ymm` per query row). FMA is
-/// deliberately not enabled: a fused multiply-add would change the bits.
-/// Only called after runtime detection confirms AVX2.
+/// Portable instantiation: 4-row strips, baseline code generation.
+fn band_portable(x: &Matrix, packed: &[f64], rows: Range<usize>, heaps: &mut Heaps) {
+    band_body::<4>(x, packed, rows, heaps);
+}
+
+/// AVX2 instantiation: 8-row strips (two `ymm` per query row). Only called
+/// after runtime detection confirms AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn band_avx2(x: &Matrix, packed: &[f64], k: usize, rows: Range<usize>, out: &mut [Neighbour]) {
-    band_body::<8>(x, packed, k, rows, out);
+fn band_avx2(x: &Matrix, packed: &[f64], rows: Range<usize>, heaps: &mut Heaps) {
+    band_body::<8>(x, packed, rows, heaps);
 }
 
-/// Packs the candidates, splits the query rows into per-thread bands of
-/// whole tiles and runs `band` (one instantiation of [`band_body`]) on
-/// each, filling `out` with row `i`'s neighbours at `[i·k, (i+1)·k)`.
+/// AVX-512F instantiation: 16-row strips (two `zmm` per query row). Only
+/// called after runtime detection confirms AVX-512F.
+///
+/// Neither vector instantiation fuses the multiply and add of a distance:
+/// the body never calls `mul_add`, and Rust never contracts the two, so the
+/// bits are the portable body's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn band_avx512(x: &Matrix, packed: &[f64], rows: Range<usize>, heaps: &mut Heaps) {
+    band_body::<16>(x, packed, rows, heaps);
+}
+
+/// Splits the query rows into at most `threads` bands of whole tiles with
+/// about equal pair counts. A row is scored against the rows after it, so
+/// tile `t` costs about `n − t·Q` and the early bands are the short ones.
+fn bands(n: usize, threads: usize) -> Vec<Range<usize>> {
+    let tiles = n.div_ceil(Q);
+    let cost = |t: usize| (n - t * Q) as f64;
+    let total: f64 = (0..tiles).map(cost).sum();
+    let mut starts = vec![0];
+    let mut done = 0.0;
+    for t in 0..tiles - 1 {
+        done += cost(t);
+        // At most one cut per tile, and none after the last target.
+        if done * threads as f64 >= total * starts.len() as f64 {
+            starts.push((t + 1) * Q);
+        }
+    }
+    starts.push(n);
+    starts.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// Packs the candidates, runs `band` (one instantiation of [`band_body`])
+/// on each band of [`bands`] — the first into the heap set that becomes
+/// the result, every other into a private one — and merges, returning row
+/// `i`'s `k` neighbours at `[i·k, (i+1)·k)`.
 fn search<const W: usize>(
     x: &Matrix,
     k: usize,
     n_threads: usize,
-    out: &mut [Neighbour],
-    band: impl Fn(&[f64], Range<usize>, &mut [Neighbour]) + Sync,
-) {
+    band: impl Fn(&[f64], Range<usize>, &mut Heaps) + Sync,
+) -> Vec<Neighbour> {
     let n = x.rows();
     let packed = pack_strips::<W>(x);
-    let tiles = n.div_ceil(Q);
-    let n_threads = n_threads.clamp(1, tiles);
-    if n_threads == 1 {
-        band(&packed, 0..n, out);
-        return;
+    let padded = n.div_ceil(W) * W;
+    let bands = bands(n, n_threads);
+    let mut sets: Vec<Heaps> = bands.iter().map(|_| Heaps::new(n, k, padded)).collect();
+    if bands.len() == 1 {
+        band(&packed, 0..n, &mut sets[0]);
+    } else {
+        std::thread::scope(|scope| {
+            let (band, packed) = (&band, &packed);
+            for (rows, heaps) in bands.into_iter().zip(sets.iter_mut()) {
+                scope.spawn(move || band(packed, rows, heaps));
+            }
+        });
     }
-    // Bands are disjoint, so each thread gets an exclusive &mut slice of
-    // the result — no locks, and no row's selection is affected by the
-    // split.
-    let band_rows = tiles.div_ceil(n_threads) * Q;
-    std::thread::scope(|scope| {
-        let (band, packed) = (&band, &packed);
-        for (b, out_band) in out.chunks_mut(band_rows * k).enumerate() {
-            let rows = b * band_rows..((b + 1) * band_rows).min(n);
-            scope.spawn(move || band(packed, rows, out_band));
-        }
-    });
+    let mut sets = sets.into_iter();
+    let mut result = sets.next().expect("every search has a band");
+    for other in sets {
+        result.merge(&other);
+    }
+    result.slots
 }
 
 #[cfg(test)]
@@ -477,6 +629,16 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn row_counts_past_32_bit_indices_are_refused() {
+        // 2³² + 2 rows of no columns hold no values: validation is all
+        // that runs. One row fewer would still fit.
+        let x = Matrix::zeros((1 << 32) + 2, 0);
+        let err = KnnGraphBuilder::new(1).build(&x).unwrap_err();
+        assert!(err.to_string().contains("32-bit"), "{err}");
+    }
+
+    #[test]
     fn equidistant_candidates_are_taken_in_index_order() {
         // Rows 1..=4 are copies at distance 1 from row 0; row 5 is the one
         // strictly nearer point. With k = 3, row 0 takes row 5 and then the
@@ -496,23 +658,6 @@ mod tests {
         assert_eq!(from_zero, vec![1, 2, 5]);
         let reference = builder.build_reference(&x).unwrap();
         assert!(g.edges().eq(reference.edges()));
-    }
-
-    #[test]
-    fn overflowing_distances_are_ranked_not_dropped() {
-        // Finite features whose squared differences overflow to +∞: every
-        // row still gets k neighbours, the +∞ ties going by index (their
-        // weight underflows to zero, so they leave no edge).
-        let rows: Vec<Vec<f64>> = (0..11)
-            .map(|i| vec![if i % 2 == 0 { 1e200 } else { -1e200 }, i as f64])
-            .collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        for k in [1, 5, 7, 10] {
-            let builder = KnnGraphBuilder::new(k).with_kernel_width(KernelWidth::Fixed(50.0));
-            let g = builder.build(&x).unwrap();
-            let reference = builder.build_reference(&x).unwrap();
-            assert!(g.edges().eq(reference.edges()));
-        }
     }
 
     #[test]

@@ -189,6 +189,17 @@ fn centred(x: &Matrix) -> Matrix {
     xc
 }
 
+/// `node` as the 32-bit index an edge or block stores: in range for a graph
+/// of `n` nodes, and refused rather than truncated past `u32::MAX`.
+fn node_index(node: usize, n: usize) -> Result<u32> {
+    if node >= n {
+        return Err(GraphError::NodeOutOfRange { node, n });
+    }
+    u32::try_from(node).map_err(|_| {
+        GraphError::InvalidParameter(format!("node {node} does not fit a 32-bit node index"))
+    })
+}
+
 /// Similarity and fairness graphs are non-negative and finite by
 /// construction. NaN compares false with everything, so `weight < 0.0` alone
 /// would let it through; the range test rejects it along with ±∞.
@@ -253,17 +264,12 @@ impl SparseGraph {
     /// Adds an undirected edge `{i, j}` with the given weight to the
     /// residual list.
     ///
-    /// Self-loops and out-of-range nodes are rejected; a weight of exactly
-    /// zero is silently ignored; negative and non-finite weights are
-    /// rejected (similarity and fairness graphs are non-negative and finite
-    /// by construction).
+    /// Self-loops, out-of-range nodes and nodes past the 32-bit index range
+    /// are rejected; a weight of exactly zero is silently ignored; negative
+    /// and non-finite weights are rejected (similarity and fairness graphs
+    /// are non-negative and finite by construction).
     pub fn add_edge(&mut self, i: usize, j: usize, weight: f64) -> Result<()> {
-        if i >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: i, n: self.n });
-        }
-        if j >= self.n {
-            return Err(GraphError::NodeOutOfRange { node: j, n: self.n });
-        }
+        let (a, b) = (node_index(i, self.n)?, node_index(j, self.n)?);
         if i == j {
             return Err(GraphError::SelfLoop { node: i });
         }
@@ -271,7 +277,7 @@ impl SparseGraph {
         if weight == 0.0 {
             return Ok(());
         }
-        self.edges.push(Edge::new(i as u32, j as u32, weight));
+        self.edges.push(Edge::new(a, b, weight));
         Ok(())
     }
 
@@ -301,10 +307,7 @@ impl SparseGraph {
                 continue;
             }
             for &i in part {
-                if i >= self.n {
-                    return Err(GraphError::NodeOutOfRange { node: i, n: self.n });
-                }
-                members.push(i as u32);
+                members.push(node_index(i, self.n)?);
             }
             starts.push(members.len());
         }
@@ -341,9 +344,7 @@ impl SparseGraph {
         }
         let mut taken = vec![false; n];
         for &k in new_index {
-            if k >= n {
-                return Err(GraphError::NodeOutOfRange { node: k, n });
-            }
+            node_index(k, n)?;
             if std::mem::replace(&mut taken[k], true) {
                 return Err(GraphError::InvalidParameter(format!(
                     "node relabelling maps two nodes to {k}"
@@ -437,8 +438,11 @@ impl SparseGraph {
         self.edges.iter().fold(blocks, |total, e| total + e.weight)
     }
 
-    /// Dense adjacency matrix `W`. Only intended for small graphs
-    /// (tests, the synthetic dataset, visualization).
+    /// Dense adjacency matrix `W`, `O(n²)`. Kept only as a test oracle:
+    /// the unit and property tests read single weights off it and build
+    /// [`laplacian_dense`](Self::laplacian_dense) from it. No fit path
+    /// calls it.
+    #[doc(hidden)]
     pub fn adjacency_dense(&self) -> Matrix {
         let mut w = Matrix::zeros(self.n, self.n);
         for e in self.edges() {
@@ -449,8 +453,11 @@ impl SparseGraph {
         w
     }
 
-    /// Dense graph Laplacian of the requested kind. Only intended for small
-    /// graphs; real workloads should use [`SparseGraph::quadratic_form`].
+    /// Dense graph Laplacian of the requested kind, `O(n²)`. Kept only as
+    /// the oracle the tests hold [`SparseGraph::quadratic_form`] to
+    /// (`Xᵀ L X` as two dense products), the role `Matrix::matmul_naive`
+    /// plays for GEMM. No fit path calls it.
+    #[doc(hidden)]
     pub fn laplacian_dense(&self, kind: LaplacianKind) -> Matrix {
         let w = self.adjacency_dense();
         let deg = self.degrees();
@@ -755,6 +762,23 @@ mod tests {
         g.add_edge(2, 0, 2.0).unwrap();
         let only = g.edges().next().unwrap();
         assert_eq!((only.i, only.j), (0, 2));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn nodes_past_32_bit_indices_are_refused_not_wrapped() {
+        // 2³³ nodes cost nothing until a node-indexed vector is built, and
+        // nothing below builds one. Truncated, node 2³² + 1 would be node 1.
+        let mut g = SparseGraph::new(1 << 33);
+        let err = g.add_edge((1 << 32) + 1, 0, 1.0).unwrap_err();
+        assert!(err.to_string().contains("4294967297"), "{err}");
+        assert!(g.add_edge(0, 1 << 32, 1.0).is_err());
+        assert!(g.add_block([vec![0], vec![1 << 32]], 1.0).is_err());
+        assert!(g.is_empty());
+        // The largest index that fits is still accepted.
+        g.add_edge(u32::MAX as usize, 0, 1.0).unwrap();
+        let only = g.edges().next().unwrap();
+        assert_eq!((only.i, only.j), (0, u32::MAX));
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Property-based tests (proptest) pinning the tiled, multi-threaded k-NN
-//! kernel to the retained brute-force reference — bitwise — and to the
-//! determinism contract every reproducible fit depends on.
+//! Property-based tests (proptest) pinning the pair-once, multi-threaded
+//! k-NN kernel to the retained brute-force reference — bitwise, for every
+//! thread count and instruction set — and to the determinism contract every
+//! reproducible fit depends on.
 
-use pfr::graph::knn::KernelWidth;
+use pfr::graph::knn::{Isa, KernelWidth};
 use pfr::graph::{KnnGraphBuilder, SparseGraph};
 use pfr::linalg::gemm::auto_threads;
 use pfr::linalg::Matrix;
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
+use std::ops::RangeInclusive;
+use std::sync::Once;
 
 /// The whole graph as comparable bits.
 fn edge_bits(graph: &SparseGraph) -> Vec<(u32, u32, u64)> {
@@ -17,13 +20,13 @@ fn edge_bits(graph: &SparseGraph) -> Vec<(u32, u32, u64)> {
         .collect()
 }
 
-/// Strategy: a data matrix with `n ∈ 2..=300` rows (mostly not a multiple
-/// of any tile size) and `m ∈ 1..=40` features, plus a `k ∈ 1..=n − 1`.
-/// With `ties`, the values sit on a coarse lattice and up to `n / 2` rows
-/// are overwritten with copies of other rows, so equal distances — between
+/// Strategy: a data matrix with `rows` rows (mostly not a multiple of any
+/// tile size) and `m ∈ 1..=40` features, plus a `k ∈ 1..=n − 1`. With
+/// `ties`, the values sit on a coarse lattice and up to `n / 2` rows are
+/// overwritten with copies of other rows, so equal distances — between
 /// copies and between distinct rows — are everywhere.
-fn case(ties: bool) -> impl Strategy<Value = (Matrix, usize)> {
-    (2usize..=300, 1usize..=40).prop_flat_map(move |(n, m)| {
+fn case(rows: RangeInclusive<usize>, ties: bool) -> impl Strategy<Value = (Matrix, usize)> {
+    (rows, 1usize..=40).prop_flat_map(move |(n, m)| {
         let copies = if ties { 1..=n / 2 } else { 0..=0 };
         (
             proptest::collection::vec(-4.0..4.0_f64, n * m),
@@ -55,6 +58,17 @@ fn threads(count: usize) -> Option<NonZeroUsize> {
     Some(NonZeroUsize::new(count).expect("thread counts are positive"))
 }
 
+/// The instruction sets this CPU runs, announced once per test binary.
+fn available_isas() -> Vec<Isa> {
+    static ANNOUNCE: Once = Once::new();
+    let isas: Vec<Isa> = Isa::ALL
+        .into_iter()
+        .filter(|isa| isa.is_available())
+        .collect();
+    ANNOUNCE.call_once(|| println!("k-NN instruction sets compared: {isas:?}"));
+    isas
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -63,7 +77,7 @@ proptest! {
     /// weights — under both kernel widths; with ties everywhere, both break
     /// them the same way, by row index.
     #[test]
-    fn kernel_matches_reference_bitwise(pair in case(true), smooth in case(false)) {
+    fn kernel_matches_reference_bitwise(pair in case(2..=300, true), smooth in case(2..=300, false)) {
         for (x, k) in [pair, smooth] {
             for builder in builders(k) {
                 let got = builder.build(&x).unwrap();
@@ -74,17 +88,20 @@ proptest! {
     }
 
     /// Thread count never changes a bit of the graph, ties or not: the
-    /// band split decides who selects a row's neighbours, not which.
+    /// band split decides which heap set a pair is offered to, and the
+    /// merge keeps the same `k` best. The lattice cases have at least 28
+    /// rows (seven tiles), so every count above one splits them into two or
+    /// more bands and takes the merge path.
     #[test]
-    fn thread_count_is_bitwise_irrelevant(pair in case(true), smooth in case(false)) {
+    fn thread_count_is_bitwise_irrelevant(pair in case(28..=300, true), smooth in case(2..=300, false)) {
         for (x, k) in [pair, smooth] {
             let builder = KnnGraphBuilder::new(k);
-            let reference = edge_bits(&builder.build_forced(&x, threads(1), false).unwrap());
-            for count in [2usize, 3, 7] {
-                let got = builder.build_forced(&x, threads(count), false).unwrap();
+            let want = edge_bits(&builder.build_reference(&x).unwrap());
+            for count in [1usize, 2, 3, 7] {
+                let got = builder.build_forced(&x, threads(count), Isa::detect()).unwrap();
                 prop_assert_eq!(
                     &edge_bits(&got),
-                    &reference,
+                    &want,
                     "threads={} changed the graph of a {:?} matrix, k={}",
                     count,
                     x.shape(),
@@ -94,15 +111,28 @@ proptest! {
         }
     }
 
-    /// The portable instantiation and the runtime-detected one (AVX2 where
-    /// the CPU has it; the portable one again elsewhere) agree bitwise.
+    /// The portable, AVX2 and AVX-512F instantiations (each where the CPU
+    /// has it; the list is printed) all reproduce the reference bitwise,
+    /// on one thread and through the merge.
     #[test]
-    fn instruction_set_is_bitwise_irrelevant(pair in case(true), smooth in case(false)) {
+    fn instruction_set_is_bitwise_irrelevant(pair in case(2..=300, true), smooth in case(2..=300, false)) {
         for (x, k) in [pair, smooth] {
             let builder = KnnGraphBuilder::new(k);
-            let portable = builder.build_forced(&x, threads(2), true).unwrap();
-            let detected = builder.build_forced(&x, threads(2), false).unwrap();
-            prop_assert_eq!(edge_bits(&portable), edge_bits(&detected), "{:?}, k={}", x.shape(), k);
+            let want = edge_bits(&builder.build_reference(&x).unwrap());
+            for isa in available_isas() {
+                for count in [1usize, 3] {
+                    let got = builder.build_forced(&x, threads(count), isa).unwrap();
+                    prop_assert_eq!(
+                        &edge_bits(&got),
+                        &want,
+                        "{:?} on {} threads, {:?}, k={}",
+                        isa,
+                        count,
+                        x.shape(),
+                        k
+                    );
+                }
+            }
         }
     }
 }
@@ -151,7 +181,80 @@ fn identical_rows_select_by_index_on_every_thread_count() {
     want.dedup();
     assert_eq!(edge_bits(&builder.build_reference(&x).unwrap()), want);
     for count in [1usize, 2, 3, 7] {
-        let got = builder.build_forced(&x, threads(count), false).unwrap();
+        let got = builder
+            .build_forced(&x, threads(count), Isa::detect())
+            .unwrap();
         assert_eq!(edge_bits(&got), want, "threads={count}");
+    }
+}
+
+#[test]
+fn a_tie_at_the_kth_distance_across_two_bands_goes_to_the_smaller_index() {
+    // One feature. Row 199 sits at 0 with row 120 at 0.5 and, tied at
+    // distance 1, row 3 (at −1, in the first band for every thread count
+    // here) and row 150 (at +1, in a later band). With k = 2, row 199 takes
+    // 120 and then 3: its first band's heap set holds row 3, a later one
+    // row 150, and the merge must break the tie by index. Rows 151 and 152
+    // keep row 150 from choosing row 199 itself; every other row is far
+    // away on a spaced line.
+    let n = 200;
+    let mut values: Vec<f64> = (0..n).map(|i| 100.0 + 3.0 * i as f64).collect();
+    for (row, at) in [
+        (3, -1.0),
+        (120, 0.5),
+        (150, 1.0),
+        (151, 1.1),
+        (152, 1.2),
+        (199, 0.0),
+    ] {
+        values[row] = at;
+    }
+    let x = Matrix::from_vec(n, 1, values).unwrap();
+    let builder = KnnGraphBuilder::new(2).with_kernel_width(KernelWidth::Fixed(2.0));
+    let want = edge_bits(&builder.build_reference(&x).unwrap());
+    let pairs: Vec<(u32, u32)> = want.iter().map(|&(i, j, _)| (i, j)).collect();
+    assert!(pairs.contains(&(3, 199)) && pairs.contains(&(120, 199)));
+    assert!(
+        !pairs.contains(&(150, 199)),
+        "the tie went to the larger index"
+    );
+    for isa in available_isas() {
+        for count in [1usize, 2, 3, 7] {
+            let got = builder.build_forced(&x, threads(count), isa).unwrap();
+            assert_eq!(edge_bits(&got), want, "{isa:?}, threads={count}");
+        }
+    }
+}
+
+#[test]
+fn overflowing_distances_are_ranked_not_dropped() {
+    // Finite features whose squared differences overflow to +∞: a row that
+    // holds fewer than k still admits a +∞ candidate, so every row gets k
+    // neighbours, the +∞ ties going by index (their weight underflows to
+    // zero, so they leave no edge). 11 and 41 rows are 3 and 11 tiles, so
+    // three threads take three bands.
+    for n in [11, 41] {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| vec![if i % 2 == 0 { 1e200 } else { -1e200 }, i as f64])
+            .collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        for k in [1, 5, 7, 10, n / 2, n - 1] {
+            let builder = KnnGraphBuilder::new(k).with_kernel_width(KernelWidth::Fixed(50.0));
+            let want = edge_bits(&builder.build_reference(&x).unwrap());
+            for isa in available_isas() {
+                for count in [1usize, 2, 3] {
+                    let got = builder.build_forced(&x, threads(count), isa).unwrap();
+                    assert_eq!(edge_bits(&got), want, "n={n}, k={k}, {isa:?} on {count}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn an_instruction_set_the_cpu_lacks_is_refused() {
+    let x = Matrix::filled(8, 2, 1.0);
+    for isa in Isa::ALL.into_iter().filter(|isa| !isa.is_available()) {
+        assert!(KnnGraphBuilder::new(2).build_forced(&x, None, isa).is_err());
     }
 }
