@@ -4,15 +4,14 @@
 //! spawned per request**, which is what lets a routing tier scatter to its
 //! whole replica set without paying a thread per backend per request.
 //!
-//! Every entry point funnels into one frame-based core: a submission is raw
+//! There is one submission core, [`ClientDriver::submit_frame`]: raw
 //! request bytes (newline-joined lines, or a header line plus counted
-//! payload) plus the number of response lines that resolve it. The core
-//! returns a [`Ticket`] the caller may poll ([`Ticket::try_take`]), block on
-//! ([`Ticket::wait`] / [`Ticket::wait_deadline`]), or skip entirely by
-//! submitting against a shared [`CompletionQueue`]
-//! ([`ClientDriver::submit_frame_queued`]) and draining completions in
-//! whatever order they land — the shape that lets **one caller thread keep
-//! thousands of operations in flight**.
+//! payload), the number of response lines that resolve them, and the
+//! [`CompletionQueue`] plus tag the one result lands on. A [`Ticket`] is a
+//! one-entry queue the caller polls ([`Ticket::try_take`]) or blocks on
+//! ([`Ticket::wait`], with or without a deadline); a queue shared by many
+//! submissions drains them in whatever order they land — the shape that
+//! lets **one caller thread keep thousands of operations in flight**.
 //!
 //! Operations to the same address are **pipelined**: up to
 //! [`ClientConfig::max_pipeline`] submissions share one connection
@@ -40,7 +39,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -83,46 +82,42 @@ fn reactor_gone() -> io::Error {
     io::Error::new(io::ErrorKind::NotConnected, "client reactor is gone")
 }
 
-/// A handle to one in-flight submission. Poll it ([`Ticket::try_take`]),
-/// block on it ([`Ticket::wait`]), or block with a deadline
-/// ([`Ticket::wait_deadline`], which hands the ticket back on timeout so
-/// the caller can keep waiting).
-#[derive(Debug)]
-pub struct Ticket(Receiver<BurstResult>);
+/// A handle to one in-flight submission: a [`CompletionQueue`] that
+/// receives exactly one completion. Submit against [`Ticket::queue`],
+/// then poll it ([`Ticket::try_take`]) or block on it ([`Ticket::wait`],
+/// with or without a deadline).
+#[derive(Debug, Default)]
+pub struct Ticket(CompletionQueue);
 
 impl Ticket {
+    /// A ticket nothing has been submitted against yet.
+    pub fn new() -> Ticket {
+        Ticket::default()
+    }
+
+    /// The queue the one completion lands on (under any tag).
+    pub fn queue(&self) -> &CompletionQueue {
+        &self.0
+    }
+
     /// Non-blocking poll: `Some(result)` once the operation resolved,
     /// `None` while it is still in flight.
     pub fn try_take(&mut self) -> Option<BurstResult> {
-        match self.0.try_recv() {
-            Ok(result) => Some(result),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(reactor_gone())),
-        }
+        self.0.try_pop().map(|(_, result)| result)
     }
 
-    /// Blocks until the operation resolves.
-    pub fn wait(self) -> BurstResult {
-        self.0.recv().map_err(|_| reactor_gone())?
-    }
-
-    /// Blocks until the operation resolves or `deadline` passes; on
-    /// timeout the ticket is returned so the caller can keep waiting or
-    /// polling.
-    pub fn wait_deadline(self, deadline: Instant) -> Result<BurstResult, Ticket> {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        match self.0.recv_timeout(timeout) {
-            Ok(result) => Ok(result),
-            Err(RecvTimeoutError::Timeout) => Err(self),
-            Err(RecvTimeoutError::Disconnected) => Ok(Err(reactor_gone())),
-        }
+    /// Blocks until the operation resolves or `deadline` passes (`None`:
+    /// no deadline). `None` only on timeout; the ticket stays valid, so the
+    /// caller can keep waiting or polling.
+    pub fn wait(&mut self, deadline: Option<Instant>) -> Option<BurstResult> {
+        self.0.pop(deadline).map(|(_, result)| result)
     }
 }
 
 /// A completion queue shared by many in-flight submissions: each
-/// [`ClientDriver::submit_frame_queued`] call names a caller-chosen `tag`,
-/// and results land here **in completion order**, not submission order.
-/// One caller thread submits thousands of operations against one queue and
+/// [`ClientDriver::submit_frame`] call names a caller-chosen `tag`, and
+/// results land here **in completion order**, not submission order. One
+/// caller thread submits thousands of operations against one queue and
 /// drains `(tag, result)` pairs as they arrive — no per-operation channel,
 /// no per-operation park/unpark.
 ///
@@ -164,40 +159,24 @@ impl CompletionQueue {
             .pop_front()
     }
 
-    /// Blocks until a completion is available. Callers are expected to
-    /// track how many submissions are outstanding and not over-pop.
-    pub fn pop(&self) -> (u64, BurstResult) {
-        let mut ready = self.inner.ready.lock().expect("queue lock never poisons");
-        loop {
-            if let Some(item) = ready.pop_front() {
-                return item;
-            }
-            ready = self
-                .inner
-                .available
-                .wait(ready)
-                .expect("queue lock never poisons");
-        }
-    }
-
-    /// Blocks up to `timeout` for a completion.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<(u64, BurstResult)> {
-        let deadline = Instant::now() + timeout;
+    /// Blocks for the oldest completion until `deadline` passes (`None`:
+    /// no deadline); `None` only on timeout. Callers are expected to track
+    /// how many submissions are outstanding and not over-pop.
+    pub fn pop(&self, deadline: Option<Instant>) -> Option<(u64, BurstResult)> {
         let mut ready = self.inner.ready.lock().expect("queue lock never poisons");
         loop {
             if let Some(item) = ready.pop_front() {
                 return Some(item);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (guard, _) = self
-                .inner
-                .available
-                .wait_timeout(ready, remaining)
-                .expect("queue lock never poisons");
-            ready = guard;
+            let available = &self.inner.available;
+            ready = match deadline {
+                None => available.wait(ready).expect("queue lock never poisons"),
+                Some(deadline) => {
+                    let timeout = deadline.checked_duration_since(Instant::now())?;
+                    let waited = available.wait_timeout(ready, timeout);
+                    waited.expect("queue lock never poisons").0
+                }
+            };
         }
     }
 
@@ -216,25 +195,6 @@ impl CompletionQueue {
     }
 }
 
-/// Where a resolved operation reports: a dedicated channel (ticket-shaped
-/// submissions) or a shared completion queue under a caller-chosen tag.
-enum ReplySlot {
-    Channel(Sender<BurstResult>),
-    Queue { queue: CompletionQueue, tag: u64 },
-}
-
-impl ReplySlot {
-    fn send(self, result: BurstResult) {
-        match self {
-            // A dropped receiver just means the caller stopped waiting.
-            ReplySlot::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplySlot::Queue { queue, tag } => queue.push(tag, result),
-        }
-    }
-}
-
 enum Op {
     Burst {
         addr: SocketAddr,
@@ -243,7 +203,9 @@ enum Op {
         bytes: Vec<u8>,
         /// Response lines to collect before the operation resolves.
         expect: usize,
-        reply: ReplySlot,
+        /// Where the one result lands, and under which tag.
+        queue: CompletionQueue,
+        tag: u64,
     },
     /// Close every idle connection to `addr` (e.g. after its backend was
     /// ejected, so re-admission starts from fresh sockets).
@@ -285,74 +247,35 @@ impl ClientDriver {
         &self.loop_stats
     }
 
-    /// Submits a burst of request lines to `addr`; the ticket resolves with
-    /// the same number of response lines (or the operation's error).
-    /// Submitting is non-blocking — fan-out submits all replicas first,
-    /// then collects.
-    pub fn submit<S: AsRef<str>>(&self, addr: SocketAddr, lines: &[S]) -> io::Result<Ticket> {
-        let mut bytes = Vec::new();
-        for line in lines {
-            bytes.extend_from_slice(line.as_ref().as_bytes());
-            bytes.push(b'\n');
-        }
-        self.submit_frame(addr, bytes, lines.len())
-    }
-
-    /// Submits a pre-framed request — raw bytes that may carry a counted
-    /// payload after a header line (the `PUSH` verb) — expecting `expect`
-    /// response lines. This is **the** submission core: every other entry
-    /// point ([`ClientDriver::submit`] and the queued variant) reduces
-    /// to it.
+    /// Submits a pre-framed request — raw bytes: newline-joined lines, or
+    /// a header line plus counted payload (the `PUSH` verb) — expecting
+    /// `expect` response lines. This is **the** submission core. It never
+    /// blocks, and its one result lands on `queue` under `tag`: a
+    /// [`Ticket`]'s queue for one operation, or a queue shared by
+    /// thousands. A driver whose reactor is gone lands `NotConnected`.
     pub fn submit_frame(
-        &self,
-        addr: SocketAddr,
-        bytes: Vec<u8>,
-        expect: usize,
-    ) -> io::Result<Ticket> {
-        let (reply, rx) = mpsc::channel();
-        self.enqueue(addr, bytes, expect, ReplySlot::Channel(reply))?;
-        Ok(Ticket(rx))
-    }
-
-    /// Submits a pre-framed request whose result lands on `queue` under
-    /// `tag` instead of a per-operation ticket — the entry point for one
-    /// caller thread driving thousands of in-flight operations.
-    pub fn submit_frame_queued(
         &self,
         addr: SocketAddr,
         bytes: Vec<u8>,
         expect: usize,
         queue: &CompletionQueue,
         tag: u64,
-    ) -> io::Result<()> {
-        self.enqueue(
+    ) {
+        let op = Op::Burst {
             addr,
             bytes,
             expect,
-            ReplySlot::Queue {
-                queue: queue.clone(),
-                tag,
-            },
-        )
-    }
-
-    fn enqueue(
-        &self,
-        addr: SocketAddr,
-        bytes: Vec<u8>,
-        expect: usize,
-        reply: ReplySlot,
-    ) -> io::Result<()> {
-        self.ops
-            .send(Op::Burst {
-                addr,
-                bytes,
-                expect,
-                reply,
-            })
-            .map_err(|_| reactor_gone())?;
-        self.waker.wake()?;
-        Ok(())
+            queue: queue.clone(),
+            tag,
+        };
+        if self.ops.send(op).is_err() {
+            queue.push(tag, Err(reactor_gone()));
+            return;
+        }
+        // The op is queued either way: a failed wake leaves it for the
+        // next one, and landing an error as well would complete the tag
+        // twice.
+        let _ = self.waker.wake();
     }
 
     /// Closes every idle pooled connection to `addr`.
@@ -381,7 +304,8 @@ const WAKER_TOKEN: u64 = 0;
 struct Job {
     expect: usize,
     got: Vec<String>,
-    reply: ReplySlot,
+    queue: CompletionQueue,
+    tag: u64,
 }
 
 enum Phase {
@@ -478,10 +402,13 @@ impl Reactor {
         // Fail whatever is still in flight so no caller blocks forever.
         for (_, mut conn) in self.conns.drain() {
             for job in conn.jobs.drain(..) {
-                job.reply.send(Err(io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    "client reactor stopped",
-                )));
+                job.queue.push(
+                    job.tag,
+                    Err(io::Error::new(
+                        io::ErrorKind::NotConnected,
+                        "client reactor stopped",
+                    )),
+                );
             }
         }
     }
@@ -495,8 +422,18 @@ impl Reactor {
                     addr,
                     bytes,
                     expect,
-                    reply,
-                }) => self.start_burst(addr, bytes, expect, reply),
+                    queue,
+                    tag,
+                }) => self.start_burst(
+                    addr,
+                    bytes,
+                    Job {
+                        expect,
+                        got: Vec::with_capacity(expect),
+                        queue,
+                        tag,
+                    },
+                ),
                 Ok(Op::Drain(addr)) => {
                     for token in self.idle.remove(&addr).unwrap_or_default() {
                         self.close(token);
@@ -508,26 +445,22 @@ impl Reactor {
         }
     }
 
-    fn start_burst(&mut self, addr: SocketAddr, bytes: Vec<u8>, expect: usize, reply: ReplySlot) {
-        if expect == 0 {
-            reply.send(Ok(Vec::new()));
+    fn start_burst(&mut self, addr: SocketAddr, bytes: Vec<u8>, job: Job) {
+        if job.expect == 0 {
+            job.queue.push(job.tag, Ok(Vec::new()));
             return;
         }
         let token = match self.pick_conn(addr) {
             Ok(token) => token,
             Err(e) => {
-                reply.send(Err(e));
+                job.queue.push(job.tag, Err(e));
                 return;
             }
         };
         let conn = self.conns.get_mut(&token).expect("picked conn exists");
         conn.line.enqueue_bytes(&bytes);
         let was_empty = conn.jobs.is_empty();
-        conn.jobs.push_back(Job {
-            expect,
-            got: Vec::with_capacity(expect),
-            reply,
-        });
+        conn.jobs.push_back(job);
         if was_empty {
             let deadline = match conn.phase {
                 // The io deadline starts after the handshake resolves; until
@@ -687,7 +620,7 @@ impl Reactor {
                 break;
             }
             let finished = conn.jobs.pop_front().expect("front job exists");
-            finished.reply.send(Ok(finished.got));
+            finished.queue.push(finished.tag, Ok(finished.got));
             completed = true;
             // The deadline follows the head of the pipeline: re-arm a
             // fresh io budget for the next job, or disarm when drained.
@@ -742,7 +675,7 @@ impl Reactor {
                 let e = first
                     .take()
                     .unwrap_or_else(|| io::Error::new(kind, msg.clone()));
-                job.reply.send(Err(e));
+                job.queue.push(job.tag, Err(e));
             }
         }
         self.close(token);
@@ -791,8 +724,22 @@ mod tests {
         addr
     }
 
+    /// Frames `lines` newline-terminated into one submission on a ticket.
+    fn submit(driver: &ClientDriver, addr: SocketAddr, lines: &[&str]) -> Ticket {
+        let ticket = Ticket::new();
+        let bytes = lines.iter().flat_map(|l| [l.as_bytes(), b"\n"]).flatten();
+        driver.submit_frame(
+            addr,
+            bytes.copied().collect(),
+            lines.len(),
+            ticket.queue(),
+            0,
+        );
+        ticket
+    }
+
     fn wait_all(driver: &ClientDriver, addr: SocketAddr, lines: &[&str]) -> BurstResult {
-        driver.submit(addr, lines)?.wait()
+        submit(driver, addr, lines).wait(None).expect("no deadline")
     }
 
     #[test]
@@ -816,10 +763,13 @@ mod tests {
         let addr_b = echo_server();
         let driver = ClientDriver::spawn(ClientConfig::default()).unwrap();
         // Submit first, collect second — the scatter-gather shape.
-        let ticket_a = driver.submit(addr_a, &["PING", "PING"]).unwrap();
-        let ticket_b = driver.submit(addr_b, &["PING"]).unwrap();
-        assert_eq!(ticket_a.wait().unwrap(), vec!["PONG 1", "PONG 2"]);
-        assert_eq!(ticket_b.wait().unwrap(), vec!["PONG 1"]);
+        let mut ticket_a = submit(&driver, addr_a, &["PING", "PING"]);
+        let mut ticket_b = submit(&driver, addr_b, &["PING"]);
+        assert_eq!(
+            ticket_a.wait(None).unwrap().unwrap(),
+            vec!["PONG 1", "PONG 2"]
+        );
+        assert_eq!(ticket_b.wait(None).unwrap().unwrap(), vec!["PONG 1"]);
     }
 
     #[test]
@@ -827,16 +777,14 @@ mod tests {
         let addr = echo_server();
         let driver = ClientDriver::spawn(ClientConfig::default()).unwrap();
         // A pre-framed burst: two lines as one byte blob, two responses.
-        let replies = driver
-            .submit_frame(addr, b"PING\nPING\n".to_vec(), 2)
-            .unwrap()
-            .wait()
-            .unwrap();
+        let mut ticket = Ticket::new();
+        driver.submit_frame(addr, b"PING\nPING\n".to_vec(), 2, ticket.queue(), 0);
+        let replies = ticket.wait(None).unwrap().unwrap();
         assert_eq!(replies, vec!["PONG 1", "PONG 2"]);
     }
 
     #[test]
-    fn ticket_try_take_polls_and_wait_deadline_returns_the_ticket_on_timeout() {
+    fn ticket_try_take_polls_and_a_deadline_wait_keeps_the_ticket_on_timeout() {
         // A server that answers only after a delay, so polling observes the
         // in-flight state.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -858,13 +806,13 @@ mod tests {
             }
         });
         let driver = ClientDriver::spawn(ClientConfig::default()).unwrap();
-        let mut ticket = driver.submit(addr, &["PING"]).unwrap();
+        let mut ticket = submit(&driver, addr, &["PING"]);
         assert!(ticket.try_take().is_none(), "response cannot be ready yet");
-        let ticket = match ticket.wait_deadline(Instant::now() + Duration::from_millis(5)) {
-            Err(ticket) => ticket, // timed out as expected, still in flight
-            Ok(result) => panic!("5ms deadline should expire first, got {result:?}"),
-        };
-        assert_eq!(ticket.wait().unwrap(), vec!["LATE"]);
+        if let Some(result) = ticket.wait(Some(Instant::now() + Duration::from_millis(5))) {
+            panic!("5ms deadline should expire first, got {result:?}");
+        }
+        // Timed out as expected and still in flight.
+        assert_eq!(ticket.wait(None).unwrap().unwrap(), vec!["LATE"]);
     }
 
     #[test]
@@ -878,13 +826,11 @@ mod tests {
         let queue = CompletionQueue::new();
         const N: u64 = 3000;
         for tag in 0..N {
-            driver
-                .submit_frame_queued(addr, b"PING\n".to_vec(), 1, &queue, tag)
-                .unwrap();
+            driver.submit_frame(addr, b"PING\n".to_vec(), 1, &queue, tag);
         }
         let mut seen = vec![false; N as usize];
         for _ in 0..N {
-            let (tag, result) = queue.pop();
+            let (tag, result) = queue.pop(None).expect("no deadline");
             assert!(!std::mem::replace(&mut seen[tag as usize], true));
             let lines = result.unwrap();
             assert_eq!(lines.len(), 1);
@@ -905,12 +851,10 @@ mod tests {
         // 256 separate submissions; with max_pipeline=64 they share a
         // handful of connections, observable through the per-connection
         // PONG counters: pipelined jobs see counters far above 1.
-        let tickets: Vec<Ticket> = (0..256)
-            .map(|_| driver.submit(addr, &["PING"]).unwrap())
-            .collect();
+        let tickets: Vec<Ticket> = (0..256).map(|_| submit(&driver, addr, &["PING"])).collect();
         let mut max_counter = 0u32;
-        for ticket in tickets {
-            let lines = ticket.wait().unwrap();
+        for mut ticket in tickets {
+            let lines = ticket.wait(None).unwrap().unwrap();
             let counter: u32 = lines[0]
                 .strip_prefix("PONG ")
                 .expect("echo format")
@@ -1011,12 +955,18 @@ mod tests {
             ..ClientConfig::default()
         })
         .unwrap();
-        let first = driver.submit(addr, &["PING"]).unwrap();
-        let second = driver.submit(addr, &["PING"]).unwrap();
-        let third = driver.submit(addr, &["PING"]).unwrap();
-        assert_eq!(first.wait().unwrap(), vec!["PONG 1"]);
-        assert_eq!(second.wait().unwrap_err().kind(), io::ErrorKind::TimedOut);
-        assert_eq!(third.wait().unwrap_err().kind(), io::ErrorKind::TimedOut);
+        let mut first = submit(&driver, addr, &["PING"]);
+        let mut second = submit(&driver, addr, &["PING"]);
+        let mut third = submit(&driver, addr, &["PING"]);
+        assert_eq!(first.wait(None).unwrap().unwrap(), vec!["PONG 1"]);
+        assert_eq!(
+            second.wait(None).unwrap().unwrap_err().kind(),
+            io::ErrorKind::TimedOut
+        );
+        assert_eq!(
+            third.wait(None).unwrap().unwrap_err().kind(),
+            io::ErrorKind::TimedOut
+        );
     }
 
     #[test]

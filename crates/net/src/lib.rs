@@ -26,11 +26,11 @@
 //!   that ship binary-ish bodies after a header line.
 //! * [`ClientDriver`] — a reactor thread multiplexing outbound
 //!   line-protocol bursts through one frame-based submission core: every
-//!   operation resolves a [`Ticket`] (poll / block / block-with-deadline)
-//!   or lands tagged on a shared [`CompletionQueue`], and operations to
-//!   the same address pipeline onto shared connections — one caller
-//!   thread drives thousands of in-flight requests, spawning zero
-//!   threads.
+//!   operation lands tagged on a [`CompletionQueue`] — a one-entry
+//!   [`Ticket`] to poll or block on, or a queue shared by thousands — and
+//!   operations to the same address pipeline onto shared connections —
+//!   one caller thread drives thousands of in-flight requests, spawning
+//!   zero threads.
 //! * [`LoopStats`] — std-only per-event-loop health counters (time spent
 //!   blocked in `epoll_wait`, events per wakeup, armed wheel depth) that
 //!   the observability tier exposes as gauges.

@@ -10,7 +10,7 @@
 //! backend dying under traffic is ejected after K failed requests even
 //! before the next probe runs.
 
-use pfr_net::{ClientDriver, Ticket};
+use pfr_net::{ClientDriver, CompletionQueue, Ticket};
 use pfr_obs::LatencyHisto;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -220,13 +220,6 @@ impl Backend {
         &self.latency
     }
 
-    /// Records one observed exchange duration. The blocking paths record
-    /// through [`Backend::exchange_burst`]; asynchronous ticket paths call
-    /// this at collection, where the elapsed time is known.
-    pub fn record_latency(&self, elapsed: Duration) {
-        self.latency.record_duration(elapsed);
-    }
-
     /// Drops every idle connection to this backend (idle sockets to a
     /// dead backend are all equally broken). Public so a router can retire
     /// the connections of a backend it just removed from the ring.
@@ -234,77 +227,30 @@ impl Backend {
         self.driver.drain(self.addr);
     }
 
-    /// One transport-level frame submission — the single funnel **every**
-    /// exchange on this backend (bursts, pushes, probes) goes through:
-    /// `bytes` out, `expect` response lines back as a [`Ticket`]. The frame
-    /// rides the shared event loop and the ticket resolves asynchronously.
-    /// Its result **has not** touched the breaker: pass it through
-    /// [`Backend::settle_burst`].
-    pub fn submit_frame(&self, bytes: Vec<u8>, expect: usize) -> std::io::Result<Ticket> {
-        self.driver.submit_frame(self.addr, bytes, expect)
+    /// The one submission core every exchange on this backend goes
+    /// through: `bytes` out, `expect` response lines back, landing exactly
+    /// once on `queue` under `tag` — a failed submission lands its error.
+    /// It never blocks, and its result **has not** touched the breaker:
+    /// pass it through [`Backend::settle`].
+    pub fn submit(&self, bytes: Vec<u8>, expect: usize, queue: &CompletionQueue, tag: u64) {
+        self.driver
+            .submit_frame(self.addr, bytes, expect, queue, tag);
     }
 
-    /// The queued twin of [`Backend::submit_frame`]: the result lands
-    /// tagged on `queue` instead of resolving a ticket. Exactly one
-    /// completion is delivered for `tag` — a submission the driver could
-    /// not even start pushes its error. Breaker bookkeeping still
-    /// happens at collection, via [`Backend::settle_burst`].
-    pub fn submit_frame_queued(
-        &self,
-        bytes: Vec<u8>,
-        expect: usize,
-        queue: &pfr_net::CompletionQueue,
-        tag: u64,
-    ) {
-        if let Err(e) = self
-            .driver
-            .submit_frame_queued(self.addr, bytes, expect, queue, tag)
-        {
-            queue.push(tag, Err(e));
-        }
-    }
-
-    /// One transport-level burst: lines out, the same number of lines back.
-    fn raw_burst<S: AsRef<str>>(&self, lines: &[S]) -> std::io::Result<Vec<String>> {
-        self.submit_burst(lines)?.wait()
-    }
-
-    /// One protocol exchange with breaker bookkeeping: io failures feed the
-    /// breaker and drain the idle connections; success feeds the breaker
-    /// too, which is what re-admits a half-open backend.
+    /// One protocol exchange: `line` out, its response back, the latency
+    /// recorded and the breaker settled.
     pub fn exchange(&self, line: &str) -> std::io::Result<String> {
-        let mut responses = self.exchange_burst(&[line])?;
-        Ok(responses.remove(0))
-    }
-
-    /// A pipelined burst with the same breaker bookkeeping as
-    /// [`Backend::exchange`].
-    pub fn exchange_burst<S: AsRef<str>>(&self, lines: &[S]) -> std::io::Result<Vec<String>> {
-        let started = Instant::now();
-        let outcome = self.raw_burst(lines);
-        self.latency.record_duration(started.elapsed());
-        self.settle_burst(outcome)
+        self.request(format!("{line}\n").into_bytes())
     }
 
     /// Ships a model bundle to this backend over the wire: one `PUSH`
     /// frame (header line + counted payload of bundle text), one response
-    /// line back, with the usual breaker bookkeeping. This is how a router
-    /// places replicas without assuming the backend can read its files.
-    ///
-    /// The frame is validated *before* anything is written: if the server
-    /// rejected the header (whitespace in the name, payload outside the
-    /// protocol bound), the already-written payload bytes would be parsed
-    /// as request lines — desyncing the shared connection so every later
-    /// response on it would answer the wrong request.
-    pub fn push(&self, name: &str, bundle_text: &str) -> std::io::Result<String> {
-        self.push_traced(name, bundle_text, None)
-    }
-
-    /// [`Backend::push`] carrying an explicit trace id on the header line
-    /// (`T=<id>`), so the backend records its `serve/PUSH` span under the
+    /// line back. This is how a router places replicas without assuming
+    /// the backend can read its files. With `trace` set the header carries
+    /// `T=<id>`, so the backend records its `serve/PUSH` span under the
     /// caller's trace — how catalog repair pushes show up nested inside a
     /// `router/REPAIR` span.
-    pub fn push_traced(
+    pub fn push(
         &self,
         name: &str,
         bundle_text: &str,
@@ -316,73 +262,40 @@ impl Backend {
                 format!("'{name}' is not a pushable model name (must be one non-empty token)"),
             ));
         }
-        if bundle_text.is_empty() || bundle_text.len() > pfr_serve::protocol::MAX_PUSH_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "bundle text of {} bytes is outside the PUSH bound 1..={}",
-                    bundle_text.len(),
-                    pfr_serve::protocol::MAX_PUSH_BYTES
-                ),
-            ));
-        }
-        let mut header = format!("PUSH {name} {}", bundle_text.len());
-        if let Some(id) = trace {
-            header.push(' ');
-            header.push_str(&pfr_obs::trace_token(id));
-        }
-        header.push('\n');
-        let mut frame = header.into_bytes();
-        frame.extend_from_slice(bundle_text.as_bytes());
-        let outcome = self.submit_frame(frame, 1)?.wait();
-        let mut responses = self.settle_burst(outcome)?;
-        Ok(responses.remove(0))
+        self.request(counted_frame(&format!("PUSH {name}"), bundle_text, trace)?)
     }
 
     /// Offers a serialized placement catalog to this backend: one `SYNC`
     /// frame (header line + counted payload of catalog text), one response
-    /// line back, with the usual breaker bookkeeping. The backend merges
-    /// highest-version-wins and answers with the version it now holds —
-    /// it never loses a newer catalog to a stale offer.
+    /// line back. The backend merges highest-version-wins and answers with
+    /// the version it now holds — it never loses a newer catalog to a
+    /// stale offer.
     pub fn sync(&self, catalog_text: &str) -> std::io::Result<String> {
-        if catalog_text.is_empty() || catalog_text.len() > pfr_serve::protocol::MAX_PUSH_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "catalog text of {} bytes is outside the SYNC bound 1..={}",
-                    catalog_text.len(),
-                    pfr_serve::protocol::MAX_PUSH_BYTES
-                ),
-            ));
-        }
-        let mut frame = format!("SYNC {}\n", catalog_text.len()).into_bytes();
-        frame.extend_from_slice(catalog_text.as_bytes());
-        let outcome = self.submit_frame(frame, 1)?.wait();
-        let mut responses = self.settle_burst(outcome)?;
-        Ok(responses.remove(0))
+        self.request(counted_frame("SYNC", catalog_text, None)?)
     }
 
-    /// Starts a pipelined burst without blocking the caller: submitting to
-    /// N backends first and collecting the tickets second is the
-    /// thread-free scatter. Framing (newline-joining the lines) happens
-    /// here; the io rides [`Backend::submit_frame`]. The ticket's result
-    /// **has not** touched the breaker yet: pass it through
-    /// [`Backend::settle_burst`] when collecting.
-    pub fn submit_burst<S: AsRef<str>>(&self, lines: &[S]) -> std::io::Result<Ticket> {
-        let mut bytes = Vec::new();
-        for line in lines {
-            bytes.extend_from_slice(line.as_ref().as_bytes());
-            bytes.push(b'\n');
-        }
-        self.submit_frame(bytes, lines.len())
+    /// The one blocking exchange: `frame` out, one response line back, the
+    /// latency recorded and the breaker settled.
+    fn request(&self, frame: Vec<u8>) -> std::io::Result<String> {
+        let started = Instant::now();
+        let outcome = self.round_trip(frame);
+        self.latency.record_duration(started.elapsed());
+        Ok(self.settle(outcome)?.remove(0))
     }
 
-    /// Records a collected burst outcome on the breaker (exactly the
-    /// bookkeeping [`Backend::exchange_burst`] performs inline).
-    pub fn settle_burst(
-        &self,
-        outcome: std::io::Result<Vec<String>>,
-    ) -> std::io::Result<Vec<String>> {
+    /// `frame` through [`Backend::submit`] on a ticket, waited for.
+    fn round_trip(&self, frame: Vec<u8>) -> std::io::Result<Vec<String>> {
+        let mut ticket = Ticket::new();
+        self.submit(frame, 1, ticket.queue(), 0);
+        ticket
+            .wait(None)
+            .expect("a wait without a deadline resolves")
+    }
+
+    /// Records a collected outcome on the breaker: io failures feed it and
+    /// drain the idle connections; success feeds it too, which is what
+    /// re-admits a half-open backend.
+    pub fn settle(&self, outcome: std::io::Result<Vec<String>>) -> std::io::Result<Vec<String>> {
         match outcome {
             Ok(responses) => {
                 self.breaker.record_success();
@@ -403,7 +316,7 @@ impl Backend {
     /// every probe and a hijacked or misbehaving port could never be
     /// ejected.
     pub fn probe(&self, line: &str, expect_prefix: &str) -> bool {
-        match self.raw_burst(&[line]) {
+        match self.round_trip(format!("{line}\n").into_bytes()) {
             Ok(responses)
                 if responses
                     .first()
@@ -416,13 +329,42 @@ impl Backend {
                 self.breaker.record_failure();
                 false
             }
-            Err(_) => {
-                self.breaker.record_failure();
-                self.drain_idle();
+            Err(e) => {
+                let _ = self.settle(Err(e));
                 false
             }
         }
     }
+}
+
+/// A header line with the byte count of the `payload` counted after it
+/// (and `T=<id>` when traced): the `PUSH` and `SYNC` frame.
+///
+/// The frame is validated *before* anything is written: if the server
+/// rejected the header (payload outside the protocol bound), the
+/// already-written payload bytes would be parsed as request lines —
+/// desyncing the shared connection so every later response on it would
+/// answer the wrong request.
+fn counted_frame(head: &str, payload: &str, trace: Option<u64>) -> std::io::Result<Vec<u8>> {
+    let bound = pfr_serve::protocol::MAX_PUSH_BYTES;
+    if payload.is_empty() || payload.len() > bound {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "'{head}' payload of {} bytes is outside the bound 1..={bound}",
+                payload.len()
+            ),
+        ));
+    }
+    let mut header = format!("{head} {}", payload.len());
+    if let Some(id) = trace {
+        header.push(' ');
+        header.push_str(&pfr_obs::trace_token(id));
+    }
+    header.push('\n');
+    let mut frame = header.into_bytes();
+    frame.extend_from_slice(payload.as_bytes());
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -517,7 +459,7 @@ pub(crate) mod tests {
             ("tab\tname", "bundle"),
             ("ok", ""),
         ] {
-            let err = backend.push(name, text).unwrap_err();
+            let err = backend.push(name, text, None).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{name:?}");
         }
         assert_eq!(backend.breaker().ejections(), 0);

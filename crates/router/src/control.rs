@@ -36,7 +36,7 @@
 
 use crate::backend::Backend;
 use crate::ring::HashRing;
-use crate::router::{classify, Membership, Reply, RouterConfig, RouterStats};
+use crate::router::{classify, payload_of, Membership, Reply, RouterConfig, RouterStats};
 use pfr_control::{Catalog, Version};
 use pfr_core::persistence;
 use pfr_obs::{mint_trace_id, ActiveSpan, SpanRing};
@@ -137,16 +137,11 @@ impl ControlPlane {
         let snapshot = self.snapshot();
         let mut best: Option<(Version, Arc<Backend>)> = None;
         for backend in snapshot.backends.values() {
-            let Ok(response) = backend.exchange("CATALOG") else {
+            let Some(payload) = payload_of(backend, "CATALOG") else {
                 continue;
             };
-            let Reply::Payload(payload) = classify(&response) else {
-                continue;
-            };
-            if payload == "none" {
-                continue;
-            }
-            let Ok(version) = Version::parse_summary(payload) else {
+            // `none` (the backend holds no catalog) parses as no version.
+            let Ok(version) = Version::parse_summary(&payload) else {
                 continue;
             };
             if best.as_ref().is_none_or(|(b, _)| version > *b) {
@@ -186,10 +181,7 @@ impl ControlPlane {
             if !backend.breaker().available() {
                 continue;
             }
-            let Ok(response) = backend.exchange("CATALOG") else {
-                continue;
-            };
-            let Reply::Payload(payload) = classify(&response) else {
+            let Some(payload) = payload_of(backend, "CATALOG") else {
                 continue;
             };
             if payload == "none" {
@@ -198,7 +190,7 @@ impl ControlPlane {
                 }
                 continue;
             }
-            let Ok(remote) = Version::parse_summary(payload) else {
+            let Ok(remote) = Version::parse_summary(&payload) else {
                 continue;
             };
             // Re-read the local version each iteration: an adoption
@@ -215,16 +207,11 @@ impl ControlPlane {
     /// Pulls the backend's full catalog and adopts it if it still
     /// supersedes ours. Returns whether an adoption happened.
     fn pull_and_adopt(&self, backend: &Backend) -> bool {
-        let Ok(response) = backend.exchange("CATALOG FULL") else {
+        let Some(payload) = payload_of(backend, "CATALOG FULL") else {
             return false;
         };
-        let Reply::Payload(payload) = classify(&response) else {
-            return false;
-        };
-        if payload == "none" {
-            return false;
-        }
-        let Ok(remote) = Catalog::from_text(&pfr_control::unescape(payload)) else {
+        // `none` (the backend dropped its catalog since) parses as no catalog.
+        let Ok(remote) = Catalog::from_text(&pfr_control::unescape(&payload)) else {
             return false;
         };
         self.adopt(remote)
@@ -322,31 +309,27 @@ impl ControlPlane {
     /// Offers the local catalog to every live member backend (fire and
     /// forget — the sync loop retries whoever missed it).
     pub(crate) fn publish(&self) {
-        let text = {
-            let catalog = self.catalog.lock().expect("catalog lock poisoned");
-            if !catalog.is_initialized() {
-                return;
-            }
-            catalog.to_text()
+        let Some(text) = self.catalog_text() else {
+            return;
         };
         for backend in self.snapshot().backends.values() {
-            if !backend.breaker().available() {
-                continue;
+            if backend.breaker().available() {
+                let _ = backend.sync(&text);
             }
-            let _ = backend.sync(&text);
         }
     }
 
     /// Offers the local catalog to one backend.
     fn offer(&self, backend: &Backend) {
-        let text = {
-            let catalog = self.catalog.lock().expect("catalog lock poisoned");
-            if !catalog.is_initialized() {
-                return;
-            }
-            catalog.to_text()
-        };
-        let _ = backend.sync(&text);
+        if let Some(text) = self.catalog_text() {
+            let _ = backend.sync(&text);
+        }
+    }
+
+    /// The local catalog as `SYNC` text, once it has been initialized.
+    fn catalog_text(&self) -> Option<String> {
+        let catalog = self.catalog.lock().expect("catalog lock poisoned");
+        catalog.is_initialized().then(|| catalog.to_text())
     }
 
     /// The catalog's placements, snapshotted as
@@ -414,7 +397,7 @@ impl ControlPlane {
                     continue;
                 }
                 if self.replica_needs_push(backend, model, expected)
-                    && backend.push(model, text).is_ok()
+                    && backend.push(model, text, None).is_ok()
                 {
                     self.stats.record_repair_push();
                 }
@@ -466,10 +449,7 @@ impl ControlPlane {
             let span =
                 span.get_or_insert_with(|| ActiveSpan::new(mint_trace_id(), "router/REPAIR"));
             span.event("digest-mismatch");
-            if backend
-                .push_traced(model, text, Some(span.trace_id()))
-                .is_ok()
-            {
+            if backend.push(model, text, Some(span.trace_id())).is_ok() {
                 self.stats.record_repair_push();
                 span.event("repair-push");
             }

@@ -14,9 +14,10 @@
 //!   requests route against a single snapshot, so live
 //!   [`Router::add_backend`]/[`Router::remove_backend`] calls swap one
 //!   `Arc` and can never tear an in-flight scatter.
-//! * One shared `pfr-net` reactor client carries every backend's traffic:
-//!   pipelined bursts for sub-batches, zero threads per exchange;
-//!   [`ConnConfig`] holds its deployment timeouts.
+//! * One shared `pfr-net` reactor client carries every backend's traffic
+//!   through one submission core ([`Backend::submit`]) whose result lands
+//!   on a completion queue — zero threads per exchange; [`ConnConfig`]
+//!   holds its deployment timeouts.
 //! * [`CircuitBreaker`] / [`Backend`] — consecutive-failure ejection with
 //!   probation and half-open re-admission; the request path and the
 //!   background [`HealthChecker`] feed the same breaker (the prober reads
@@ -38,16 +39,14 @@
 //!   backend re-admitted by the breaker is digest-checked and repaired
 //!   with traced `PUSH`es — no shared filesystem, no config replay.
 //! * **Single-flight miss coalescing** — concurrent identical cold-key
-//!   misses elect one leader that pays the backend round trip; every
+//!   misses elect one leader that pays the backend round trip; a ticketed
 //!   follower parks on its flight and rides the same answer, so a
 //!   cold-key stampede costs one hop instead of N.
-//! * [`Ticket`] / [`CompletionQueue`] — the asynchronous submission API:
-//!   [`Router::submit_score`]/[`Router::submit_score_batch`] start a
-//!   request and return a typed ticket (poll, block, or block with a
-//!   deadline); a completion queue drains thousands of in-flight scores
-//!   from one caller thread in completion order. Resolution runs the
-//!   identical failover/cache path as the blocking calls, so results are
-//!   bit-for-bit the same.
+//! * [`Ticket`] / [`CompletionQueue`] — the asynchronous submission API.
+//!   Every single score is prepared once (hot cache, frame, single-flight
+//!   claim, replica pick); a ticket or a tagged queue only decides where
+//!   the result lands. Resolution runs the blocking calls' failover and
+//!   cache path, so results are bit-for-bit the same.
 //! * [`LocalCluster`] — an in-process harness booting real servers on
 //!   ephemeral ports (growable at runtime) for tests, benches and demos.
 //!

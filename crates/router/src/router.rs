@@ -53,8 +53,8 @@ use crate::error::RouterError;
 use crate::health::HealthChecker;
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::ticket::{
-    self, CompletionQueue, Flight, FlightGuard, FlightMap, QueuedSubmit, ScoreFinish, SubBurst,
-    SubState, Ticket,
+    BatchPending, CoalescedPending, CompletionQueue, Flight, FlightGuard, FlightMap, FlightRole,
+    ScoreFinish, ScorePending, SubBurst, Ticket,
 };
 use crate::Result;
 use pfr_core::persistence::{self, ModelBundle};
@@ -283,8 +283,7 @@ pub struct Router {
     /// placements + content digests under one epoch-stamped version. The
     /// source of truth for reconciling placements after membership
     /// changes *and* what a restarted router bootstraps from its peers.
-    /// `push` always catalogs; `load` catalogs when the router itself can
-    /// read the path (shared filesystem).
+    /// Every `push` catalogs what it placed.
     catalog: Arc<Mutex<pfr_control::Catalog>>,
     /// The control plane shared with the anti-entropy worker:
     /// bootstrap, sync rounds, adoption, reconcile and repair.
@@ -651,7 +650,7 @@ impl Router {
                 last_error = Some(RouterError::Unavailable(model.to_string()));
                 continue;
             }
-            match backend.push(model, text) {
+            match backend.push(model, text, None) {
                 Ok(response) => match classify(&response) {
                     Reply::Payload(_) => placed += 1,
                     Reply::NotLoaded | Reply::Busy | Reply::Rejected(_) => {
@@ -700,52 +699,87 @@ impl Router {
         self.submit_score_traced(model, features, trace)
     }
 
-    /// The submission core behind [`Router::submit_score`] and
-    /// [`Router::score_traced`]: when `trace` is set, the hot cache is
-    /// bypassed, the wire line carries `T=<id>` (the backend records its
-    /// own span and echoes the token), and a `router/SCORE` span lands in
-    /// the router's ring when the ticket resolves.
+    /// The ticket consumer of [`Router::prepare_score`], behind
+    /// [`Router::submit_score`] and [`Router::score_traced`]: a follower
+    /// parks on its leader's flight, a submission lands on a one-entry
+    /// completion, and a traced request's `router/SCORE` span lands in the
+    /// router's ring when the ticket resolves.
     fn submit_score_traced(
         &self,
         model: &str,
         features: &[f64],
         trace: Option<u64>,
     ) -> Ticket<'_, f64> {
-        self.stats.routed.fetch_add(1, Ordering::Relaxed);
-        let mut span = trace.map(|id| ActiveSpan::new(id, "router/SCORE"));
-        let key = self.hot_key(model, features);
-        if span.is_none() {
-            if let (Some(hot), Some(key)) = (&self.hot, &key) {
-                let cached = hot.lock().expect("hot cache lock poisoned").get(key);
-                if let Some(score) = cached {
-                    self.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ticket::ready(Ok(score));
-                }
-                self.stats.hot_misses.fetch_add(1, Ordering::Relaxed);
+        match self.prepare_score(model, features, trace) {
+            Prepared::Immediate(result) => Ticket::ready(result),
+            Prepared::Follower {
+                flight,
+                mut frame,
+                key,
+            } => {
+                self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
+                // A follower ships nothing: its frame, unframed, is the
+                // line it falls back on if the leader fails.
+                frame.pop();
+                Ticket::pending(CoalescedPending {
+                    router: self,
+                    model: model.to_string(),
+                    line: frame,
+                    key,
+                    flight,
+                })
             }
+            Prepared::Submit(frame, mut finish) => {
+                let net = pfr_net::Ticket::new();
+                finish.backend.submit(frame, 1, net.queue(), 0);
+                if let Some(s) = finish.span.as_mut() {
+                    s.event("submit");
+                }
+                Ticket::pending(ScorePending {
+                    router: self,
+                    net,
+                    finish: Some(finish),
+                })
+            }
+        }
+    }
+
+    /// The one preparation of a single score, shared by the ticket path
+    /// and the completion queue: hot-cache read, frame, single-flight
+    /// claim, post-claim re-check and replica pick. With `trace` set the
+    /// hot cache and the flight map are bypassed — the request must
+    /// demonstrably reach a backend — and the wire line carries `T=<id>`
+    /// (the backend records its own span and echoes the token).
+    pub(crate) fn prepare_score(
+        &self,
+        model: &str,
+        features: &[f64],
+        trace: Option<u64>,
+    ) -> Prepared {
+        self.stats.routed.fetch_add(1, Ordering::Relaxed);
+        let span = trace.map(|id| ActiveSpan::new(id, "router/SCORE"));
+        let key = self.hot_key(model, features);
+        if let (Some(key), None) = (&key, trace) {
+            if let Some(score) = self.hot_hit(key) {
+                return Prepared::Immediate(Ok(score));
+            }
+            self.stats.hot_misses.fetch_add(1, Ordering::Relaxed);
         }
         let mut frame = String::new();
         write_score_request(&mut frame, model, features, trace);
         // Single-flight: the first cold miss of a key becomes the leader
         // and pays the backend round trip; every concurrent identical
-        // miss parks on the leader's flight and rides the same answer —
-        // a 100-way cold-key stampede costs one backend hop. Traced
-        // requests bypass (they must demonstrably reach a backend).
+        // miss follows the leader's flight and rides the same answer — a
+        // 100-way cold-key stampede costs one backend hop.
         let mut flight = None;
-        if let (Some(key), true) = (&key, trace.is_none()) {
-            match self.join_or_lead_flight(key) {
+        if let (Some(claim), None) = (&key, trace) {
+            match FlightRole::claim(&self.flights, claim) {
                 FlightRole::Follower(shared) => {
-                    self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                    // A follower ships nothing: its frame, unframed, is the
-                    // line it falls back on if the leader fails.
-                    frame.pop();
-                    return ticket::coalesced_score(
-                        self,
-                        model.to_string(),
+                    return Prepared::Follower {
+                        flight: shared,
                         frame,
-                        Some(key.clone()),
-                        shared,
-                    );
+                        key,
+                    }
                 }
                 FlightRole::Leader(guard) => {
                     // Double-check the cache after winning leadership: a
@@ -755,81 +789,56 @@ impl Router {
                     // and a claim is only possible after that removal —
                     // so this read cannot miss a published answer, and a
                     // stampede can never pay a second round trip.
-                    if let Some(score) = self.recheck_hot(key) {
-                        self.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
+                    if let Some(score) = self.hot_hit(claim) {
                         guard.complete(Some(score));
-                        return Ticket::ready(Ok(score));
+                        return Prepared::Immediate(Ok(score));
                     }
                     flight = Some(guard);
                 }
             }
         }
+        self.dispatch(model, frame, key, flight, span)
+    }
+
+    /// The replica pick of a prepared score: `Submit` the frame to one
+    /// live replica (round-robin over the replica set), or — no live
+    /// replica — resolve inline along the full preference order (which
+    /// also retries ejected backends as a last resort).
+    pub(crate) fn dispatch(
+        &self,
+        model: &str,
+        frame: String,
+        key: Option<ScoreKey>,
+        flight: Option<FlightGuard>,
+        span: Option<ActiveSpan>,
+    ) -> Prepared {
         let snapshot = self.membership();
         // The one copy of the formatted bytes: the walk-on fallback's line,
         // while the frame itself goes to the net thread.
-        let line = fallback_line(&frame);
-        match self.start_score(&snapshot, model, frame) {
-            Some((backend, net)) => {
-                if let Some(s) = span.as_mut() {
-                    s.event("submit");
-                }
-                ticket::pending_score(
-                    self,
-                    net,
-                    ScoreFinish {
-                        snapshot,
-                        model: model.to_string(),
-                        line,
-                        key,
-                        backend,
-                        started: Instant::now(),
-                        span,
-                        flight,
-                    },
-                )
+        let line = frame.strip_suffix('\n').unwrap_or(&frame).to_owned();
+        let Some(backend) = self.pick_replica(&snapshot, model) else {
+            let result = self.resolve_score(&snapshot, model, &line, key);
+            if let Some(flight) = flight {
+                flight.complete(result.as_ref().ok().copied());
             }
-            // No live replica took the submission: resolve inline along
-            // the full preference order (which also retries ejected
-            // backends as a last resort).
-            None => {
-                let result = self.resolve_score(&snapshot, model, &line, key);
-                if let Some(flight) = flight {
-                    flight.complete(result.as_ref().ok().copied());
-                }
-                if let Some(span) = span {
-                    span.finish(&self.span_ring);
-                }
-                Ticket::ready(result)
+            if let Some(span) = span {
+                span.finish(&self.span_ring);
             }
-        }
-    }
-
-    /// Re-reads the hot cache for `key`: a freshly minted flight leader
-    /// must double-check it, because a previous leader for the same key
-    /// may have completed (cache filled, flight un-registered) between
-    /// this request's cache miss and its leadership claim.
-    fn recheck_hot(&self, key: &ScoreKey) -> Option<f64> {
-        self.hot
-            .as_ref()?
-            .lock()
-            .expect("hot cache lock poisoned")
-            .get(key)
-    }
-
-    /// Joins the key's in-flight score as a follower, or registers a new
-    /// flight and returns its leader guard.
-    fn join_or_lead_flight(&self, key: &ScoreKey) -> FlightRole {
-        let mut flights = self.flights.lock().expect("flight map poisoned");
-        if let Some(flight) = flights.get(key) {
-            return FlightRole::Follower(Arc::clone(flight));
-        }
-        let flight = Arc::new(Flight::new());
-        flights.insert(key.clone(), Arc::clone(&flight));
-        FlightRole::Leader(FlightGuard::new(
-            Arc::clone(&self.flights),
-            key.clone(),
-            flight,
-        ))
+            return Prepared::Immediate(result);
+        };
+        Prepared::Submit(
+            frame.into_bytes(),
+            ScoreFinish {
+                snapshot,
+                model: model.to_string(),
+                line,
+                key,
+                backend,
+                started: Instant::now(),
+                span,
+                flight,
+            },
+        )
     }
 
     /// A tagged completion queue over this router: submit any number of
@@ -838,73 +847,19 @@ impl Router {
         CompletionQueue::new(self)
     }
 
-    /// The queued twin of [`Router::submit_score`]: the burst result lands
-    /// tagged on `queue`; locally resolved outcomes are returned
-    /// immediately for the caller to record.
-    pub(crate) fn submit_score_queued(
-        &self,
-        model: &str,
-        features: &[f64],
-        queue: &pfr_net::CompletionQueue,
-        tag: u64,
-    ) -> QueuedSubmit {
-        self.stats.routed.fetch_add(1, Ordering::Relaxed);
-        let key = self.hot_key(model, features);
-        if let (Some(hot), Some(key)) = (&self.hot, &key) {
-            let cached = hot.lock().expect("hot cache lock poisoned").get(key);
-            if let Some(score) = cached {
-                self.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
-                return QueuedSubmit::Immediate(Ok(score));
-            }
-            self.stats.hot_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut frame = String::new();
-        write_score_request(&mut frame, model, features, None);
-        // Leader-only single-flight: a queued submission registers a
-        // flight so ticketed followers can ride its answer, but never
-        // parks itself — its completion must land on `queue` regardless.
-        let flight = key
-            .as_ref()
-            .and_then(|key| match self.join_or_lead_flight(key) {
-                FlightRole::Leader(guard) => Some(guard),
-                FlightRole::Follower(_) => None,
-            });
-        // Same double-check as the ticketed path: leadership won after a
-        // previous leader published means the answer is already cached.
-        if let (Some(flight), Some(key)) = (&flight, &key) {
-            if let Some(score) = self.recheck_hot(key) {
-                self.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
-                flight.complete(Some(score));
-                return QueuedSubmit::Immediate(Ok(score));
-            }
-        }
-        let snapshot = self.membership();
-        let line = fallback_line(&frame);
-        let Some(backend) = self.pick_replica(&snapshot, model) else {
-            let result = self.resolve_score(&snapshot, model, &line, key);
-            if let Some(flight) = flight {
-                flight.complete(result.as_ref().ok().copied());
-            }
-            return QueuedSubmit::Immediate(result);
-        };
-        backend.submit_frame_queued(frame.into_bytes(), 1, queue, tag);
-        // The queued path stays untraced: tracing targets the ticketed
-        // single-score path, which the demos and tests drive.
-        QueuedSubmit::Pending(ScoreFinish {
-            snapshot,
-            model: model.to_string(),
-            line,
-            key,
-            backend,
-            started: Instant::now(),
-            span: None,
-            flight,
-        })
-    }
-
     /// Picks one live replica of `model` (round-robin), or `None` when
     /// every replica's breaker is open.
     fn pick_replica(&self, snapshot: &Membership, model: &str) -> Option<Arc<Backend>> {
+        let live = self.live_replicas(snapshot, model);
+        let turn = self.next_rr.fetch_add(1, Ordering::Relaxed);
+        snapshot
+            .backend(live[turn.checked_rem(live.len())?])
+            .cloned()
+    }
+
+    /// The ring ids of `model`'s replicas whose breaker admits traffic,
+    /// in preference order.
+    fn live_replicas(&self, snapshot: &Membership, model: &str) -> Vec<usize> {
         let mut live = snapshot
             .ring
             .replicas(model, self.config.replication.max(1));
@@ -913,30 +868,15 @@ impl Router {
                 .backend(id)
                 .is_some_and(|backend| backend.breaker().available())
         });
-        if live.is_empty() {
-            return None;
-        }
-        let index = self.next_rr.fetch_add(1, Ordering::Relaxed) % live.len();
-        snapshot.backend(live[index]).cloned()
+        live
     }
 
-    /// Submits one score frame to a live replica; `None` when no replica
-    /// accepted the submission (all ejected, or the submit itself failed —
-    /// which already fed the breaker).
-    fn start_score(
-        &self,
-        snapshot: &Membership,
-        model: &str,
-        frame: String,
-    ) -> Option<(Arc<Backend>, pfr_net::Ticket)> {
-        let backend = self.pick_replica(snapshot, model)?;
-        match backend.submit_frame(frame.into_bytes(), 1) {
-            Ok(net) => Some((backend, net)),
-            Err(e) => {
-                let _ = backend.settle_burst(Err(e));
-                None
-            }
-        }
+    /// A hot-cache read of `key`, counted when it hits.
+    fn hot_hit(&self, key: &ScoreKey) -> Option<f64> {
+        let hot = self.hot.as_ref()?;
+        let score = hot.lock().expect("hot cache lock poisoned").get(key)?;
+        self.stats.hot_hits.fetch_add(1, Ordering::Relaxed);
+        Some(score)
     }
 
     /// Turns one collected burst outcome into a final score: breaker
@@ -956,20 +896,16 @@ impl Router {
             mut span,
             flight,
         } = finish;
-        backend.record_latency(started.elapsed());
-        let result = match backend.settle_burst(outcome) {
+        backend
+            .latency_histogram()
+            .record_duration(started.elapsed());
+        let result = match backend.settle(outcome) {
             Ok(responses) => match responses.first().map(|r| classify(r)) {
                 Some(Reply::Payload(payload)) => {
                     if let Some(s) = span.as_mut() {
                         s.event("backend-reply");
                     }
-                    parse_score(payload).inspect(|&score| {
-                        if let (Some(hot), Some(key)) = (&self.hot, &key) {
-                            hot.lock()
-                                .expect("hot cache lock poisoned")
-                                .insert(key.clone(), score);
-                        }
-                    })
+                    self.accept(payload, key)
                 }
                 Some(Reply::Rejected(msg)) => Err(RouterError::Backend(msg.to_string())),
                 // Walk on: not a replica, shed, or an empty burst.
@@ -980,6 +916,8 @@ impl Router {
                     self.resolve_score(&snapshot, &model, &line, key)
                 }
             },
+            // An io failure — a submission that never started included —
+            // is a failover on every path.
             Err(_) => {
                 self.stats.failovers.fetch_add(1, Ordering::Relaxed);
                 if let Some(s) = span.as_mut() {
@@ -1012,7 +950,12 @@ impl Router {
         key: Option<ScoreKey>,
     ) -> Result<f64> {
         let response = self.route_line(snapshot, model, line)?;
-        let score = parse_score(&response)?;
+        self.accept(&response, key)
+    }
+
+    /// Parses a `SCORE` payload and fills the hot cache with the score.
+    fn accept(&self, payload: &str, key: Option<ScoreKey>) -> Result<f64> {
+        let score = parse_score(payload)?;
         if let (Some(hot), Some(key)) = (&self.hot, key) {
             hot.lock()
                 .expect("hot cache lock poisoned")
@@ -1068,25 +1011,20 @@ impl Router {
         }
         let lines = ScoreLines::encode(model, miss.iter().map(|&i| rows[i].as_slice()));
         let snapshot = self.membership();
-        let live: Vec<Arc<Backend>> = snapshot
-            .ring
-            .replicas(model, self.config.replication.max(1))
-            .into_iter()
-            .filter_map(|id| snapshot.backend(id))
-            .filter(|backend| backend.breaker().available())
-            .cloned()
-            .collect();
+        let live = self.live_replicas(&snapshot, model);
         if live.len() > 1 {
             self.stats.scatters.fetch_add(1, Ordering::Relaxed);
         }
         // Stripe miss positions over the live replicas and submit every
         // replica's whole sub-batch as one operation on the shared event
         // loop (no burst cap — the reactor reads responses while it writes
-        // requests, so the batch cannot deadlock the socket buffers). The
-        // gather runs when the ticket is resolved; zero threads are
-        // spawned. With no live replica there is nothing to submit, and
-        // every row falls to the gather's per-row retry, which tries the
-        // ejected backends as a last resort.
+        // requests, so the batch cannot deadlock the socket buffers), each
+        // landing on the batch's queue under its index. The gather runs
+        // when the ticket is resolved; zero threads are spawned. With no
+        // live replica there is nothing to submit, and every row falls to
+        // the gather's per-row retry, which tries the ejected backends as
+        // a last resort.
+        let net = pfr_net::CompletionQueue::new();
         let subs: Vec<SubBurst> = live
             .iter()
             .enumerate()
@@ -1095,57 +1033,41 @@ impl Router {
             // network, and settling it would record a phantom breaker
             // success that could re-admit a dead backend.
             .take(lines.len())
-            .map(|(r, backend)| {
+            .map(|(r, id)| {
+                let backend = snapshot.backend(*id).expect("a live replica is a member");
                 let positions: Vec<usize> = (r..lines.len()).step_by(live.len()).collect();
-                let state = match backend.submit_frame(lines.frame_of(&positions), positions.len())
-                {
-                    Ok(net) => SubState::Waiting(net),
-                    // The submit itself failed (reactor gone): settle the
-                    // breaker now; the rows fall to the per-row retry at
-                    // collection.
-                    Err(e) => {
-                        let _ = backend.settle_burst(Err(e));
-                        SubState::Done(Vec::new())
-                    }
-                };
+                backend.submit(lines.frame_of(&positions), positions.len(), &net, r as u64);
                 SubBurst {
                     positions,
                     backend: Arc::clone(backend),
-                    state,
+                    responses: Vec::new(),
                 }
             })
             .collect();
-        ticket::pending_batch(
-            self,
+        Ticket::pending(BatchPending {
+            router: self,
+            net,
+            outstanding: subs.len(),
             snapshot,
-            model.to_string(),
+            model: model.to_string(),
             scores,
             keys,
             miss,
             lines,
             subs,
-        )
+        })
     }
 
     /// The gather half of a batch: applies sub-burst responses, re-routes
     /// every still-unscored row individually along the full preference
     /// order (against the same membership snapshot), fills the hot cache
     /// and assembles the scores in request order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish_batch(
-        &self,
-        snapshot: &Membership,
-        model: &str,
-        mut scores: Vec<Option<f64>>,
-        keys: Vec<Option<ScoreKey>>,
-        miss: Vec<usize>,
-        lines: ScoreLines,
-        gathered: Vec<(Vec<usize>, Vec<String>)>,
-    ) -> Result<Vec<f64>> {
-        for (positions, responses) in gathered {
+    pub(crate) fn finish_batch(&self, batch: &mut BatchPending<'_>) -> Result<Vec<f64>> {
+        let (scores, miss) = (&mut batch.scores, &batch.miss);
+        for sub in &batch.subs {
             // `zip` truncates to the responses actually received; ERR
             // rows and missing tails fall through to the retry below.
-            for (&p, response) in positions.iter().zip(responses.iter()) {
+            for (&p, response) in sub.positions.iter().zip(sub.responses.iter()) {
                 if let Reply::Payload(payload) = classify(response) {
                     if let Ok(score) = parse_score(payload) {
                         scores[miss[p]] = Some(score);
@@ -1159,19 +1081,20 @@ impl Router {
         for (p, &i) in miss.iter().enumerate() {
             if scores[i].is_none() {
                 self.stats.retried_rows.fetch_add(1, Ordering::Relaxed);
-                let response = self.route_line(snapshot, model, lines.line(p))?;
+                let response =
+                    self.route_line(&batch.snapshot, &batch.model, batch.lines.line(p))?;
                 scores[i] = Some(parse_score(&response)?);
             }
         }
         if let Some(hot) = &self.hot {
             let mut hot = hot.lock().expect("hot cache lock poisoned");
-            for &i in &miss {
-                if let (Some(key), Some(score)) = (&keys[i], scores[i]) {
+            for &i in miss {
+                if let (Some(key), Some(score)) = (&batch.keys[i], scores[i]) {
                     hot.insert(key.clone(), score);
                 }
             }
         }
-        Ok(collect_scores(scores))
+        Ok(collect_scores(std::mem::take(scores)))
     }
 
     /// Verifies that every reachable replica of `model` serves the same
@@ -1189,18 +1112,16 @@ impl Router {
             if !backend.breaker().available() {
                 continue;
             }
-            let Ok(response) = backend.exchange(&line) else {
+            let Some(payload) = payload_of(backend, &line) else {
                 continue;
             };
-            if let Reply::Payload(payload) = classify(&response) {
-                let digest = payload
-                    .split_whitespace()
-                    .find_map(|kv| kv.strip_prefix("digest="))
-                    .ok_or_else(|| {
-                        RouterError::Protocol(format!("EPOCH response without digest: {response}"))
-                    })?;
-                digests.push((id, digest.to_string()));
-            }
+            let digest = payload
+                .split_whitespace()
+                .find_map(|kv| kv.strip_prefix("digest="))
+                .ok_or_else(|| {
+                    RouterError::Protocol(format!("EPOCH payload without digest: {payload}"))
+                })?;
+            digests.push((id, digest.to_string()));
         }
         let Some((first_id, first)) = digests.first().cloned() else {
             return Err(RouterError::Unavailable(model.to_string()));
@@ -1273,11 +1194,8 @@ impl Router {
         let mut scraped = 0u64;
         for backend in self.membership().backends() {
             render_backend_metrics(&mut out, &backend);
-            let Ok(response) = backend.exchange("METRICS") else {
-                continue;
-            };
-            if let Reply::Payload(payload) = classify(&response) {
-                merged.merge(&Scrape::parse(&unescape_multiline(payload)));
+            if let Some(payload) = payload_of(&backend, "METRICS") {
+                merged.merge(&Scrape::parse(&unescape_multiline(&payload)));
                 scraped += 1;
             }
         }
@@ -1298,14 +1216,11 @@ impl Router {
         }
         let line = format!("TRACE {id:016x}");
         for backend in self.membership().backends() {
-            let Ok(response) = backend.exchange(&line) else {
-                continue;
-            };
             // Backends that never saw the id answer ERR; skip them.
-            let Reply::Payload(payload) = classify(&response) else {
+            let Some(payload) = payload_of(&backend, &line) else {
                 continue;
             };
-            for span_line in unescape_multiline(payload).lines() {
+            for span_line in unescape_multiline(&payload).lines() {
                 out.push_str("  ");
                 out.push_str(span_line);
                 out.push('\n');
@@ -1391,12 +1306,22 @@ impl Drop for Router {
     }
 }
 
-/// What a request became under single-flight admission.
-enum FlightRole {
-    /// First in: holds the guard, pays the backend round trip.
-    Leader(FlightGuard),
-    /// A leader is already flying this key; park on its flight.
-    Follower(Arc<Flight>),
+/// What [`Router::prepare_score`] made of one score request.
+pub(crate) enum Prepared {
+    /// Answered without a submission: a hot-cache hit, or no live replica
+    /// and an inline walk of the preference order.
+    Immediate(Result<f64>),
+    /// Another request is flying this key: park on `flight`, or — a
+    /// caller that must not park — [`Router::dispatch`] `frame`
+    /// uncoalesced.
+    Follower {
+        flight: Arc<Flight>,
+        frame: String,
+        key: Option<ScoreKey>,
+    },
+    /// Ready to ship: the frame goes to `finish.backend`, and `finish`
+    /// turns the reply into a score.
+    Submit(Vec<u8>, ScoreFinish),
 }
 
 /// Mints a cluster-unique catalog writer id: process id in the high
@@ -1496,6 +1421,15 @@ pub(crate) enum Reply<'a> {
     Rejected(&'a str),
 }
 
+/// The payload of `backend`'s `OK` answer to `line`; `None` on an io
+/// failure or any other answer.
+pub(crate) fn payload_of(backend: &Backend, line: &str) -> Option<String> {
+    match classify(&backend.exchange(line).ok()?) {
+        Reply::Payload(payload) => Some(payload.to_string()),
+        _ => None,
+    }
+}
+
 pub(crate) fn classify(response: &str) -> Reply<'_> {
     // Backends echo a trailing ` T=<id>` token on traced requests; strip
     // it first so every routing path (score parse, digest checks, scatter
@@ -1517,17 +1451,9 @@ pub(crate) fn classify(response: &str) -> Reply<'_> {
     }
 }
 
-/// The request line of a newline-terminated frame, copied: what a score
-/// keeps for its walk-on fallback once the frame is handed to the net
-/// thread.
-fn fallback_line(frame: &str) -> String {
-    frame.strip_suffix('\n').unwrap_or(frame).to_owned()
-}
-
 /// The `SCORE` lines of a batch's cache misses, each formatted once, back
 /// to back and newline-terminated in one buffer. A sub-burst's frame is a
 /// copy of its lines' bytes; a per-row retry reads its line in place.
-#[derive(Default)]
 pub(crate) struct ScoreLines {
     text: String,
     /// `ends[p]` is the end (past the newline) of miss position `p`'s line.

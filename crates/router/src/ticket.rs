@@ -19,7 +19,7 @@
 
 use crate::backend::Backend;
 use crate::error::RouterError;
-use crate::router::{Membership, Router, ScoreLines};
+use crate::router::{Membership, Prepared, Router, ScoreLines};
 use crate::Result;
 use pfr_net::client::BurstResult;
 use pfr_serve::cache::ScoreKey;
@@ -53,7 +53,7 @@ pub(crate) struct ScoreFinish {
 /// One in-flight cold-miss score, shared between its leader (who pays the
 /// backend round trip) and every concurrent identical request parked on
 /// it.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Flight {
     /// `None` while in flight; `Some(Some(score))` once the leader
     /// resolved; `Some(None)` when the leader failed or was abandoned —
@@ -64,13 +64,6 @@ pub(crate) struct Flight {
 }
 
 impl Flight {
-    pub(crate) fn new() -> Flight {
-        Flight {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
     /// First completion wins; later calls (e.g. the guard's drop after an
     /// explicit completion) are no-ops.
     fn complete(&self, score: Option<f64>) {
@@ -81,36 +74,22 @@ impl Flight {
         }
     }
 
-    fn peek(&self) -> Option<Option<f64>> {
-        *self.done.lock().expect("flight lock poisoned")
-    }
-
-    fn wait(&self) -> Option<f64> {
-        let mut done = self.done.lock().expect("flight lock poisoned");
-        loop {
-            if let Some(outcome) = *done {
-                return outcome;
-            }
-            done = self.cv.wait(done).expect("flight lock poisoned");
-        }
-    }
-
-    /// `None` on timeout, `Some(outcome)` once the leader completed.
-    fn wait_deadline(&self, deadline: Instant) -> Option<Option<f64>> {
+    /// Blocks until the leader completed or `deadline` passes (`None`: no
+    /// deadline): `Some(outcome)` once completed, `None` on timeout.
+    fn wait(&self, deadline: Option<Instant>) -> Option<Option<f64>> {
         let mut done = self.done.lock().expect("flight lock poisoned");
         loop {
             if let Some(outcome) = *done {
                 return Some(outcome);
             }
-            let timeout = deadline.checked_duration_since(Instant::now())?;
-            let (guard, result) = self
-                .cv
-                .wait_timeout(done, timeout)
-                .expect("flight lock poisoned");
-            done = guard;
-            if result.timed_out() && done.is_none() {
-                return None;
-            }
+            done = match deadline {
+                None => self.cv.wait(done).expect("flight lock poisoned"),
+                Some(deadline) => {
+                    let timeout = deadline.checked_duration_since(Instant::now())?;
+                    let waited = self.cv.wait_timeout(done, timeout);
+                    waited.expect("flight lock poisoned").0
+                }
+            };
         }
     }
 }
@@ -130,10 +109,6 @@ pub(crate) struct FlightGuard {
 }
 
 impl FlightGuard {
-    pub(crate) fn new(map: FlightMap, key: ScoreKey, flight: Arc<Flight>) -> FlightGuard {
-        FlightGuard { map, key, flight }
-    }
-
     pub(crate) fn complete(&self, score: Option<f64>) {
         self.flight.complete(score);
     }
@@ -154,73 +129,55 @@ impl Drop for FlightGuard {
     }
 }
 
-/// One sub-burst of an in-flight batch: the rows it carries (positions
-/// into the batch's miss list) and where its responses stand.
-pub(crate) struct SubBurst {
-    pub(crate) positions: Vec<usize>,
-    pub(crate) backend: Arc<Backend>,
-    pub(crate) state: SubState,
+/// What a request became under single-flight admission.
+pub(crate) enum FlightRole {
+    /// First in: holds the guard, pays the backend round trip.
+    Leader(FlightGuard),
+    /// A leader is already flying this key; park on its flight.
+    Follower(Arc<Flight>),
 }
 
-pub(crate) enum SubState {
-    /// The burst is riding the reactor; the net ticket resolves it.
-    Waiting(pfr_net::Ticket),
-    /// Settled (breaker fed); a failed burst holds no responses and its
-    /// rows fall through to the per-row retry.
-    Done(Vec<String>),
-}
-
-/// The resolution strategies a pending ticket supports. `&mut self`
-/// because resolution is observed at most once — [`Ticket`] flips itself
-/// to the consumed state after any of these yields a result.
-trait PendingWork<T> {
-    /// Non-blocking: `Some` once the result is available.
-    fn poll(&mut self) -> Option<Result<T>>;
-    /// Blocks until the result is available.
-    fn wait(&mut self) -> Result<T>;
-    /// Blocks until `deadline`; `None` on timeout (the work keeps
-    /// whatever partial progress it made).
-    fn wait_deadline(&mut self, deadline: Instant) -> Option<Result<T>>;
-}
-
-/// A pending single score: one net ticket plus its finish recipe.
-pub(crate) struct ScorePending<'r> {
-    router: &'r Router,
-    net: Option<pfr_net::Ticket>,
-    finish: Option<ScoreFinish>,
-}
-
-impl<'r> ScorePending<'r> {
-    fn resolve(&mut self, outcome: BurstResult) -> Result<f64> {
-        let finish = self
-            .finish
-            .take()
-            .expect("a score pending resolves exactly once");
-        self.router.finish_score(finish, outcome)
+impl FlightRole {
+    /// Joins the key's in-flight score as a follower, or registers a new
+    /// flight in `map` and returns its leader guard.
+    pub(crate) fn claim(map: &FlightMap, key: &ScoreKey) -> FlightRole {
+        let mut flights = map.lock().expect("flight map poisoned");
+        if let Some(flight) = flights.get(key) {
+            return FlightRole::Follower(Arc::clone(flight));
+        }
+        let flight = Arc::new(Flight::default());
+        flights.insert(key.clone(), Arc::clone(&flight));
+        FlightRole::Leader(FlightGuard {
+            map: Arc::clone(map),
+            key: key.clone(),
+            flight,
+        })
     }
+}
+
+/// A pending ticket's one blocking wait. `&mut self` because resolution
+/// is observed at most once — [`Ticket`] flips itself to the consumed
+/// state after it yields a result.
+pub(crate) trait PendingWork<T> {
+    /// Blocks until the result is available or `deadline` passes (`None`:
+    /// no deadline; a deadline already past polls). `None` on timeout —
+    /// the work keeps whatever partial progress it made.
+    fn wait(&mut self, deadline: Option<Instant>) -> Option<Result<T>>;
+}
+
+/// A pending single score: its one-entry completion plus its finish
+/// recipe.
+pub(crate) struct ScorePending<'r> {
+    pub(crate) router: &'r Router,
+    pub(crate) net: pfr_net::Ticket,
+    pub(crate) finish: Option<ScoreFinish>,
 }
 
 impl PendingWork<f64> for ScorePending<'_> {
-    fn poll(&mut self) -> Option<Result<f64>> {
-        let outcome = self.net.as_mut()?.try_take()?;
-        Some(self.resolve(outcome))
-    }
-
-    fn wait(&mut self) -> Result<f64> {
-        let net = self.net.take().expect("a score pending waits exactly once");
-        let outcome = net.wait();
-        self.resolve(outcome)
-    }
-
-    fn wait_deadline(&mut self, deadline: Instant) -> Option<Result<f64>> {
-        let net = self.net.take().expect("a score pending waits exactly once");
-        match net.wait_deadline(deadline) {
-            Ok(outcome) => Some(self.resolve(outcome)),
-            Err(net) => {
-                self.net = Some(net);
-                None
-            }
-        }
+    fn wait(&mut self, deadline: Option<Instant>) -> Option<Result<f64>> {
+        let outcome = self.net.wait(deadline)?;
+        let finish = self.finish.take().expect("a score resolves once");
+        Some(self.router.finish_score(finish, outcome))
     }
 }
 
@@ -230,16 +187,16 @@ impl PendingWork<f64> for ScorePending<'_> {
 /// walk, cache fill) only when the leader failed — a leader's io failure
 /// must not fan out into N failures.
 pub(crate) struct CoalescedPending<'r> {
-    router: &'r Router,
-    model: String,
-    line: String,
-    key: Option<ScoreKey>,
-    flight: Arc<Flight>,
+    pub(crate) router: &'r Router,
+    pub(crate) model: String,
+    pub(crate) line: String,
+    pub(crate) key: Option<ScoreKey>,
+    pub(crate) flight: Arc<Flight>,
 }
 
-impl CoalescedPending<'_> {
-    fn settle(&self, outcome: Option<f64>) -> Result<f64> {
-        match outcome {
+impl PendingWork<f64> for CoalescedPending<'_> {
+    fn wait(&mut self, deadline: Option<Instant>) -> Option<Result<f64>> {
+        Some(match self.flight.wait(deadline)? {
             Some(score) => Ok(score),
             None => self.router.resolve_score(
                 &self.router.membership(),
@@ -247,111 +204,43 @@ impl CoalescedPending<'_> {
                 &self.line,
                 self.key.clone(),
             ),
-        }
+        })
     }
 }
 
-impl PendingWork<f64> for CoalescedPending<'_> {
-    fn poll(&mut self) -> Option<Result<f64>> {
-        let outcome = self.flight.peek()?;
-        Some(self.settle(outcome))
-    }
-
-    fn wait(&mut self) -> Result<f64> {
-        let outcome = self.flight.wait();
-        self.settle(outcome)
-    }
-
-    fn wait_deadline(&mut self, deadline: Instant) -> Option<Result<f64>> {
-        let outcome = self.flight.wait_deadline(deadline)?;
-        Some(self.settle(outcome))
-    }
+/// One sub-burst of an in-flight batch: the rows it carries (positions
+/// into the batch's miss list) and, once settled, their responses — none
+/// for a failed burst, whose rows fall through to the per-row retry.
+pub(crate) struct SubBurst {
+    pub(crate) positions: Vec<usize>,
+    pub(crate) backend: Arc<Backend>,
+    pub(crate) responses: Vec<String>,
 }
 
-/// A pending batch: every sub-burst's net ticket plus the gather/retry
-/// recipe ([`Router::finish_batch`]).
+/// A pending batch: every sub-burst lands on `net` under its index, and
+/// the gather ([`Router::finish_batch`]) runs once all have settled.
 pub(crate) struct BatchPending<'r> {
-    router: &'r Router,
-    snapshot: Arc<Membership>,
-    model: String,
-    scores: Vec<Option<f64>>,
-    keys: Vec<Option<ScoreKey>>,
-    miss: Vec<usize>,
-    lines: ScoreLines,
-    subs: Vec<SubBurst>,
-}
-
-impl<'r> BatchPending<'r> {
-    fn settle(sub: &mut SubBurst, outcome: BurstResult) {
-        let responses = sub.backend.settle_burst(outcome).unwrap_or_default();
-        sub.state = SubState::Done(responses);
-    }
-
-    /// All sub-bursts settled: gather, retry, fill the cache, assemble.
-    fn finish(&mut self) -> Result<Vec<f64>> {
-        let gathered = std::mem::take(&mut self.subs)
-            .into_iter()
-            .map(|sub| match sub.state {
-                SubState::Done(responses) => (sub.positions, responses),
-                SubState::Waiting(_) => unreachable!("finish runs after every sub settled"),
-            })
-            .collect();
-        self.router.finish_batch(
-            &self.snapshot,
-            &self.model,
-            std::mem::take(&mut self.scores),
-            std::mem::take(&mut self.keys),
-            std::mem::take(&mut self.miss),
-            std::mem::take(&mut self.lines),
-            gathered,
-        )
-    }
+    pub(crate) router: &'r Router,
+    pub(crate) net: pfr_net::CompletionQueue,
+    pub(crate) outstanding: usize,
+    pub(crate) snapshot: Arc<Membership>,
+    pub(crate) model: String,
+    pub(crate) scores: Vec<Option<f64>>,
+    pub(crate) keys: Vec<Option<ScoreKey>>,
+    pub(crate) miss: Vec<usize>,
+    pub(crate) lines: ScoreLines,
+    pub(crate) subs: Vec<SubBurst>,
 }
 
 impl PendingWork<Vec<f64>> for BatchPending<'_> {
-    fn poll(&mut self) -> Option<Result<Vec<f64>>> {
-        for sub in &mut self.subs {
-            if let SubState::Waiting(net) = &mut sub.state {
-                let outcome = net.try_take()?;
-                Self::settle(sub, outcome);
-            }
+    fn wait(&mut self, deadline: Option<Instant>) -> Option<Result<Vec<f64>>> {
+        while self.outstanding > 0 {
+            let (index, outcome) = self.net.pop(deadline)?;
+            let sub = &mut self.subs[index as usize];
+            sub.responses = sub.backend.settle(outcome).unwrap_or_default();
+            self.outstanding -= 1;
         }
-        Some(self.finish())
-    }
-
-    fn wait(&mut self) -> Result<Vec<f64>> {
-        for sub in &mut self.subs {
-            if let SubState::Waiting(_) = sub.state {
-                let SubState::Waiting(net) =
-                    std::mem::replace(&mut sub.state, SubState::Done(Vec::new()))
-                else {
-                    unreachable!("matched Waiting above");
-                };
-                let outcome = net.wait();
-                Self::settle(sub, outcome);
-            }
-        }
-        self.finish()
-    }
-
-    fn wait_deadline(&mut self, deadline: Instant) -> Option<Result<Vec<f64>>> {
-        for sub in &mut self.subs {
-            if let SubState::Waiting(_) = sub.state {
-                let SubState::Waiting(net) =
-                    std::mem::replace(&mut sub.state, SubState::Done(Vec::new()))
-                else {
-                    unreachable!("matched Waiting above");
-                };
-                match net.wait_deadline(deadline) {
-                    Ok(outcome) => Self::settle(sub, outcome),
-                    Err(net) => {
-                        sub.state = SubState::Waiting(net);
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(self.finish())
+        Some(self.router.finish_batch(self))
     }
 }
 
@@ -384,7 +273,7 @@ impl<'r, T> Ticket<'r, T> {
         }
     }
 
-    fn pending(work: impl PendingWork<T> + 'r) -> Ticket<'r, T> {
+    pub(crate) fn pending(work: impl PendingWork<T> + 'r) -> Ticket<'r, T> {
         Ticket {
             state: State::Pending(Box::new(work)),
         }
@@ -397,7 +286,7 @@ impl<'r, T> Ticket<'r, T> {
         match &mut self.state {
             State::Ready(slot) => slot.take(),
             State::Pending(work) => {
-                let result = work.poll()?;
+                let result = work.wait(Some(Instant::now()))?;
                 self.state = State::Ready(None);
                 Some(result)
             }
@@ -406,90 +295,31 @@ impl<'r, T> Ticket<'r, T> {
 
     /// Blocks until the request resolves.
     pub fn wait(self) -> Result<T> {
-        match self.state {
-            State::Ready(slot) => slot.unwrap_or_else(|| {
-                Err(RouterError::Protocol("ticket already consumed".to_string()))
-            }),
-            State::Pending(mut work) => work.wait(),
-        }
+        self.wait_until(None)
+            .unwrap_or_else(|_| unreachable!("a wait without a deadline resolves"))
     }
 
     /// Blocks until the request resolves or `deadline` passes; on timeout
     /// the ticket is returned so the caller can keep waiting later.
     pub fn wait_deadline(self, deadline: Instant) -> std::result::Result<Result<T>, Ticket<'r, T>> {
+        self.wait_until(Some(deadline))
+    }
+
+    /// The one blocking wait behind [`Ticket::wait`] and
+    /// [`Ticket::wait_deadline`] (`None`: no deadline).
+    fn wait_until(
+        self,
+        deadline: Option<Instant>,
+    ) -> std::result::Result<Result<T>, Ticket<'r, T>> {
         match self.state {
             State::Ready(slot) => Ok(slot.unwrap_or_else(|| {
                 Err(RouterError::Protocol("ticket already consumed".to_string()))
             })),
-            State::Pending(mut work) => match work.wait_deadline(deadline) {
-                Some(result) => Ok(result),
-                None => Err(Ticket {
-                    state: State::Pending(work),
-                }),
-            },
+            State::Pending(mut work) => work.wait(deadline).ok_or(Ticket {
+                state: State::Pending(work),
+            }),
         }
     }
-}
-
-pub(crate) fn pending_score<'r>(
-    router: &'r Router,
-    net: pfr_net::Ticket,
-    finish: ScoreFinish,
-) -> Ticket<'r, f64> {
-    Ticket::pending(ScorePending {
-        router,
-        net: Some(net),
-        finish: Some(finish),
-    })
-}
-
-pub(crate) fn coalesced_score<'r>(
-    router: &'r Router,
-    model: String,
-    line: String,
-    key: Option<ScoreKey>,
-    flight: Arc<Flight>,
-) -> Ticket<'r, f64> {
-    Ticket::pending(CoalescedPending {
-        router,
-        model,
-        line,
-        key,
-        flight,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pending_batch<'r>(
-    router: &'r Router,
-    snapshot: Arc<Membership>,
-    model: String,
-    scores: Vec<Option<f64>>,
-    keys: Vec<Option<ScoreKey>>,
-    miss: Vec<usize>,
-    lines: ScoreLines,
-    subs: Vec<SubBurst>,
-) -> Ticket<'r, Vec<f64>> {
-    Ticket::pending(BatchPending {
-        router,
-        snapshot,
-        model,
-        scores,
-        keys,
-        miss,
-        lines,
-        subs,
-    })
-}
-
-/// What became of a queued submission at submit time.
-pub(crate) enum QueuedSubmit {
-    /// Resolved without a pending submission (hot-cache hit, or no live
-    /// replica and an inline walk of the preference order).
-    Immediate(Result<f64>),
-    /// In flight: the tagged result will land on the net queue and
-    /// `ScoreFinish` turns it into a score.
-    Pending(ScoreFinish),
 }
 
 enum Entry {
@@ -497,15 +327,16 @@ enum Entry {
     Finish(ScoreFinish),
 }
 
-/// A completion queue for routed scores: submit any number of requests
-/// from one thread, drain `(tag, score)` pairs in **completion order**.
+/// A completion queue for routed scores: submit any number of requests,
+/// drain `(tag, score)` pairs in **completion order**.
 ///
 /// Built from [`Router::completion_queue`](crate::Router::completion_queue).
 /// Each [`CompletionQueue::submit_score`] returns a caller-correlatable
-/// tag; every submitted request produces exactly one popped completion,
-/// including failures — nothing is silently dropped. One caller thread
-/// can keep thousands of scores in flight this way, with the reactor
-/// pipelining them over a handful of connections.
+/// tag, sequential from 0; every submitted request produces exactly one
+/// popped completion, including failures — nothing is silently dropped.
+/// One caller thread can keep thousands of scores in flight this way,
+/// with the reactor pipelining them over a handful of connections; the
+/// submitting and the popping thread may differ.
 pub struct CompletionQueue<'r> {
     router: &'r Router,
     net: pfr_net::CompletionQueue,
@@ -524,31 +355,53 @@ impl<'r> CompletionQueue<'r> {
     }
 
     /// Starts scoring `features` with `model`; the result will surface
-    /// from [`CompletionQueue::pop`] under the returned tag.
+    /// from [`CompletionQueue::pop`] under the returned tag. Queued
+    /// submissions are never traced: tracing targets the ticketed
+    /// single-score path.
     pub fn submit_score(&self, model: &str, features: &[f64]) -> u64 {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let entry = match self
-            .router
-            .submit_score_queued(model, features, &self.net, tag)
-        {
-            QueuedSubmit::Pending(finish) => Entry::Finish(finish),
-            QueuedSubmit::Immediate(result) => {
+        self.enter(tag, model, self.router.prepare_score(model, features, None));
+        tag
+    }
+
+    /// Records `prepared` under `tag` *before* anything can complete it,
+    /// so a popper on another thread always finds the entry, then lets it
+    /// complete on the queue.
+    fn enter(&self, tag: u64, model: &str, prepared: Prepared) {
+        match prepared {
+            Prepared::Immediate(result) => {
+                self.record(tag, Entry::Immediate(result));
                 // Locally resolved completions ride the same queue (an
                 // empty placeholder burst), so pop order stays uniform.
                 self.net.push(tag, Ok(Vec::new()));
-                Entry::Immediate(result)
             }
-        };
+            // A queued submission never parks on a flight — its completion
+            // must land on this queue — so a follower submits uncoalesced.
+            Prepared::Follower { frame, key, .. } => {
+                let prepared = self.router.dispatch(model, frame, key, None, None);
+                self.enter(tag, model, prepared);
+            }
+            Prepared::Submit(frame, finish) => {
+                let backend = Arc::clone(&finish.backend);
+                self.record(tag, Entry::Finish(finish));
+                backend.submit(frame, 1, &self.net, tag);
+            }
+        }
+    }
+
+    fn record(&self, tag: u64, entry: Entry) {
         self.pending
             .lock()
             .expect("completion map lock poisoned")
             .insert(tag, entry);
-        tag
     }
 
     /// Blocks for the next completion, in completion order.
     pub fn pop(&self) -> (u64, Result<f64>) {
-        let (tag, outcome) = self.net.pop();
+        let (tag, outcome) = self
+            .net
+            .pop(None)
+            .expect("a pop without a deadline resolves");
         self.resolve(tag, outcome)
     }
 

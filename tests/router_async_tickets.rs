@@ -152,3 +152,86 @@ fn one_caller_thread_sustains_thousands_of_in_flight_tickets() {
     assert_eq!(stats.hot_cache_hits(), 0);
     assert!(stats.routed() >= (IN_FLIGHT + QUEUED) as u64);
 }
+
+/// Hot-cache hits answered at submit time, submitted on one thread.
+const SHARED_HOT: usize = 20_000;
+/// Distinct rows warmed into the hot cache before the shared-queue run.
+const HOT_ROWS: usize = 64;
+
+/// One completion queue shared by two threads: one submits, the other
+/// pops. Every completion must find the submission it belongs to — a hot
+/// hit completes at submit time, and a cold miss may complete on the
+/// reactor before the submitting call returns — so the run ends with zero
+/// errors, every score bitwise, and nothing left in flight.
+#[test]
+fn a_queue_shared_by_a_submitter_and_a_popper_loses_no_completion() {
+    let dataset = synthetic::generate_default(97).unwrap();
+    let split = split::train_test_split(&dataset, 0.3, 97).unwrap();
+    let train = dataset.subset(&split.train).unwrap();
+    let test = dataset.subset(&split.test).unwrap();
+    let fitted = FairPipeline::new(FairPipelineConfig::default())
+        .fit(&train, &fairness_graph(&train))
+        .unwrap();
+    let expected = fitted.predict_proba(&test).unwrap();
+    let (raw, _) = test.features_with_protected().unwrap();
+    let bundle = fitted.into_bundle().unwrap();
+    let rows: Vec<Vec<f64>> = (0..raw.rows()).map(|i| raw.row(i).to_vec()).collect();
+    assert!(rows.len() > HOT_ROWS);
+
+    let cluster = LocalCluster::boot(
+        2,
+        ServerConfig {
+            frontend: Frontend::reactor(1),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let router = cluster.router(RouterConfig::default()).unwrap();
+    assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
+    for row in &rows[..HOT_ROWS] {
+        router.score("admissions", row).unwrap();
+    }
+
+    // Submission `i` carries tag `i` (one submitter, a fresh queue), so
+    // the popper knows each tag's row without sharing a map.
+    let row_of = |tag: u64| -> usize {
+        let tag = tag as usize;
+        if tag < SHARED_HOT {
+            tag % HOT_ROWS
+        } else {
+            HOT_ROWS + (tag - SHARED_HOT)
+        }
+    };
+    let total = (SHARED_HOT + rows.len() - HOT_ROWS) as u64;
+    let queue = router.completion_queue();
+    let (errors, wrong) = std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..total {
+                let tag = queue.submit_score("admissions", &rows[row_of(i)]);
+                assert_eq!(tag, i, "a fresh queue tags submissions in order");
+            }
+        });
+        let popper = s.spawn(|| {
+            let (mut errors, mut wrong) = (0usize, 0usize);
+            for _ in 0..total {
+                let (tag, outcome) = queue.pop();
+                match outcome {
+                    Ok(score) if score.to_bits() == expected[row_of(tag)].to_bits() => {}
+                    Ok(_) => wrong += 1,
+                    Err(e) => {
+                        if errors == 0 {
+                            eprintln!("first failed completion: tag {tag}: {e}");
+                        }
+                        errors += 1;
+                    }
+                }
+            }
+            (errors, wrong)
+        });
+        popper.join().unwrap()
+    });
+    assert_eq!(errors, 0, "completions were lost or failed");
+    assert_eq!(wrong, 0, "completions resolved to different bits");
+    assert_eq!(queue.in_flight(), 0, "entries leaked in the completion map");
+    assert!(router.stats().hot_cache_hits() >= SHARED_HOT as u64);
+}

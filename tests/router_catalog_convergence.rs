@@ -315,3 +315,120 @@ fn cold_key_stampede_coalesces_to_one_backend_round_trip() {
     );
     assert!(router.metrics().contains("pfr_router_coalesced_total"));
 }
+
+/// Single-flight across both submission kinds, (a): a queued submission of
+/// a key whose ticketed leader is still in flight never parks on that
+/// flight — it returns its tag at once (the leader cannot resolve until
+/// this same thread collects its ticket) and pops bitwise.
+#[test]
+fn a_queued_submission_behind_a_ticketed_leader_returns_without_parking() {
+    let (bundle, rows, expected) = trained_fixture();
+    let cluster = LocalCluster::boot(
+        2,
+        ServerConfig {
+            frontend: Frontend::reactor(1),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let router = cluster.router(test_config()).unwrap();
+    assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
+
+    let leader = router.submit_score("admissions", &rows[1]);
+    let queue = router.completion_queue();
+    let tag = queue.submit_score("admissions", &rows[1]);
+    assert_eq!(queue.in_flight(), 1);
+    let (popped, outcome) = queue.pop();
+    assert_eq!(popped, tag);
+    assert_eq!(outcome.unwrap().to_bits(), expected[1].to_bits());
+    assert!(queue.is_empty());
+    assert_eq!(leader.wait().unwrap().to_bits(), expected[1].to_bits());
+}
+
+/// Single-flight across both submission kinds, (b): a ticketed follower
+/// parked behind a queued leader is released when the leader is popped,
+/// and the pair costs the backend tier exactly one `SCORE`.
+#[test]
+fn a_ticketed_follower_rides_a_queued_leader() {
+    let (bundle, rows, expected) = trained_fixture();
+    let cluster = LocalCluster::boot(
+        2,
+        ServerConfig {
+            frontend: Frontend::reactor(1),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let router = cluster.router(test_config()).unwrap();
+    assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
+    let backend_scores = || -> u64 {
+        (0..cluster.len())
+            .filter_map(|i| cluster.server(i))
+            .map(|s| s.stats().score.requests())
+            .sum()
+    };
+    let before = backend_scores();
+    let coalesced_before = router.stats().coalesced();
+
+    let queue = router.completion_queue();
+    let tag = queue.submit_score("admissions", &rows[2]);
+    let mut follower = router.submit_score("admissions", &rows[2]);
+    assert_eq!(router.stats().coalesced(), coalesced_before + 1);
+    assert!(
+        follower.try_take().is_none(),
+        "the follower resolved before its queued leader was popped"
+    );
+    let (popped, outcome) = queue.pop();
+    assert_eq!(popped, tag);
+    assert_eq!(outcome.unwrap().to_bits(), expected[2].to_bits());
+    assert_eq!(follower.wait().unwrap().to_bits(), expected[2].to_bits());
+    assert_eq!(
+        backend_scores() - before,
+        1,
+        "leader and follower reached the backend tier more than once"
+    );
+}
+
+/// Single-flight across both submission kinds, (c): `score_traced` must
+/// demonstrably reach a backend, so it bypasses the hot cache even for a
+/// key the cache holds.
+#[test]
+fn a_traced_score_reaches_a_backend_for_a_hot_key() {
+    let (bundle, rows, expected) = trained_fixture();
+    let cluster = LocalCluster::boot(
+        2,
+        ServerConfig {
+            frontend: Frontend::reactor(1),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let router = cluster.router(test_config()).unwrap();
+    assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
+    let backend_scores = || -> u64 {
+        (0..cluster.len())
+            .filter_map(|i| cluster.server(i))
+            .map(|s| s.stats().score.requests())
+            .sum()
+    };
+
+    let cold = router.score("admissions", &rows[3]).unwrap();
+    assert_eq!(cold.to_bits(), expected[3].to_bits());
+    let before = backend_scores();
+    let hits = router.stats().hot_cache_hits();
+    let hot = router.score("admissions", &rows[3]).unwrap();
+    assert_eq!(hot.to_bits(), expected[3].to_bits());
+    assert_eq!(router.stats().hot_cache_hits(), hits + 1);
+    assert_eq!(backend_scores(), before, "a hot hit reached a backend");
+
+    let (traced, id) = router.score_traced("admissions", &rows[3]).unwrap();
+    assert_eq!(traced.to_bits(), expected[3].to_bits());
+    assert_eq!(
+        backend_scores() - before,
+        1,
+        "the traced score skipped the backend"
+    );
+    assert!(router
+        .trace(id)
+        .is_some_and(|tree| tree.contains("router/SCORE")));
+}
