@@ -12,9 +12,6 @@
 //!
 //! * [`FsyncPolicy::PerRecord`] — an append is acknowledged only after the
 //!   frame is fsynced. Survives machine crash.
-//! * [`FsyncPolicy::Interval`] — acknowledged once the frame reaches the
-//!   OS page cache; fsync happens at least every interval. Survives process
-//!   crash; a machine crash may lose the last interval.
 //! * [`FsyncPolicy::Never`] — never fsyncs. Survives process crash only.
 //!
 //! A failed write or fsync is **sticky**: the kernel may already have
@@ -32,10 +29,10 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// In-process pin registry: pin id → lowest sequence number the pinned
 /// reader still needs. Shared between [`Journal`] handles (which register
@@ -65,8 +62,6 @@ pub enum FsyncPolicy {
     /// Fsync before acknowledging every append (group-committed: one fsync
     /// covers every append in the batch).
     PerRecord,
-    /// Acknowledge after the OS write; fsync at least this often.
-    Interval(Duration),
     /// Never fsync; rely on the OS flushing its page cache.
     Never,
 }
@@ -421,7 +416,6 @@ impl Journal {
             next_seq: last_seq + 1,
             stats: Arc::clone(&stats),
             pins: Arc::clone(&pins),
-            last_sync: Instant::now(),
             buffer: Vec::with_capacity(64 << 10),
             failed: None,
         };
@@ -726,7 +720,6 @@ struct Writer {
     next_seq: u64,
     stats: Arc<JournalStats>,
     pins: PinSet,
-    last_sync: Instant,
     /// Encoded frames of the current group, not yet written.
     buffer: Vec<u8>,
     /// The first write or fsync error, once there has been one (sticky;
@@ -740,27 +733,9 @@ const MAX_GROUP: usize = 512;
 impl Writer {
     fn run(mut self, rx: Receiver<Append>) {
         let mut group: Vec<Append> = Vec::new();
-        loop {
-            // Block for the first append; under an interval policy, wake up
-            // in time to honor the fsync deadline even when traffic stops.
-            let first = match self.fsync {
-                FsyncPolicy::Interval(interval) => match rx.recv_timeout(interval) {
-                    Ok(append) => Some(append),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                },
-                _ => match rx.recv() {
-                    Ok(append) => Some(append),
-                    Err(_) => break,
-                },
-            };
-            let Some(first) = first else {
-                if let Err(e) = self.sync_if_due(true) {
-                    self.fail(e);
-                }
-                continue;
-            };
-
+        // Block for the first append; the loop ends when the last sender
+        // is gone and the queue is drained.
+        while let Ok(first) = rx.recv() {
             // Group commit: drain whatever queued while the previous group
             // was being flushed. No hold timer — waiting for a fuller group
             // would be a knob, and it would cost every lone append.
@@ -829,10 +804,9 @@ impl Writer {
         }
         self.write_buffer()?;
         if self.fsync == FsyncPolicy::PerRecord {
-            self.sync_active()
-        } else {
-            self.sync_if_due(false)
+            self.sync_active()?;
         }
+        Ok(())
     }
 
     /// Writes the buffered frames to the active segment.
@@ -906,21 +880,6 @@ impl Writer {
         floor
     }
 
-    /// Fsyncs the active segment under an interval policy when the deadline
-    /// has passed (or on an `idle` wake-up with pending bytes) — unless the
-    /// journal has failed: an fsync that succeeded then would vouch for
-    /// pages the kernel may have dropped.
-    fn sync_if_due(&mut self, idle: bool) -> io::Result<()> {
-        if let FsyncPolicy::Interval(interval) = self.fsync {
-            let due = self.last_sync.elapsed() >= interval;
-            let pending = self.stats.unsynced.load(Ordering::Relaxed) > 0;
-            if pending && (due || idle) && self.failed.is_none() {
-                return self.sync_active();
-            }
-        }
-        Ok(())
-    }
-
     /// Fsyncs the active segment, updating telemetry.
     fn sync_active(&mut self) -> io::Result<()> {
         let started = Instant::now();
@@ -931,7 +890,6 @@ impl Writer {
         self.stats.fsync_ns.record_duration(started.elapsed());
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.stats.unsynced.store(0, Ordering::Relaxed);
-        self.last_sync = Instant::now();
         Ok(())
     }
 }
@@ -940,6 +898,7 @@ impl Writer {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     static SCRATCH: AtomicUsize = AtomicUsize::new(0);
 
@@ -1374,25 +1333,6 @@ mod tests {
         }
         drop(journal);
         assert_eq!(collect(&dir).len(), 50);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interval_policy_eventually_fsyncs_idle_tail() {
-        let dir = scratch_dir("interval");
-        let journal = Journal::open(JournalConfig {
-            fsync: FsyncPolicy::Interval(Duration::from_millis(5)),
-            ..JournalConfig::new(&dir)
-        })
-        .expect("opens");
-        journal.append(&score("m", &[1.0])).expect("appends");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while journal.stats().unsynced() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(journal.stats().unsynced(), 0, "idle fsync must catch up");
-        assert!(journal.stats().fsyncs() >= 1);
-        journal.close();
         let _ = fs::remove_dir_all(&dir);
     }
 

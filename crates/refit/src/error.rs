@@ -17,17 +17,14 @@ pub enum RefitError {
     Linalg(pfr_linalg::LinalgError),
     /// Materializing or scoring a bundle failed.
     Serve(pfr_serve::ServeError),
-    /// Shipping the candidate through the routing tier failed.
+    /// Shipping the candidate through the routing tier failed: no
+    /// replica accepted it.
     Router(pfr_router::RouterError),
-    /// Raw socket push to a backend failed.
-    Io(std::io::Error),
     /// The sliding window cannot satisfy the request (too small, feature
     /// count mismatch, empty holdback, ...).
     Window(String),
     /// Invalid worker configuration.
     Config(String),
-    /// A backend answered a swap `PUSH` with an error response.
-    SwapRejected(String),
 }
 
 impl fmt::Display for RefitError {
@@ -40,10 +37,8 @@ impl fmt::Display for RefitError {
             RefitError::Linalg(e) => write!(f, "linalg: {e}"),
             RefitError::Serve(e) => write!(f, "serve: {e}"),
             RefitError::Router(e) => write!(f, "router: {e}"),
-            RefitError::Io(e) => write!(f, "io: {e}"),
             RefitError::Window(msg) => write!(f, "window: {msg}"),
             RefitError::Config(msg) => write!(f, "config: {msg}"),
-            RefitError::SwapRejected(msg) => write!(f, "swap rejected: {msg}"),
         }
     }
 }
@@ -89,11 +84,5 @@ impl From<pfr_serve::ServeError> for RefitError {
 impl From<pfr_router::RouterError> for RefitError {
     fn from(e: pfr_router::RouterError) -> Self {
         RefitError::Router(e)
-    }
-}
-
-impl From<std::io::Error> for RefitError {
-    fn from(e: std::io::Error) -> Self {
-        RefitError::Io(e)
     }
 }

@@ -14,9 +14,11 @@
 //! the worker re-fits the PFR model on the window, with the serving model
 //! as teacher ([`engine::RefitEngine`] → [`pfr_core::Pfr::fit`], the same
 //! dense solve as an offline fit), shadow-scores the candidate on a held-back slice the candidate never trained on
-//! ([`gate::ShadowGate`]), and only on a passing report ships it through
-//! the existing wire-level `PUSH` path ([`worker::SwapTarget`]) — a single
-//! backend, a list of backends, or a whole routing tier at once.
+//! ([`gate::ShadowGate`]), and only on a passing report ships it through a
+//! routing tier ([`pfr_router::Router::push_text`]): the candidate is
+//! cataloged and placed on every replica, the same way an operator push
+//! is, so nothing else ever writes a model's content behind the catalog.
+//! A deployment with one backend puts a router over that backend.
 //!
 //! Every stage is observable: [`worker::RefitStats::register_metrics`]
 //! puts the worker's counters (`pfr_refit_attempted/gated/swapped_total`,
@@ -26,7 +28,7 @@
 //! ```text
 //!   clients ──► serving tier ──► journal segments ──► JournalCursor
 //!                   ▲                                      │ tail
-//!                   │ PUSH (gated)                         ▼
+//!                   │ Router::push_text (gated)            ▼
 //!              ShadowGate ◄── RefitEngine ◄── DriftDetector ◄── FeatureWindow
 //! ```
 //!
@@ -48,7 +50,7 @@ pub use engine::{RefitEngine, RefitModelConfig, RefitOutcome};
 pub use error::RefitError;
 pub use gate::{GateConfig, GateReport, ShadowGate};
 pub use window::FeatureWindow;
-pub use worker::{RefitConfig, RefitLoop, RefitStats, RefitStep, RefitWorker, SwapTarget};
+pub use worker::{RefitConfig, RefitLoop, RefitStats, RefitStep, RefitWorker};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, RefitError>;

@@ -10,13 +10,17 @@
 //!
 //! ## Swap safety
 //!
-//! A swap ships through the same wire-level `PUSH` verb as any operator
-//! push: the backend journals the bundle before installing it, installs
-//! under a fresh generation (invalidating cached scores of the old one),
-//! and in-flight requests finish on whichever model generation they
-//! resolved — no request is dropped or failed by a swap. The worker then
-//! observes its *own* `PUSH` coming back through the journal tail and
-//! skips it by content digest, so a swap never re-triggers itself.
+//! A swap ships only through a routing tier ([`Router::push_text`]): the
+//! candidate is cataloged and reaches every replica under one membership
+//! snapshot, so a later membership change or readmission repairs replicas
+//! *to* it instead of reverting them, and the router retires its hot-cache
+//! entries for the model. Each backend journals the bundle before
+//! installing it, installs under a fresh generation (invalidating cached
+//! scores of the old one), and in-flight requests finish on whichever
+//! model generation they resolved — no request is dropped or failed by a
+//! swap. The worker then observes its *own* `PUSH` coming back through the
+//! journal tail and skips it by content digest, so a swap never
+//! re-triggers itself.
 
 use crate::drift::{DriftConfig, DriftDetector, DriftReport};
 use crate::engine::{RefitEngine, RefitModelConfig};
@@ -26,27 +30,13 @@ use crate::window::FeatureWindow;
 use crate::Result;
 use pfr_core::persistence::{bundle_digest, bundle_from_string, ModelBundle};
 use pfr_journal::{JournalCursor, Record};
-use pfr_router::{ConnConfig, Router};
+use pfr_router::Router;
 use pfr_serve::ServableModel;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-
-/// Where a gated candidate ships.
-#[derive(Debug, Clone)]
-pub enum SwapTarget {
-    /// Through a routing tier: every replica of the model receives the
-    /// bundle under one membership snapshot ([`Router::push_text`]).
-    Router(Arc<Router>),
-    /// Directly to these backends over raw `PUSH` frames.
-    Backends(Vec<SocketAddr>),
-    /// Refit and gate but never ship — observability-only mode.
-    DryRun,
-}
 
 /// Worker configuration.
 #[derive(Debug, Clone)]
@@ -218,7 +208,7 @@ pub enum RefitStep {
         drift: DriftReport,
         /// The passing gate report.
         gate: GateReport,
-        /// Backends/replicas that accepted the push (0 in dry-run mode).
+        /// Replicas that accepted the push.
         placed: usize,
         /// The candidate bundle text exactly as shipped.
         bundle_text: String,
@@ -233,7 +223,7 @@ pub struct RefitLoop {
     detector: DriftDetector,
     engine: RefitEngine,
     gate: ShadowGate,
-    target: SwapTarget,
+    router: Arc<Router>,
     serving: ModelBundle,
     serving_model: ServableModel,
     serving_digest: u64,
@@ -246,7 +236,9 @@ pub struct RefitLoop {
 impl RefitLoop {
     /// Opens the journal cursor (resuming from its checkpoint when one
     /// exists) and anchors drift detection at `serving_text`'s standardizer.
-    pub fn new(config: RefitConfig, serving_text: &str, target: SwapTarget) -> Result<Self> {
+    /// Gated candidates ship through `router` — a deployment with one
+    /// backend puts a router over that backend.
+    pub fn new(config: RefitConfig, serving_text: &str, router: Arc<Router>) -> Result<Self> {
         if config.check_every_frames == 0 || config.checkpoint_every_frames == 0 {
             return Err(RefitError::Config(
                 "check_every_frames and checkpoint_every_frames must be positive".to_string(),
@@ -277,7 +269,7 @@ impl RefitLoop {
             detector,
             engine,
             gate,
-            target,
+            router,
             serving,
             serving_model,
             serving_digest,
@@ -419,30 +411,10 @@ impl RefitLoop {
         })
     }
 
+    /// Ships a gated candidate: cataloged and placed on every replica by
+    /// the router, the one writer of a model's content.
     fn ship(&self, bundle_text: &str) -> Result<usize> {
-        match &self.target {
-            SwapTarget::DryRun => Ok(0),
-            SwapTarget::Router(router) => Ok(router.push_text(&self.config.model, bundle_text)?),
-            SwapTarget::Backends(addrs) => {
-                let mut placed = 0;
-                let mut last_rejection = String::new();
-                for addr in addrs {
-                    match push_raw(addr, &self.config.model, bundle_text) {
-                        Ok(response) if response.starts_with("OK") => placed += 1,
-                        Ok(response) => last_rejection = response,
-                        Err(e) => last_rejection = e.to_string(),
-                    }
-                }
-                if placed == 0 {
-                    return Err(RefitError::SwapRejected(if last_rejection.is_empty() {
-                        "no swap backends configured".to_string()
-                    } else {
-                        last_rejection
-                    }));
-                }
-                Ok(placed)
-            }
-        }
+        Ok(self.router.push_text(&self.config.model, bundle_text)?)
     }
 
     /// Adopts `bundle` as the serving model, or — if its baseline or its
@@ -464,26 +436,6 @@ impl RefitLoop {
         self.frames_since_refit = 0;
         Ok(())
     }
-}
-
-/// One raw wire-level `PUSH <name> <nbytes>\n<payload>` exchange, under
-/// the routing tier's default connect and io timeouts: a backend that
-/// accepts and never answers fails the push instead of wedging the worker.
-fn push_raw(addr: &SocketAddr, model: &str, bundle_text: &str) -> std::io::Result<String> {
-    let timeouts = ConnConfig::default();
-    let stream = TcpStream::connect_timeout(addr, timeouts.connect_timeout)?;
-    stream.set_read_timeout(Some(timeouts.io_timeout))?;
-    stream.set_write_timeout(Some(timeouts.io_timeout))?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
-    let mut frame = format!("PUSH {model} {}\n", bundle_text.len()).into_bytes();
-    frame.extend_from_slice(bundle_text.as_bytes());
-    writer.write_all(&frame)?;
-    writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    Ok(line.trim_end().to_string())
 }
 
 /// Background-thread wrapper around [`RefitLoop`].
@@ -573,12 +525,32 @@ mod tests {
     use crate::gate::tests::toy_bundle;
     use pfr_core::persistence::bundle_to_string;
     use pfr_journal::{FsyncPolicy, Journal, JournalConfig};
-    use std::net::TcpListener;
-    use std::time::Instant;
+    use pfr_router::{ConnConfig, RouterConfig};
+    use pfr_serve::{Server, ServerConfig};
+    use std::net::{SocketAddr, TcpListener};
+    use std::time::{Duration, Instant};
+
+    const IO_TIMEOUT: Duration = Duration::from_millis(250);
+
+    /// A router over the one backend at `addr`, with neither a prober nor
+    /// a sync worker: the only traffic is its bootstrap and what the test
+    /// ships.
+    fn router_over(addr: SocketAddr) -> Arc<Router> {
+        let config = RouterConfig {
+            conn: ConnConfig {
+                io_timeout: IO_TIMEOUT,
+                ..ConnConfig::default()
+            },
+            health_interval: None,
+            sync_interval: None,
+            ..RouterConfig::default()
+        };
+        Arc::new(Router::connect(&[addr], config).unwrap())
+    }
 
     /// A loop serving the toy bundle as model `m`, tailing a fresh journal
     /// that holds `records`. Returns the journal directory for cleanup.
-    fn loop_over(tag: &str, records: &[Record], target: SwapTarget) -> (RefitLoop, PathBuf) {
+    fn loop_over(tag: &str, records: &[Record], router: Arc<Router>) -> (RefitLoop, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("pfr_refit_worker_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -593,7 +565,7 @@ mod tests {
         journal.close();
         let (bundle, _) = toy_bundle();
         let config = RefitConfig::new(&dir, "m");
-        let refit_loop = RefitLoop::new(config, &bundle_to_string(&bundle), target).unwrap();
+        let refit_loop = RefitLoop::new(config, &bundle_to_string(&bundle), router).unwrap();
         (refit_loop, dir)
     }
 
@@ -609,34 +581,31 @@ mod tests {
             model: "m".into(),
             bundle_text: bundle_to_string(&bad),
         };
-        let (mut refit_loop, dir) = loop_over("half_adopt", &[push], SwapTarget::DryRun);
+        let server = Server::spawn(ServerConfig::default()).unwrap();
+        let (mut refit_loop, dir) = loop_over("half_adopt", &[push], router_over(server.addr()));
         let serving = bundle_to_string(refit_loop.serving());
         let detector = format!("{:?}", refit_loop.detector);
         assert!(refit_loop.pump(16).is_err(), "the frame is reported");
         assert_eq!(bundle_to_string(refit_loop.serving()), serving);
         assert_eq!(format!("{:?}", refit_loop.detector), detector);
         assert_eq!(refit_loop.stats().rebases(), 0);
+        server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn shipping_to_a_backend_that_never_answers_is_rejected_in_bounded_time() {
         // The kernel completes the handshake from the backlog; nobody
-        // accepts, reads or answers.
+        // accepts, reads or answers. The router is that backend's only way
+        // in, so the push is its one replica failing.
         let silent = TcpListener::bind("127.0.0.1:0").unwrap();
-        let target = SwapTarget::Backends(vec![silent.local_addr().unwrap()]);
-        let (refit_loop, dir) = loop_over("silent", &[], target);
+        let router = router_over(silent.local_addr().unwrap());
+        let (refit_loop, dir) = loop_over("silent", &[], router);
         let started = Instant::now();
         let shipped = refit_loop.ship(&bundle_to_string(refit_loop.serving()));
         let elapsed = started.elapsed();
-        assert!(
-            matches!(shipped, Err(RefitError::SwapRejected(_))),
-            "{shipped:?}"
-        );
-        assert!(
-            elapsed < 3 * ConnConfig::default().io_timeout,
-            "{elapsed:?}"
-        );
+        assert!(matches!(shipped, Err(RefitError::Router(_))), "{shipped:?}");
+        assert!(elapsed < 3 * IO_TIMEOUT, "{elapsed:?}");
         drop(silent);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -24,15 +24,18 @@
 //!   and only in the superseding direction, so every holder converges to
 //!   the one maximal version without vector clocks.
 //! * **Self-healing repair** — a breaker readmission (the prober let a
-//!   backend back in) triggers a digest-check of every placement the
-//!   readmitted backend should hold, followed by `PUSH` repair of
-//!   whatever it lost while it was out. Repair pushes are traced
-//!   (`router/REPAIR` span, `T=` on the wire) and counted.
+//!   backend back in) reruns placement reconciliation, which
+//!   digest-checks every replica and `PUSH`es whatever a replica lost
+//!   while it was out. Repair pushes are traced (`router/REPAIR` span,
+//!   `T=` on the wire) and counted.
 //!
-//! Every repair and reconcile path digest-checks (`EPOCH`) before every
-//! `PUSH` and runs under one `reconcile_gate`, so concurrent membership
-//! changes cannot double-install a bundle and repeated reconciliation
-//! never churns generations on replicas that are already correct.
+//! One loop writes replica content here, `reconcile_placements`: it
+//! digest-checks (`EPOCH`) before every `PUSH` and runs under the
+//! `reconcile_gate`, which `Router::push_text` also holds from its
+//! membership snapshot to its catalog upsert. So concurrent membership
+//! changes cannot double-install a bundle or revert a push in progress,
+//! and repeated reconciliation never churns generations on replicas that
+//! are already correct.
 
 use crate::backend::Backend;
 use crate::ring::HashRing;
@@ -44,7 +47,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -69,10 +72,11 @@ pub(crate) struct ControlPlane {
     /// The router-local hot-cache model ids — cleared on adoption, because
     /// an adopted catalog may have changed any placement.
     pub(crate) model_ids: Arc<Mutex<HashMap<String, u64>>>,
-    /// Serializes reconcilers: `add_backend` during an in-flight
-    /// reconcile must not interleave digest-check/push pairs with it, or
-    /// both reconcilers can observe "missing" and double-PUSH the same
-    /// bundle (churning the backend generation twice).
+    /// Serializes the writers of replica content (see
+    /// [`ControlPlane::gate`]): two reconcilers that interleaved
+    /// digest-check/push pairs could both observe "missing" and
+    /// double-PUSH a bundle, and a reconciler that ran between a push's
+    /// placement and its catalog upsert would re-push the old bundle.
     reconcile_gate: Mutex<()>,
     /// Last-seen breaker readmission count per ring id: a delta means the
     /// prober re-admitted that backend since we last looked, so it may
@@ -373,19 +377,26 @@ impl ControlPlane {
         }
     }
 
+    /// Holds the reconcile gate: every writer of replica content
+    /// ([`crate::Router::push_text`] and [`ControlPlane::reconcile_placements`])
+    /// runs under it, so no reconciler can read a catalog that a placement
+    /// in progress is about to supersede.
+    pub(crate) fn gate(&self) -> MutexGuard<'_, ()> {
+        self.reconcile_gate.lock().expect("reconcile gate poisoned")
+    }
+
     /// Re-establishes every cataloged placement on its current replica
-    /// set. Replicas whose breaker is open are skipped — pushing into an
-    /// ejected backend cannot succeed, and the readmission repair path
-    /// covers them the moment the prober lets them back in. Serialized
-    /// with every other reconciler by the gate.
+    /// set: each replica is `EPOCH`-checked and `PUSH`ed only where its
+    /// digest differs, under one traced `router/REPAIR` span. Replicas
+    /// whose breaker is open are skipped — pushing into an ejected backend
+    /// cannot succeed, and its readmission reruns this loop the moment the
+    /// prober lets it back in. Membership changes, adoptions and
+    /// readmissions all repair through here.
     pub(crate) fn reconcile_placements(&self) {
-        let _gate = self.reconcile_gate.lock().expect("reconcile gate poisoned");
-        let placements = self.placements();
-        if placements.is_empty() {
-            return;
-        }
+        let _gate = self.gate();
         let snapshot = self.snapshot();
-        for (model, text, expected) in &placements {
+        let mut span: Option<ActiveSpan> = None;
+        for (model, text, expected) in &self.placements() {
             for id in snapshot
                 .ring()
                 .replicas(model, self.config.replication.max(1))
@@ -393,69 +404,46 @@ impl ControlPlane {
                 let Some(backend) = snapshot.backend(id) else {
                     continue;
                 };
-                if !backend.breaker().available() {
+                if !backend.breaker().available()
+                    || !self.replica_needs_push(backend, model, expected)
+                {
                     continue;
                 }
-                if self.replica_needs_push(backend, model, expected)
-                    && backend.push(model, text, None).is_ok()
-                {
+                let span =
+                    span.get_or_insert_with(|| ActiveSpan::new(mint_trace_id(), "router/REPAIR"));
+                span.event("digest-mismatch");
+                if backend.push(model, text, Some(span.trace_id())).is_ok() {
                     self.stats.record_repair_push();
+                    span.event("repair-push");
                 }
-            }
-        }
-    }
-
-    /// Detects breaker readmissions since the last round and repairs the
-    /// readmitted backends: every placement they should hold is
-    /// digest-checked and re-pushed if lost. This is how a backend that
-    /// was dead through a placement change heals without any operator
-    /// action — the prober readmits it, the next sync round repairs it.
-    pub(crate) fn repair_readmitted(&self) {
-        let snapshot = self.snapshot();
-        for (&id, backend) in &snapshot.backends {
-            let readmissions = backend.breaker().readmissions();
-            let due = {
-                let mut marks = self
-                    .readmission_marks
-                    .lock()
-                    .expect("readmission marks poisoned");
-                let mark = marks.entry(id).or_insert(0);
-                let due = readmissions > *mark;
-                *mark = readmissions;
-                due
-            };
-            if due {
-                self.repair_backend(&snapshot, backend);
-            }
-        }
-    }
-
-    /// Digest-checks and repairs one backend's share of the catalog,
-    /// under the reconcile gate and a traced `router/REPAIR` span.
-    fn repair_backend(&self, snapshot: &Membership, backend: &Arc<Backend>) {
-        let _gate = self.reconcile_gate.lock().expect("reconcile gate poisoned");
-        let placements = self.placements();
-        let mut span: Option<ActiveSpan> = None;
-        for (model, text, expected) in &placements {
-            let replicas = snapshot
-                .ring()
-                .replicas(model, self.config.replication.max(1));
-            if !replicas.contains(&backend.id()) {
-                continue;
-            }
-            if !self.replica_needs_push(backend, model, expected) {
-                continue;
-            }
-            let span =
-                span.get_or_insert_with(|| ActiveSpan::new(mint_trace_id(), "router/REPAIR"));
-            span.event("digest-mismatch");
-            if backend.push(model, text, Some(span.trace_id())).is_ok() {
-                self.stats.record_repair_push();
-                span.event("repair-push");
             }
         }
         if let Some(span) = span {
             span.finish(&self.span_ring);
+        }
+    }
+
+    /// Detects breaker readmissions since the last round and, if there
+    /// was any, reconciles: a backend that was dead through a placement
+    /// change gets what it missed without any operator action — the
+    /// prober readmits it, the next sync round repairs it.
+    pub(crate) fn repair_readmitted(&self) {
+        let snapshot = self.snapshot();
+        let mut due = false;
+        {
+            let mut marks = self
+                .readmission_marks
+                .lock()
+                .expect("readmission marks poisoned");
+            for (&id, backend) in &snapshot.backends {
+                let readmissions = backend.breaker().readmissions();
+                let mark = marks.entry(id).or_insert(0);
+                due |= readmissions > *mark;
+                *mark = readmissions;
+            }
+        }
+        if due {
+            self.reconcile_placements();
         }
     }
 }

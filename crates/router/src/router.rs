@@ -610,6 +610,10 @@ impl Router {
 
     /// [`Router::push`] for already-serialized bundle text.
     pub fn push_text(&self, model: &str, text: &str) -> Result<usize> {
+        // The reconcile gate spans the membership snapshot, the placement
+        // and the catalog upsert: a membership reconcile in between would
+        // read the old catalog and re-push the old bundle over this one.
+        let gate = self.control.gate();
         let placed = self.place_on_replicas(model, text)?;
         self.stats.pushes.fetch_add(1, Ordering::Relaxed);
         // The replicas accepted the bundle, so it parses; cataloging can
@@ -620,6 +624,7 @@ impl Router {
             .expect("catalog lock poisoned")
             .upsert_placement(self.writer, model, text)
             .is_ok();
+        drop(gate);
         if cataloged {
             self.control.publish();
         }

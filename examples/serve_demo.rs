@@ -20,8 +20,8 @@
 //! journal, the demo shifts the traffic distribution, and the worker
 //! detects the drift, refits the model on the window (the serving model is
 //! the teacher), shadow-scores the candidate on held-back traffic, and
-//! hot-swaps it back into the live server over the wire — all visible on
-//! the `STATS` line:
+//! hot-swaps it back into the live server through a router over it — all
+//! visible on the `STATS` line:
 //!
 //! ```text
 //! cargo run --release --example serve_demo -- --refit
@@ -39,7 +39,8 @@
 
 use pfr::journal::JournalConfig;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitWorker, SwapTarget};
+use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitWorker};
+use pfr::router::{Router, RouterConfig};
 use pfr::serve::protocol::format_numbers;
 use pfr::serve::{BatcherConfig, Frontend, Server, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
@@ -243,9 +244,21 @@ fn main() {
             max_mean_abs_diff: 0.35,
             min_rows: 8,
         };
-        let refit_loop =
-            RefitLoop::new(refit_config, &bundle_text, SwapTarget::Backends(vec![addr]))
-                .expect("refit loop builds");
+        // The candidate ships through a router over the server: it is
+        // cataloged, and nothing writes the model's content behind it.
+        // Neither a prober nor a sync worker: the verb counters on the
+        // `STATS` line below stay the demo's own traffic.
+        let router = Router::connect(
+            &[addr],
+            RouterConfig {
+                health_interval: None,
+                sync_interval: None,
+                ..RouterConfig::default()
+            },
+        )
+        .expect("router connects");
+        let refit_loop = RefitLoop::new(refit_config, &bundle_text, Arc::new(router))
+            .expect("refit loop builds");
         let worker = RefitWorker::spawn(refit_loop);
         // The worker's gauges (cursor lag against the server's journal tip
         // included) join the server's registry, so both its METRICS

@@ -12,8 +12,8 @@ use pfr::journal::JournalConfig;
 use pfr::linalg::Matrix;
 use pfr::obs::{unescape_multiline, Scrape};
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::refit::{RefitConfig, RefitLoop, RefitWorker, SwapTarget};
-use pfr::router::{LocalCluster, RouterConfig};
+use pfr::refit::{RefitConfig, RefitLoop, RefitWorker};
+use pfr::router::{LocalCluster, Router, RouterConfig};
 use pfr::serve::protocol::format_numbers;
 use pfr::serve::{Server, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
@@ -77,12 +77,14 @@ fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
             .unwrap();
         dirs.push(dir);
     }
-    let router = cluster
-        .router(RouterConfig {
-            replication: 2,
-            ..RouterConfig::default()
-        })
-        .unwrap();
+    let router = Arc::new(
+        cluster
+            .router(RouterConfig {
+                replication: 2,
+                ..RouterConfig::default()
+            })
+            .unwrap(),
+    );
     assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
 
     // --- Traffic: distinct rows so every request reaches a backend. --------
@@ -93,13 +95,14 @@ fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
     }
 
     // --- A refit worker tails backend 0's journal; its gauges register on
-    //     that backend's registry and so ride the merged scrape too. --------
+    //     that backend's registry and so ride the merged scrape too; a
+    //     candidate would ship through the router. --------------------------
     let server0 = cluster.server(0).expect("backend 0 is alive");
     let worker = RefitWorker::spawn(
         RefitLoop::new(
             RefitConfig::new(dirs[0].clone(), "admissions"),
             &bundle_to_string(&bundle),
-            SwapTarget::Backends(vec![cluster.addrs()[0]]),
+            Arc::clone(&router),
         )
         .expect("refit loop builds"),
     );
@@ -218,11 +221,21 @@ fn stats_is_the_scalar_view_of_the_metrics_registry() {
     })
     .unwrap();
     // A co-located refit loop publishes once, on the server's registry. It
-    // is never pumped, so its gauges cannot move during the comparison.
+    // is never pumped, so its gauges cannot move during the comparison; its
+    // router neither probes nor syncs, so no verb counter moves either.
+    let router = Router::connect(
+        &[server.addr()],
+        RouterConfig {
+            health_interval: None,
+            sync_interval: None,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
     let refit = RefitLoop::new(
         RefitConfig::new(dir.clone(), "admissions"),
         &text,
-        SwapTarget::Backends(vec![server.addr()]),
+        Arc::new(router),
     )
     .expect("refit loop builds");
     refit.stats().register_metrics(server.metrics(), None);

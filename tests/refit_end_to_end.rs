@@ -10,7 +10,8 @@
 //!    failed in-flight requests).
 //! 4. The refit loop detects the drift, refits with the serving model as
 //!    teacher, passes the shadow gate on the held-back slice, and ships
-//!    the candidate back through the wire-level `PUSH` path.
+//!    the candidate through a router over the server (`Router::push_text`,
+//!    a cataloged wire-level `PUSH`).
 //! 5. Post-swap, served scores are **bitwise** equal to offline
 //!    predictions of the refreshed bundle, and the refit counters ride the
 //!    server's own `STATS` line.
@@ -23,7 +24,8 @@ use pfr::graph::fairness;
 use pfr::journal::{FsyncPolicy, JournalConfig};
 use pfr::linalg::Matrix;
 use pfr::opt::{LogisticRegression, LogisticRegressionConfig};
-use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitStep, SwapTarget};
+use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitStep};
+use pfr::router::{Router, RouterConfig};
 use pfr::serve::{Frontend, ServableModel, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -148,7 +150,8 @@ fn drifted_traffic_triggers_gated_hot_swap_with_bitwise_consistency() {
         assert!(response.starts_with("OK loaded"), "PUSH failed: {response}");
     }
 
-    // --- Refit loop tailing that journal, swapping over the same wire. -----
+    // --- Refit loop tailing that journal, swapping through a router over ---
+    // --- the server. --------------------------------------------------------
     let mut config = RefitConfig::new(&journal_dir, MODEL);
     config.window_rows = 192;
     config.holdback_rows = 64;
@@ -166,8 +169,16 @@ fn drifted_traffic_triggers_gated_hot_swap_with_bitwise_consistency() {
         max_mean_abs_diff: 0.35,
         min_rows: 8,
     };
-    let mut refit =
-        RefitLoop::new(config, &serving_text, SwapTarget::Backends(vec![addr])).unwrap();
+    let router = Router::connect(
+        &[addr],
+        RouterConfig {
+            health_interval: None,
+            sync_interval: None,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let mut refit = RefitLoop::new(config, &serving_text, Arc::new(router)).unwrap();
 
     // The refit counters ride the server's own registry, so its STATS line.
     let stats = refit.stats();

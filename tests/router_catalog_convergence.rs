@@ -20,11 +20,19 @@
 //!    cost the backend tier exactly one `SCORE` round trip; the other 99
 //!    callers ride the leader's flight or the hot cache, all bitwise
 //!    equal.
+//! 4. **A refit behind a router** — a refit loop ships its candidate
+//!    through the router, so a key the router had cached and a cold key
+//!    both answer with the candidate's bits, and a later `add_backend`
+//!    leaves every replica on the candidate, not on the bundle it replaced.
 
-use pfr::core::persistence::ModelBundle;
+use pfr::core::persistence::{
+    bundle_digest, bundle_from_string, bundle_to_string, digest_hex, ModelBundle,
+};
+use pfr::journal::{FsyncPolicy, Journal, JournalConfig, Record};
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
+use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitStep};
 use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, Router, RouterConfig};
-use pfr::serve::{Frontend, ServerConfig};
+use pfr::serve::{Frontend, ServableModel, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::sync::{Arc, Barrier};
@@ -431,4 +439,119 @@ fn a_traced_score_reaches_a_backend_for_a_hot_key() {
     assert!(router
         .trace(id)
         .is_some_and(|tree| tree.contains("router/SCORE")));
+}
+
+/// Scenario 4: a refit ships only through the router. Its push retires the
+/// router's hot-cache entries and catalogs the candidate, so a key served
+/// from the hot cache before the swap and a cold key both return the
+/// candidate's bits, and a membership change afterwards reconciles every
+/// replica to the candidate instead of back to the bundle it replaced.
+#[test]
+fn a_refit_behind_a_router_reaches_hot_keys_cold_keys_and_new_members() {
+    let (bundle, rows, expected) = trained_fixture();
+    let mut cluster = LocalCluster::boot(
+        2,
+        ServerConfig {
+            frontend: Frontend::reactor(1),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let router = Arc::new(cluster.router(test_config()).unwrap());
+    assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
+    let (hot, cold) = (&rows[0], &rows[1]);
+    for _ in 0..2 {
+        let got = router.score("admissions", hot).unwrap();
+        assert_eq!(got.to_bits(), expected[0].to_bits());
+    }
+    assert_eq!(router.stats().hot_cache_hits(), 1, "the hot key is cached");
+
+    // Drifted traffic (+0.8σ on every unprotected feature; the protected
+    // flag is the last column) lands in a journal the refit loop tails.
+    let dir = std::env::temp_dir().join(format!("pfr_refit_router_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = Journal::open(JournalConfig {
+        fsync: FsyncPolicy::Never,
+        ..JournalConfig::new(&dir)
+    })
+    .unwrap();
+    let stds = bundle.standardizer.as_ref().unwrap().stds.clone();
+    let protected = hot.len() - 1;
+    let mut config = RefitConfig::new(&dir, "admissions");
+    config.window_rows = 256;
+    config.holdback_rows = 64;
+    config.holdback_every = 4;
+    config.min_refit_rows = 96;
+    config.check_every_frames = 32;
+    config.cooldown_frames = 64;
+    config.model_config = RefitModelConfig {
+        dim: bundle.model.dim(),
+        knn_k: 8,
+        protected_column: protected,
+        ..RefitModelConfig::default()
+    };
+    config.gate = GateConfig {
+        min_agreement: 0.7,
+        max_mean_abs_diff: 0.35,
+        min_rows: 8,
+    };
+    let mut refit =
+        RefitLoop::new(config, &bundle_to_string(&bundle), Arc::clone(&router)).unwrap();
+    let mut frames = 0;
+    let candidate = loop {
+        assert!(frames < 8192, "no candidate shipped after {frames} frames");
+        for k in 0..64 {
+            let row = &rows[(frames + k) % rows.len()];
+            let features = row
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| if j == protected { v } else { v + 0.8 * stds[j] })
+                .collect();
+            let record = Record::Score {
+                model: "admissions".into(),
+                features,
+            };
+            journal.append(&record).unwrap();
+        }
+        frames += 64;
+        while refit.pump(256).unwrap() > 0 {}
+        if let RefitStep::Swapped {
+            placed,
+            bundle_text,
+            ..
+        } = refit.maybe_refit().unwrap()
+        {
+            assert_eq!(placed, 2, "both replicas take the candidate");
+            break bundle_text;
+        }
+    };
+    journal.close();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Both keys answer with the candidate's bits.
+    let candidate = bundle_from_string(&candidate).unwrap();
+    let offline = ServableModel::from_bundle("candidate", &candidate).unwrap();
+    for (name, row, before) in [("hot", hot, expected[0]), ("cold", cold, expected[1])] {
+        let want = offline.score_one(row).unwrap();
+        assert_ne!(
+            want.to_bits(),
+            before.to_bits(),
+            "{name}: the candidate scores alike"
+        );
+        let got = router.score("admissions", row).unwrap();
+        assert_eq!(got.to_bits(), want.to_bits(), "{name} key after the refit");
+    }
+
+    // A membership change reconciles every replica to the candidate.
+    let addr = cluster.add_backend().unwrap();
+    router.add_backend(addr).unwrap();
+    let digest = format!("digest={}", digest_hex(bundle_digest(&candidate)));
+    for id in router.replica_set("admissions") {
+        let epoch = router
+            .backend(id)
+            .unwrap()
+            .exchange("EPOCH admissions")
+            .unwrap();
+        assert!(epoch.contains(&digest), "backend {id}: {epoch}");
+    }
 }

@@ -3,14 +3,16 @@
 //! replica is **removed** (then its process killed) — with zero failed
 //! requests, every response bitwise equal to offline predictions, the
 //! `≤ 2/N` remap bound holding on the live ring at both transitions, and
-//! every replica populated over the wire via `PUSH`.
+//! every replica populated over the wire via `PUSH`. A second test races
+//! pushes against membership changes and checks that no push is reverted.
 
+use pfr::core::persistence::{bundle_digest, bundle_to_string, digest_hex};
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::router::{BreakerConfig, ConnConfig, HashRing, LocalCluster, RouterConfig};
+use pfr::router::{BreakerConfig, ConnConfig, HashRing, LocalCluster, Router, RouterConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn fairness_graph(ds: &Dataset) -> SparseGraph {
@@ -237,4 +239,92 @@ fn membership_changes_under_load_keep_every_score_bitwise_identical() {
     for (i, (got, want)) in batch.iter().zip(expected.iter()).enumerate() {
         assert_eq!(got.to_bits(), want.to_bits(), "batch row {i}");
     }
+}
+
+/// A push racing a membership change is never reverted. `push_text`
+/// holds the reconcile gate from its membership snapshot to its catalog
+/// upsert, so the change's reconcile reads either the old catalog before
+/// the placement starts or the new one after it lands — never the old
+/// catalog while the new bundle is already on a replica. Each round races
+/// one `add_backend` or `remove_backend` against eight pushes that flip
+/// eight models between two bundles; once both calls return, every
+/// replica slot must hold what was pushed last.
+#[test]
+fn a_push_racing_a_membership_change_is_never_reverted() {
+    const ROUNDS: usize = 150;
+    const MODELS: usize = 8;
+    let dataset = synthetic::generate_default(73).unwrap();
+    let split = split::train_test_split(&dataset, 0.3, 73).unwrap();
+    let train = dataset.subset(&split.train).unwrap();
+    let bundle_a = FairPipeline::new(FairPipelineConfig::default())
+        .fit(&train, &fairness_graph(&train))
+        .unwrap()
+        .into_bundle()
+        .unwrap();
+    // Same projection and head, another decision threshold: new content.
+    let mut bundle_b = bundle_a.clone();
+    bundle_b.classifier.as_mut().unwrap().threshold = 0.25;
+    let texts = [bundle_to_string(&bundle_a), bundle_to_string(&bundle_b)];
+    let digests = [&bundle_a, &bundle_b].map(|bundle| digest_hex(bundle_digest(bundle)));
+    assert_ne!(digests[0], digests[1]);
+
+    // Three members plus one spare that joins and leaves every other round.
+    let cluster = LocalCluster::boot(4, pfr::serve::ServerConfig::default()).unwrap();
+    let spare = cluster.addrs()[3];
+    let router = Router::connect(
+        &cluster.addrs()[..3],
+        RouterConfig {
+            replication: 2,
+            health_interval: None,
+            sync_interval: None,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let models: Vec<String> = (0..MODELS).map(|i| format!("race-{i}")).collect();
+    let last = |round: usize, i: usize| (round + i) % 2;
+
+    let mut spare_id = None;
+    let mut stale = Vec::new();
+    let mut slots = 0;
+    for round in 0..ROUNDS {
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for (i, model) in models.iter().enumerate() {
+                    router.push_text(model, &texts[last(round, i)]).unwrap();
+                }
+            });
+            start.wait();
+            spare_id = match spare_id {
+                None => Some(router.add_backend(spare).unwrap()),
+                Some(id) => {
+                    router.remove_backend(id).unwrap();
+                    None
+                }
+            };
+        });
+        for (i, model) in models.iter().enumerate() {
+            let want = &digests[last(round, i)];
+            for id in router.replica_set(model) {
+                slots += 1;
+                let epoch = router
+                    .backend(id)
+                    .unwrap()
+                    .exchange(&format!("EPOCH {model}"))
+                    .unwrap();
+                if !epoch.contains(&format!("digest={want}")) {
+                    stale.push(format!("round {round} {model} backend {id}: {epoch}"));
+                }
+            }
+        }
+    }
+    assert!(slots >= ROUNDS * MODELS * 2);
+    assert!(
+        stale.is_empty(),
+        "{} of {slots} replica slots were reverted, first: {}",
+        stale.len(),
+        stale[0]
+    );
 }
