@@ -29,49 +29,68 @@
 //!   while it was out. Repair pushes are traced (`router/REPAIR` span,
 //!   `T=` on the wire) and counted.
 //!
-//! One loop writes replica content here, `reconcile_placements`: it
-//! digest-checks (`EPOCH`) before every `PUSH` and runs under the
-//! `reconcile_gate`, which `Router::push_text` also holds from its
-//! membership snapshot to its catalog upsert. So concurrent membership
-//! changes cannot double-install a bundle or revert a push in progress,
-//! and repeated reconciliation never churns generations on replicas that
-//! are already correct.
+//! One loop writes replica content here, `reconcile`: it digest-checks
+//! (`EPOCH`) before every `PUSH` and runs under the `reconcile_gate`,
+//! which `Router::push_text` also holds from its membership snapshot to
+//! its catalog upsert. So concurrent membership changes cannot
+//! double-install a bundle or revert a push in progress, and repeated
+//! reconciliation never churns generations on replicas that are already
+//! correct.
+//!
+//! One function changes membership, `change_membership`, behind
+//! `add_backend`, `remove_backend` and catalog adoption alike. It is
+//! *make before break*: under the gate it reconciles the next catalog's
+//! placements against the next snapshot and only then stores both, so
+//! readers — who never leave a model's replica set — see a new replica
+//! only once it holds the model, and a departing one until its
+//! successors do.
 
 use crate::backend::Backend;
-use crate::ring::HashRing;
+use crate::error::RouterError;
 use crate::router::{classify, payload_of, Membership, Reply, RouterConfig, RouterStats};
+use crate::Result;
 use pfr_control::{Catalog, Version};
 use pfr_core::persistence;
 use pfr_obs::{mint_trace_id, ActiveSpan, SpanRing};
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The shared control-plane state of one router: everything the
-/// anti-entropy worker and the request path both touch. The router keeps
-/// its own clones of the `Arc`'d pieces for the hot path; this struct is
-/// what the background worker holds.
+/// The control-plane state of one router, shared by the request path
+/// and the anti-entropy worker: the configuration, the membership, the
+/// catalog and the hot-cache model ids live here and nowhere else.
 pub(crate) struct ControlPlane {
     pub(crate) config: RouterConfig,
     /// This router's writer id — the deterministic tie-break between
     /// equal-epoch catalogs. Minted once per router from the process id
     /// and a process-local counter, so two routers never collide.
     pub(crate) writer: u64,
-    /// The router's shared event loop; backends created during roster
-    /// adoption ride the same loop.
+    /// The router's shared event loop; every backend rides it, so a
+    /// fan-out to N replicas spawns zero threads.
     driver: Arc<pfr_net::ClientDriver>,
-    pub(crate) membership: Arc<RwLock<Arc<Membership>>>,
-    pub(crate) next_backend_id: Arc<AtomicUsize>,
-    /// The local catalog replica. Uninitialized (epoch 0) until bootstrap
-    /// either adopts a peer's catalog or seeds one from the connect roster.
+    /// The current membership snapshot; only
+    /// [`ControlPlane::change_membership`] replaces it.
+    membership: RwLock<Arc<Membership>>,
+    /// Ring ids are never reused: a removed backend's id stays retired so
+    /// stale snapshots and logs cannot confuse two incarnations. Bumped
+    /// past adopted rosters.
+    pub(crate) next_backend_id: AtomicUsize,
+    /// The local catalog replica: roster + placements + content digests
+    /// under one epoch-stamped version — the source of truth for
+    /// reconciliation and what a restarted router bootstraps from its
+    /// peers. Uninitialized (epoch 0) until bootstrap either adopts a
+    /// peer's catalog or seeds one from the connect roster. (`Arc` only
+    /// for the epoch gauge.)
     pub(crate) catalog: Arc<Mutex<Catalog>>,
-    /// The router-local hot-cache model ids — cleared on adoption, because
-    /// an adopted catalog may have changed any placement.
-    pub(crate) model_ids: Arc<Mutex<HashMap<String, u64>>>,
+    /// Router-local hot-cache ids per model name. Retiring an id orphans
+    /// every cached entry for the model — generation invalidation without
+    /// a scan: one model on a push, every model on a membership change,
+    /// the changed ones on adoption.
+    pub(crate) model_ids: Mutex<HashMap<String, u64>>,
     /// Serializes the writers of replica content (see
     /// [`ControlPlane::gate`]): two reconcilers that interleaved
     /// digest-check/push pairs could both observe "missing" and
@@ -95,26 +114,33 @@ impl std::fmt::Debug for ControlPlane {
 }
 
 impl ControlPlane {
-    #[allow(clippy::too_many_arguments)]
+    /// The control plane of a router over `addrs` (backend `i` is ring id
+    /// `i`), with an uninitialized catalog until [`ControlPlane::bootstrap`].
     pub(crate) fn new(
         config: RouterConfig,
-        writer: u64,
         driver: Arc<pfr_net::ClientDriver>,
-        membership: Arc<RwLock<Arc<Membership>>>,
-        next_backend_id: Arc<AtomicUsize>,
-        catalog: Arc<Mutex<Catalog>>,
-        model_ids: Arc<Mutex<HashMap<String, u64>>>,
+        addrs: &[SocketAddr],
         stats: Arc<RouterStats>,
         span_ring: Arc<SpanRing>,
     ) -> ControlPlane {
+        let backends = addrs
+            .iter()
+            .enumerate()
+            .map(|(id, &addr)| {
+                let backend = Backend::new(id, addr, Arc::clone(&driver), config.breaker);
+                (id, Arc::new(backend))
+            })
+            .collect();
+        let membership = Membership::new(backends, &config, 0);
+        let writer = mint_writer();
         ControlPlane {
             config,
             writer,
             driver,
-            membership,
-            next_backend_id,
-            catalog,
-            model_ids,
+            membership: RwLock::new(Arc::new(membership)),
+            next_backend_id: AtomicUsize::new(addrs.len()),
+            catalog: Arc::new(Mutex::new(Catalog::new(writer))),
+            model_ids: Mutex::new(HashMap::new()),
             reconcile_gate: Mutex::new(()),
             readmission_marks: Mutex::new(HashMap::new()),
             stats,
@@ -122,7 +148,8 @@ impl ControlPlane {
         }
     }
 
-    fn snapshot(&self) -> Arc<Membership> {
+    /// The current membership snapshot.
+    pub(crate) fn snapshot(&self) -> Arc<Membership> {
         Arc::clone(&self.membership.read().expect("membership lock poisoned"))
     }
 
@@ -221,93 +248,113 @@ impl ControlPlane {
         self.adopt(remote)
     }
 
-    /// Adopts a remote catalog wholesale (highest version wins): swaps
-    /// the local replica, rebuilds membership from the adopted roster,
-    /// retires the hot-cache keys of every placement whose *content*
-    /// changed, and reconciles placements against the new view.
-    ///
-    /// Scores are deterministic in the bundle content, so a cached score
-    /// goes stale only when its model's digest changes (or the placement
-    /// disappears) — a content-identical adoption, the common
-    /// anti-entropy case, must not flush a warm cache.
+    /// Adopts a remote catalog wholesale (highest version wins) through
+    /// [`ControlPlane::change_membership`]. Returns whether it was adopted:
+    /// a catalog that does not supersede ours, or whose roster holds no
+    /// backend, is not.
     pub(crate) fn adopt(&self, remote: Catalog) -> bool {
-        let stale: Vec<String> = {
-            let mut catalog = self.catalog.lock().expect("catalog lock poisoned");
-            if !remote.supersedes(&catalog) {
-                return false;
-            }
-            let changed = remote.placements().filter(|(model, incoming)| {
-                catalog
-                    .placement(model)
-                    .is_none_or(|held| held.digest != incoming.digest)
-            });
-            let removed = catalog
-                .placements()
-                .filter(|(model, _)| remote.placement(model).is_none());
-            let stale = changed
-                .map(|(model, _)| model.to_string())
-                .chain(removed.map(|(model, _)| model.to_string()))
+        self.change_membership(|held| match remote.supersedes(held) {
+            true => Ok(remote),
+            false => Err(RouterError::Membership(
+                "the offered catalog does not supersede ours".to_string(),
+            )),
+        })
+        .is_ok()
+    }
+
+    /// The one membership change, make before break. Under the reconcile
+    /// gate, `next` turns the held catalog into the next one: one roster
+    /// entry more or less for `add_backend` and `remove_backend`, a
+    /// superseding peer catalog for adoption. Its roster is the next
+    /// membership, and every one of its placements is reconciled onto the
+    /// next snapshot's replica sets *before* that snapshot is stored — so
+    /// a newcomer answers only once it holds its models, and a departing
+    /// replica keeps answering until its successors do. A newcomer whose
+    /// breaker is open is stored anyway: reads fall to the other replicas
+    /// and its readmission repairs it. Then the catalog is swapped in,
+    /// hot-cache ids retire (every model's when the membership changed,
+    /// else those whose content changed), departed backends drain their
+    /// idle connections and the catalog is published. Members whose `(id,
+    /// addr)` survive keep their `Backend` (breaker state and latency
+    /// history carry over). A roster with no backend is refused: it would
+    /// leave the router unable to reach the very peers it needs to learn
+    /// a better catalog from.
+    pub(crate) fn change_membership(
+        &self,
+        next: impl FnOnce(&Catalog) -> Result<Catalog>,
+    ) -> Result<()> {
+        let gate = self.gate();
+        let catalog = next(&self.catalog.lock().expect("catalog lock poisoned"))?;
+        // Unparseable addresses are skipped.
+        let roster: BTreeMap<usize, SocketAddr> = catalog
+            .roster()
+            .filter_map(|(id, addr)| addr.parse().ok().map(|parsed| (id, parsed)))
+            .collect();
+        if roster.is_empty() {
+            return Err(RouterError::Membership(
+                "refusing to remove the last backend".to_string(),
+            ));
+        }
+        let current = self.snapshot();
+        let kept = |id: usize, addr: SocketAddr| current.backend(id).filter(|b| b.addr() == addr);
+        let changed = roster.len() != current.len()
+            || roster.iter().any(|(&id, &addr)| kept(id, addr).is_none());
+        let next = changed.then(|| {
+            let backends = roster
+                .iter()
+                .map(|(&id, &addr)| {
+                    let backend = kept(id, addr).cloned().unwrap_or_else(|| {
+                        Arc::new(Backend::new(
+                            id,
+                            addr,
+                            Arc::clone(&self.driver),
+                            self.config.breaker,
+                        ))
+                    });
+                    (id, backend)
+                })
                 .collect();
-            *catalog = remote.clone();
-            stale
-        };
-        self.apply_roster(&remote);
-        if !stale.is_empty() {
-            let mut ids = self.model_ids.lock().expect("model id lock poisoned");
+            Arc::new(Membership::new(backends, &self.config, current.epoch + 1))
+        });
+        let snapshot = next.clone().unwrap_or_else(|| Arc::clone(&current));
+        self.reconcile(&gate, &snapshot, &placement_rows(&catalog));
+        if let Some(next) = next {
+            let top = roster.keys().next_back().copied().unwrap_or(0);
+            self.next_backend_id.fetch_max(top + 1, Ordering::Relaxed);
+            *self.membership.write().expect("membership lock poisoned") = next;
+        }
+        let mut held = self.catalog.lock().expect("catalog lock poisoned");
+        // Scores are deterministic in the bundle content, so a cached score
+        // goes stale only when its model's digest changes or its placement
+        // goes: a content-identical adoption, the common anti-entropy case,
+        // must not flush a warm cache.
+        let digest = |of: &Catalog, model: &str| of.placement(model).map(|p| p.digest);
+        let stale: Vec<String> = held
+            .placements()
+            .chain(catalog.placements())
+            .map(|(model, _)| model)
+            .filter(|model| digest(&held, model) != digest(&catalog, model))
+            .map(str::to_string)
+            .collect();
+        *held = catalog;
+        drop(held);
+        drop(gate);
+        let mut ids = self.model_ids.lock().expect("model id lock poisoned");
+        if changed {
+            ids.clear();
+            for (id, backend) in &current.backends {
+                if roster.get(id) != Some(&backend.addr()) {
+                    backend.drain_idle();
+                }
+            }
+        } else {
             for model in &stale {
                 ids.remove(model);
             }
         }
-        self.reconcile_placements();
-        true
-    }
-
-    /// Rebuilds membership from an adopted catalog's roster. Backends
-    /// whose `(id, addr)` survive are reused (their breaker state and
-    /// latency history carry over); new ids get fresh backends on the
-    /// shared driver. Ring ids stay never-reused: the id allocator is
-    /// bumped past the adopted maximum.
-    fn apply_roster(&self, catalog: &Catalog) {
-        let desired: BTreeMap<usize, SocketAddr> = catalog
-            .roster()
-            .filter_map(|(id, addr)| addr.parse().ok().map(|parsed| (id, parsed)))
-            .collect();
-        if desired.is_empty() {
-            // Never adopt down to zero members: an empty roster would
-            // leave the router unable to reach the very peers it needs
-            // to learn a better catalog from.
-            return;
-        }
-        let mut current = self.membership.write().expect("membership lock poisoned");
-        let unchanged = current.backends.len() == desired.len()
-            && desired
-                .iter()
-                .all(|(id, addr)| current.backends.get(id).is_some_and(|b| b.addr() == *addr));
-        if unchanged {
-            return;
-        }
-        let mut ring = HashRing::new(self.config.vnodes);
-        let mut backends = BTreeMap::new();
-        for (id, addr) in desired {
-            let backend = match current.backends.get(&id) {
-                Some(existing) if existing.addr() == addr => Arc::clone(existing),
-                _ => Arc::new(Backend::new(
-                    id,
-                    addr,
-                    Arc::clone(&self.driver),
-                    self.config.breaker,
-                )),
-            };
-            ring.add(id);
-            backends.insert(id, backend);
-        }
-        let top = backends.keys().next_back().copied().unwrap_or(0);
-        self.next_backend_id.fetch_max(top + 1, Ordering::Relaxed);
-        *current = Arc::new(Membership {
-            ring,
-            backends,
-            epoch: current.epoch + 1,
-        });
+        drop(ids);
+        self.publish();
+        Ok(())
     }
 
     /// Offers the local catalog to every live member backend (fire and
@@ -336,22 +383,6 @@ impl ControlPlane {
         catalog.is_initialized().then(|| catalog.to_text())
     }
 
-    /// The catalog's placements, snapshotted as
-    /// `(model, bundle text, expected digest hex)` rows.
-    fn placements(&self) -> Vec<(String, String, String)> {
-        let catalog = self.catalog.lock().expect("catalog lock poisoned");
-        catalog
-            .placements()
-            .map(|(model, placement)| {
-                (
-                    model.to_string(),
-                    placement.bundle_text.clone(),
-                    persistence::digest_hex(placement.digest),
-                )
-            })
-            .collect()
-    }
-
     /// Whether a replica needs a (re-)push of `model`, decided by the
     /// `EPOCH` digest. Every push in this module is gated on this check —
     /// that is what makes repair idempotent.
@@ -378,35 +409,32 @@ impl ControlPlane {
     }
 
     /// Holds the reconcile gate: every writer of replica content
-    /// ([`crate::Router::push_text`] and [`ControlPlane::reconcile_placements`])
-    /// runs under it, so no reconciler can read a catalog that a placement
-    /// in progress is about to supersede.
+    /// ([`crate::Router::push_text`] and [`ControlPlane::reconcile`]) runs
+    /// under it, so no reconciler can read a catalog that a placement in
+    /// progress is about to supersede, and no push lands between a
+    /// membership change's reconcile and its snapshot swap.
     pub(crate) fn gate(&self) -> MutexGuard<'_, ()> {
         self.reconcile_gate.lock().expect("reconcile gate poisoned")
     }
 
-    /// Re-establishes every cataloged placement on its current replica
-    /// set: each replica is `EPOCH`-checked and `PUSH`ed only where its
-    /// digest differs, under one traced `router/REPAIR` span. Replicas
-    /// whose breaker is open are skipped — pushing into an ejected backend
-    /// cannot succeed, and its readmission reruns this loop the moment the
-    /// prober lets it back in. Membership changes, adoptions and
-    /// readmissions all repair through here.
-    pub(crate) fn reconcile_placements(&self) {
-        let _gate = self.gate();
-        let snapshot = self.snapshot();
+    /// Re-establishes every placement (rows of [`placement_rows`]) on its
+    /// replica set in `snapshot`: each replica is `EPOCH`-checked and
+    /// `PUSH`ed only where its digest differs, under one traced
+    /// `router/REPAIR` span. Replicas whose breaker is open are skipped —
+    /// pushing into an ejected backend cannot succeed, and its readmission
+    /// reruns this loop the moment the prober lets it back in. Membership
+    /// changes, adoptions and readmissions all repair through here;
+    /// `_gate` is the reconcile gate the caller holds.
+    fn reconcile(
+        &self,
+        _gate: &MutexGuard<'_, ()>,
+        snapshot: &Membership,
+        placements: &[(String, String, String)],
+    ) {
         let mut span: Option<ActiveSpan> = None;
-        for (model, text, expected) in &self.placements() {
-            for id in snapshot
-                .ring()
-                .replicas(model, self.config.replication.max(1))
-            {
-                let Some(backend) = snapshot.backend(id) else {
-                    continue;
-                };
-                if !backend.breaker().available()
-                    || !self.replica_needs_push(backend, model, expected)
-                {
+        for (model, text, expected) in placements {
+            for backend in snapshot.replicas(model).live() {
+                if !self.replica_needs_push(backend, model, expected) {
                     continue;
                 }
                 let span =
@@ -443,9 +471,34 @@ impl ControlPlane {
             }
         }
         if due {
-            self.reconcile_placements();
+            let gate = self.gate();
+            let placements = placement_rows(&self.catalog.lock().expect("catalog lock poisoned"));
+            self.reconcile(&gate, &self.snapshot(), &placements);
         }
     }
+}
+
+/// A catalog's placements, snapshotted as `(model, bundle text, expected
+/// digest hex)` rows, so a reconcile pushes without holding the catalog.
+fn placement_rows(catalog: &Catalog) -> Vec<(String, String, String)> {
+    catalog
+        .placements()
+        .map(|(model, placement)| {
+            (
+                model.to_string(),
+                placement.bundle_text.clone(),
+                persistence::digest_hex(placement.digest),
+            )
+        })
+        .collect()
+}
+
+/// Mints a cluster-unique catalog writer id: process id in the high
+/// bits, a process-local counter in the low — distinct across routers in
+/// one process and across processes on one cluster.
+fn mint_writer() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    (u64::from(std::process::id()) << 32) | NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The background anti-entropy worker: one thread, one

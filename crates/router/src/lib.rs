@@ -10,10 +10,13 @@
 //! * [`HashRing`] — a consistent-hash ring with virtual nodes mapping model
 //!   names to an ordered backend preference list; replica sets are its
 //!   first `R` entries, membership changes remap only `~1/N` of keys.
-//! * [`Membership`] — one immutable (ring, backends, epoch) snapshot;
-//!   requests route against a single snapshot, so live
-//!   [`Router::add_backend`]/[`Router::remove_backend`] calls swap one
-//!   `Arc` and can never tear an in-flight scatter.
+//! * [`Membership`] — one immutable (ring, backends, replication, epoch)
+//!   snapshot; requests route against a single snapshot and read only a
+//!   model's replica set (live replicas first, ejected ones last). Live
+//!   [`Router::add_backend`]/[`Router::remove_backend`] calls and catalog
+//!   adoption share one make-before-break change: placements reconcile
+//!   onto the next snapshot, then one `Arc` swap publishes it — readers
+//!   see the change one reconcile later and never tear a scatter.
 //! * One shared `pfr-net` reactor client carries every backend's traffic
 //!   through one submission core ([`Backend::submit`]) whose result lands
 //!   on a completion queue — zero threads per exchange; [`ConnConfig`]
@@ -28,7 +31,7 @@
 //!   batch scoring that stripes rows over live replicas and reassembles in
 //!   order, `EPOCH`-digest verification that all replicas serve
 //!   bit-identical model content, and automatic placement reconciliation
-//!   after every membership change.
+//!   before every membership change is published.
 //! * The **replicated placement catalog** — every roster and placement
 //!   mutation lands in an epoch-versioned [`pfr_control::Catalog`] that
 //!   routers replicate *through the backends they already talk to*

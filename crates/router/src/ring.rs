@@ -11,10 +11,12 @@
 //!
 //! The *preference list* of a key is the clockwise walk restricted to first
 //! occurrences: backend of the first point, then the next distinct backend,
-//! and so on. Replicas of a key are the first `R` entries; when a backend
-//! is ejected by its circuit breaker the router simply skips it in the
-//! walk, which is equivalent to removing it from the ring for exactly as
-//! long as it stays ejected — no rehashing, no coordination.
+//! and so on. Replicas of a key are the first `R` entries, and the router
+//! reads from them and nothing beyond: a backend past the first `R` may
+//! still hold a superseded bundle. When a replica is ejected by its circuit
+//! breaker the router tries it last, which is equivalent to removing it
+//! from the ring for exactly as long as it stays ejected — no rehashing,
+//! no coordination.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -96,9 +98,10 @@ impl HashRing {
         self.walk(key).next()
     }
 
-    /// Every member backend in `key`'s clockwise preference order. The
-    /// first `R` entries are the key's replica set; later entries are the
-    /// failover order when replicas are ejected.
+    /// Every member backend in `key`'s clockwise preference order; the
+    /// first `R` entries are the key's replica set. The router never walks
+    /// past them — this is the oracle the ring tests check
+    /// [`HashRing::replicas`] against.
     pub fn preference(&self, key: &str) -> Vec<usize> {
         self.walk(key).collect()
     }

@@ -7,8 +7,8 @@
 //!                    ┌──────────────────────────────┐
 //!   score(model, x)  │ Router                       │     ┌───────────┐
 //!  ─────────────────►│  hot-key LRU (bit-exact)     │────►│ backend 2 │
-//!                    │  ring.preference(model)      │     └───────────┘
-//!   score_batch(...) │  skip ejected (breaker open) │────►┌───────────┐
+//!                    │  replicas(model): live first │     └───────────┘
+//!   score_batch(...) │  ejected last, nobody else   │────►┌───────────┐
 //!  ─────────────────►│  scatter rows over replicas  │     │ backend 0 │
 //!   add_backend(...) │  gather + per-row retry      │     └───────────┘
 //!   remove_backend() │  membership: Arc snapshots   │────►┌───────────┐
@@ -22,10 +22,16 @@
 //! `add_backend`/`remove_backend` can never tear a scatter mid-flight —
 //! the swap is one pointer store, in-flight requests keep the old view and
 //! finish against backends that still exist (their `Arc<Backend>`s are
-//! kept alive by the snapshot). After a swap the router *reconciles
-//! placements*: every model it has placed is EPOCH-checked on its new
-//! replica set and `PUSH`ed wherever it is missing, so ownership changes
-//! repair themselves without an operator shipping files around.
+//! kept alive by the snapshot). A membership change is *make before
+//! break*: every cataloged model is EPOCH-checked on its replica set in
+//! the *next* snapshot and `PUSH`ed wherever it is missing before that
+//! snapshot is stored, so readers see the change one reconcile later and
+//! never a replica that does not hold the model yet.
+//!
+//! **Reads stay inside the replica set.** Every read walks the model's
+//! replica set ([`Membership`] knows the replication factor) — live
+//! replicas first, ejected ones last — and never a backend beyond it,
+//! which may still hold a superseded bundle (no verb unloads a model).
 //!
 //! **Placement** ships `ModelBundle` text over the wire (`PUSH`), so
 //! backends need no shared filesystem, and every placement is cataloged.
@@ -41,11 +47,11 @@
 //!
 //! Failure semantics: io errors (dead socket, timeout) are *backend*
 //! failures — they feed the breaker and the router fails over to the next
-//! backend in the key's preference order. `ERR` responses are *request*
+//! replica of the model. `ERR` responses are *request*
 //! failures — deterministic across replicas (a malformed vector is
 //! malformed everywhere), so the router returns them without failover. The
-//! one exception is `ERR no model named ...`, which only means "this
-//! backend is not a replica of that model" and continues the walk.
+//! exceptions are `ERR no model named ...` (a replica not populated yet)
+//! and `BUSY`, which continue the walk.
 
 use crate::backend::{Backend, BreakerConfig, ConnConfig};
 use crate::control::{ControlPlane, SyncWorker};
@@ -68,15 +74,15 @@ use pfr_serve::protocol::write_score_request;
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Configuration of a routing tier.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Replicas per model: how many backends (in ring preference order)
-    /// hold and serve each model. 1 disables redundancy; 2 survives any
-    /// single backend failure.
+    /// Replicas per model: how many backends (the first of the model's
+    /// clockwise ring walk) hold and serve each model. 1 disables
+    /// redundancy; 2 survives any single backend failure.
     pub replication: usize,
     /// Virtual nodes per backend on the ring.
     pub vnodes: usize,
@@ -215,25 +221,70 @@ impl RouterStats {
 }
 
 /// One immutable view of cluster membership: the ring, the backends it
-/// maps to, and a monotonically increasing epoch. Requests clone the
-/// router's current `Arc<Membership>` once and route against it
-/// throughout, so a concurrent add/remove can never tear a scatter — and
-/// the snapshot keeps the `Arc<Backend>`s of removed members alive until
-/// the last in-flight request against them finishes.
+/// maps to, the replication factor and a monotonically increasing epoch.
+/// Requests clone the router's current `Arc<Membership>` once and route
+/// against it throughout, so a concurrent add/remove can never tear a
+/// scatter — and the snapshot keeps the `Arc<Backend>`s of removed
+/// members alive until the last in-flight request against them finishes.
 #[derive(Debug)]
 pub struct Membership {
     pub(crate) ring: HashRing,
     pub(crate) backends: BTreeMap<usize, Arc<Backend>>,
     pub(crate) epoch: u64,
+    /// Replicas per model (≥ 1).
+    replication: usize,
 }
 
 impl Membership {
+    /// A snapshot of `backends` at `epoch`, on a ring of `config.vnodes`
+    /// points per member.
+    pub(crate) fn new(
+        backends: BTreeMap<usize, Arc<Backend>>,
+        config: &RouterConfig,
+        epoch: u64,
+    ) -> Membership {
+        let mut ring = HashRing::new(config.vnodes);
+        for &id in backends.keys() {
+            ring.add(id);
+        }
+        Membership {
+            ring,
+            backends,
+            epoch,
+            replication: config.replication.max(1),
+        }
+    }
+
+    /// `model`'s replica set in read order: the replicas whose breaker
+    /// admits traffic first, then the ejected ones, each group in ring
+    /// order. Reads, placement and reconciliation walk this set and
+    /// nothing beyond it — a backend outside it may hold a superseded
+    /// bundle.
+    pub(crate) fn replicas(&self, model: &str) -> Replicas<'_> {
+        let mut order: Vec<&Arc<Backend>> = self
+            .ring
+            .replicas(model, self.replication)
+            .into_iter()
+            .filter_map(|id| self.backends.get(&id))
+            .collect();
+        let mut live = 0;
+        for i in 0..order.len() {
+            if order[i].breaker().available() {
+                // Stable partition: move the live replica up behind the
+                // live ones before it.
+                order[live..=i].rotate_right(1);
+                live += 1;
+            }
+        }
+        Replicas { order, live }
+    }
+
     /// The consistent-hash ring of this snapshot.
     pub fn ring(&self) -> &HashRing {
         &self.ring
     }
 
-    /// The snapshot's epoch: bumped by one on every add/remove.
+    /// The snapshot's epoch: bumped by one on every membership change.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -264,29 +315,30 @@ impl Membership {
     }
 }
 
+/// A model's replica set in read order ([`Membership::replicas`]).
+pub(crate) struct Replicas<'a> {
+    order: Vec<&'a Arc<Backend>>,
+    live: usize,
+}
+
+impl<'a> Replicas<'a> {
+    /// Every replica: live ones first, ejected ones as the last resort.
+    pub(crate) fn all(&self) -> &[&'a Arc<Backend>] {
+        &self.order
+    }
+
+    /// The replicas whose breaker admitted traffic.
+    pub(crate) fn live(&self) -> &[&'a Arc<Backend>] {
+        &self.order[..self.live]
+    }
+}
+
 /// A sharded, fault-tolerant routing tier over `pfr-serve` backends.
 #[derive(Debug)]
 pub struct Router {
-    config: RouterConfig,
-    membership: Arc<RwLock<Arc<Membership>>>,
-    /// The shared event loop carrying every backend's traffic; kept so
-    /// backends added later ride the same loop.
-    driver: Arc<pfr_net::ClientDriver>,
-    /// Ring ids are never reused: a removed backend's id stays retired so
-    /// stale snapshots and logs cannot confuse two incarnations. Shared
-    /// with the control plane, which bumps it past adopted rosters.
-    next_backend_id: Arc<AtomicUsize>,
-    /// This router's writer id on the replicated catalog — the
-    /// deterministic tie-break between equal-epoch versions.
-    writer: u64,
-    /// The replicated placement catalog's local replica: roster +
-    /// placements + content digests under one epoch-stamped version. The
-    /// source of truth for reconciling placements after membership
-    /// changes *and* what a restarted router bootstraps from its peers.
-    /// Every `push` catalogs what it placed.
-    catalog: Arc<Mutex<pfr_control::Catalog>>,
-    /// The control plane shared with the anti-entropy worker:
-    /// bootstrap, sync rounds, adoption, reconcile and repair.
+    /// The control plane shared with the anti-entropy worker: the
+    /// configuration, the membership, the catalog and the hot-cache model
+    /// ids, and every membership change, adoption, reconcile and repair.
     control: Arc<ControlPlane>,
     /// The background anti-entropy worker (None when disabled by config).
     sync: Option<SyncWorker>,
@@ -299,13 +351,10 @@ pub struct Router {
     flights: FlightMap,
     /// Round-robin cursor for asynchronous single-score submissions:
     /// spreads `submit_score` traffic over a model's live replicas instead
-    /// of hammering the preference head.
+    /// of hammering the first one.
     next_rr: AtomicUsize,
-    /// Router-local cache ids per model name. Retiring an id (on
-    /// membership or placement change) orphans every cached entry for the
-    /// model — generation invalidation without a scan. Shared with the
-    /// control plane, which retires every id on catalog adoption.
-    model_ids: Arc<Mutex<HashMap<String, u64>>>,
+    /// The next router-local hot-cache id (the ids themselves live in the
+    /// control plane, which retires them).
     next_model_id: AtomicU64,
     stats: Arc<RouterStats>,
     health: Option<HealthChecker>,
@@ -342,27 +391,20 @@ impl Router {
             })
             .map_err(RouterError::Io)?,
         );
-        let mut ring = HashRing::new(config.vnodes);
-        let mut backends = BTreeMap::new();
-        for (id, &addr) in addrs.iter().enumerate() {
-            let backend = Arc::new(Backend::new(id, addr, Arc::clone(&driver), config.breaker));
-            ring.add(id);
-            backends.insert(id, backend);
-        }
-        let membership = Arc::new(RwLock::new(Arc::new(Membership {
-            ring,
-            backends,
-            epoch: 0,
-        })));
         let stats = Arc::new(RouterStats::default());
         let metrics = Arc::new(MetricsRegistry::new());
         let traces = Arc::new(TraceStore::new());
         let span_ring = traces.new_ring(SPAN_RING_CAPACITY);
         register_router_gauges(&metrics, &stats, &traces);
-        let writer = mint_writer();
-        let catalog = Arc::new(Mutex::new(pfr_control::Catalog::new(writer)));
+        let control = Arc::new(ControlPlane::new(
+            config.clone(),
+            driver,
+            addrs,
+            Arc::clone(&stats),
+            Arc::clone(&span_ring),
+        ));
         {
-            let catalog = Arc::clone(&catalog);
+            let catalog = Arc::clone(&control.catalog);
             metrics.gauge(
                 "pfr_control_epoch",
                 &[],
@@ -372,14 +414,9 @@ impl Router {
         let health = config.health_interval.map(|interval| {
             // The prober reads the live membership every round, so
             // backends added later are probed without a restart.
-            let roster_membership = Arc::clone(&membership);
+            let roster = Arc::clone(&control);
             HealthChecker::spawn(
-                Arc::new(move || {
-                    roster_membership
-                        .read()
-                        .expect("membership lock poisoned")
-                        .backends()
-                }),
+                Arc::new(move || roster.snapshot().backends()),
                 interval,
                 Arc::clone(&stats.probes),
             )
@@ -387,19 +424,6 @@ impl Router {
         let hot = (config.hot_cache_capacity > 0)
             .then(|| Mutex::new(ScoreCache::new(config.hot_cache_capacity)));
         let sampler = Sampler::new(config.trace_sample_every);
-        let next_backend_id = Arc::new(AtomicUsize::new(addrs.len()));
-        let model_ids = Arc::new(Mutex::new(HashMap::new()));
-        let control = Arc::new(ControlPlane::new(
-            config.clone(),
-            writer,
-            Arc::clone(&driver),
-            Arc::clone(&membership),
-            Arc::clone(&next_backend_id),
-            Arc::clone(&catalog),
-            Arc::clone(&model_ids),
-            Arc::clone(&stats),
-            Arc::clone(&span_ring),
-        ));
         // Bootstrap: adopt the newest catalog any peer-fed backend holds
         // (a restarted router recovers roster and placements with no
         // shared filesystem and no config replay), or seed one from the
@@ -409,18 +433,11 @@ impl Router {
             .sync_interval
             .map(|interval| SyncWorker::spawn(Arc::clone(&control), interval));
         Ok(Router {
-            next_backend_id,
-            config,
-            membership,
-            driver,
-            writer,
-            catalog,
             control,
             sync,
             hot,
             flights: Arc::new(Mutex::new(HashMap::new())),
             next_rr: AtomicUsize::new(0),
-            model_ids,
             next_model_id: AtomicU64::new(0),
             stats,
             health,
@@ -433,7 +450,7 @@ impl Router {
 
     /// The tier's configuration.
     pub fn config(&self) -> &RouterConfig {
-        &self.config
+        &self.control.config
     }
 
     /// The control-plane epoch: the local catalog replica's version
@@ -442,13 +459,18 @@ impl Router {
     /// [`Router::catalog_version`]s are equal hold bitwise-identical
     /// catalogs.
     pub fn control_epoch(&self) -> u64 {
-        self.catalog.lock().expect("catalog lock poisoned").epoch()
+        self.control
+            .catalog
+            .lock()
+            .expect("catalog lock poisoned")
+            .epoch()
     }
 
     /// The local catalog replica's full version stamp
     /// `(epoch, writer, digest)` — equality means convergence.
     pub fn catalog_version(&self) -> pfr_control::Version {
-        self.catalog
+        self.control
+            .catalog
             .lock()
             .expect("catalog lock poisoned")
             .version()
@@ -456,7 +478,7 @@ impl Router {
 
     /// This router's writer id on the replicated catalog.
     pub fn writer_id(&self) -> u64 {
-        self.writer
+        self.control.writer
     }
 
     /// Runs one anti-entropy round inline (exactly what the background
@@ -471,7 +493,7 @@ impl Router {
     /// ring across several lookups; the router's own requests do exactly
     /// that.
     pub fn membership(&self) -> Arc<Membership> {
-        Arc::clone(&self.membership.read().expect("membership lock poisoned"))
+        self.control.snapshot()
     }
 
     /// Every current member backend, in ring-id order.
@@ -505,99 +527,49 @@ impl Router {
         &self.traces
     }
 
-    /// `model`'s full failover order (ring preference, ignoring health).
-    pub fn preference(&self, model: &str) -> Vec<usize> {
-        self.membership().ring.preference(model)
-    }
-
     /// `model`'s replica set: the first `replication` backends of its
-    /// preference order (health-blind — this is *placement*, not routing).
+    /// clockwise ring walk (health-blind — this is *placement*; reads try
+    /// the same set, live replicas first).
     pub fn replica_set(&self, model: &str) -> Vec<usize> {
-        self.membership()
-            .ring
-            .replicas(model, self.config.replication.max(1))
+        let snapshot = self.membership();
+        snapshot.ring.replicas(model, snapshot.replication)
     }
 
-    /// Adds a backend at `addr` to the **live** router: the ring gains its
-    /// vnodes atomically (one snapshot swap — in-flight requests keep
-    /// their old view), the health prober picks it up on its next round,
-    /// and every placed model whose replica set now includes the newcomer
-    /// is `PUSH`ed onto it. Returns the new backend's ring id. Ids are
-    /// never reused.
+    /// Adds a backend at `addr` to the **live** router, make before break:
+    /// every placed model whose replica set gains the newcomer is `PUSH`ed
+    /// onto it first, then the ring gains its vnodes atomically (one
+    /// snapshot swap — in-flight requests keep their old view) and the
+    /// health prober picks it up on its next round. Returns the new
+    /// backend's ring id. Ids are never reused.
     pub fn add_backend(&self, addr: SocketAddr) -> Result<usize> {
-        let id = self.next_backend_id.fetch_add(1, Ordering::Relaxed);
-        let backend = Arc::new(Backend::new(
-            id,
-            addr,
-            Arc::clone(&self.driver),
-            self.config.breaker,
-        ));
-        {
-            let mut current = self.membership.write().expect("membership lock poisoned");
-            let mut ring = current.ring.clone();
-            ring.add(id);
-            let mut backends = current.backends.clone();
-            backends.insert(id, backend);
-            *current = Arc::new(Membership {
-                ring,
-                backends,
-                epoch: current.epoch + 1,
-            });
-        }
-        self.catalog
-            .lock()
-            .expect("catalog lock poisoned")
-            .add_member(self.writer, id, addr.to_string());
-        self.invalidate_hot_keys();
-        self.control.reconcile_placements();
-        self.control.publish();
+        let id = self.control.next_backend_id.fetch_add(1, Ordering::Relaxed);
+        self.control.change_membership(|held| {
+            let mut next = held.clone();
+            next.add_member(self.control.writer, id, addr.to_string());
+            Ok(next)
+        })?;
         Ok(id)
     }
 
-    /// Removes backend `id` from the **live** router: its vnodes leave the
-    /// ring atomically (remapping only its own keys — the `≤ 2/N` bound
-    /// the ring tests pin down), its idle connections are drained, and
-    /// every placed model that lost a replica is re-established on its new
-    /// replica set via `PUSH`. In-flight requests holding the old snapshot
-    /// finish against the departing backend (its `Arc` lives until they
-    /// drop it). The last member cannot be
+    /// Removes backend `id` from the **live** router, make before break:
+    /// every placed model that loses a replica is first `PUSH`ed onto its
+    /// new replica set, then its vnodes leave the ring atomically
+    /// (remapping only its own keys — the `≤ 2/N` bound the ring tests pin
+    /// down) and its idle connections are drained. Until the swap it keeps
+    /// serving; in-flight requests holding the old snapshot finish against
+    /// it (its `Arc` lives until they drop it). The last member cannot be
     /// removed.
     pub fn remove_backend(&self, id: usize) -> Result<()> {
-        let removed = {
-            let mut current = self.membership.write().expect("membership lock poisoned");
-            if !current.backends.contains_key(&id) {
+        self.control.change_membership(|held| {
+            if !held.roster().any(|(member, _)| member == id) {
                 return Err(RouterError::Membership(format!(
                     "backend {id} is not a member"
                 )));
             }
-            if current.backends.len() == 1 {
-                return Err(RouterError::Membership(
-                    "refusing to remove the last backend".to_string(),
-                ));
-            }
-            let mut ring = current.ring.clone();
-            ring.remove(id);
-            let mut backends = current.backends.clone();
-            let removed = backends.remove(&id).expect("membership checked above");
-            *current = Arc::new(Membership {
-                ring,
-                backends,
-                epoch: current.epoch + 1,
-            });
-            removed
-        };
-        self.catalog
-            .lock()
-            .expect("catalog lock poisoned")
-            .remove_member(self.writer, id);
-        self.invalidate_hot_keys();
-        self.control.reconcile_placements();
-        self.control.publish();
-        // Retire the departed backend's sockets. Requests still in flight
-        // on the old snapshot hold their own connections; these are the
-        // idle ones that would otherwise linger.
-        removed.drain_idle();
-        Ok(())
+            let mut next = held.clone();
+            next.remove_member(self.control.writer, id);
+            Ok(next)
+        })
     }
 
     /// Places `bundle` under `model` by shipping its text to every replica
@@ -619,10 +591,11 @@ impl Router {
         // The replicas accepted the bundle, so it parses; cataloging can
         // only fail on a digest-invalid text, which cannot reach here.
         let cataloged = self
+            .control
             .catalog
             .lock()
             .expect("catalog lock poisoned")
-            .upsert_placement(self.writer, model, text)
+            .upsert_placement(self.control.writer, model, text)
             .is_ok();
         drop(gate);
         if cataloged {
@@ -642,19 +615,11 @@ impl Router {
     /// surfacing the last failure.
     fn place_on_replicas(&self, model: &str, text: &str) -> Result<usize> {
         let snapshot = self.membership();
+        let replicas = snapshot.replicas(model);
         let mut placed = 0;
-        let mut last_error: Option<RouterError> = None;
-        for id in snapshot
-            .ring
-            .replicas(model, self.config.replication.max(1))
-        {
-            let Some(backend) = snapshot.backend(id) else {
-                continue;
-            };
-            if !backend.breaker().available() {
-                last_error = Some(RouterError::Unavailable(model.to_string()));
-                continue;
-            }
+        let mut last_error = (replicas.live().len() < replicas.all().len())
+            .then(|| RouterError::Unavailable(model.to_string()));
+        for backend in replicas.live() {
             match backend.push(model, text, None) {
                 Ok(response) => match classify(&response) {
                     Reply::Payload(_) => placed += 1,
@@ -673,7 +638,7 @@ impl Router {
     }
 
     /// Scores one vector: hot-key cache first (bit-exact, no network),
-    /// then failover along `model`'s preference order. A thin blocking
+    /// then failover over `model`'s replica set. A thin blocking
     /// wrapper over [`Router::submit_score`].
     pub fn score(&self, model: &str, features: &[f64]) -> Result<f64> {
         self.submit_score(model, features).wait()
@@ -696,7 +661,7 @@ impl Router {
     /// returned — a hot-cache hit resolves immediately; otherwise the
     /// request is submitted to one live replica (round-robin over the
     /// replica set) and any walk-on answer (io failure, `BUSY`, model
-    /// not here) falls back along the full preference order when the
+    /// not here) falls back over the rest of the replica set when the
     /// ticket is collected. One caller thread can hold thousands of
     /// these in flight; see also [`Router::completion_queue`].
     pub fn submit_score(&self, model: &str, features: &[f64]) -> Ticket<'_, f64> {
@@ -807,8 +772,8 @@ impl Router {
 
     /// The replica pick of a prepared score: `Submit` the frame to one
     /// live replica (round-robin over the replica set), or — no live
-    /// replica — resolve inline along the full preference order (which
-    /// also retries ejected backends as a last resort).
+    /// replica — resolve inline over the ejected replicas as a last
+    /// resort.
     pub(crate) fn dispatch(
         &self,
         model: &str,
@@ -855,25 +820,10 @@ impl Router {
     /// Picks one live replica of `model` (round-robin), or `None` when
     /// every replica's breaker is open.
     fn pick_replica(&self, snapshot: &Membership, model: &str) -> Option<Arc<Backend>> {
-        let live = self.live_replicas(snapshot, model);
+        let replicas = snapshot.replicas(model);
+        let live = replicas.live();
         let turn = self.next_rr.fetch_add(1, Ordering::Relaxed);
-        snapshot
-            .backend(live[turn.checked_rem(live.len())?])
-            .cloned()
-    }
-
-    /// The ring ids of `model`'s replicas whose breaker admits traffic,
-    /// in preference order.
-    fn live_replicas(&self, snapshot: &Membership, model: &str) -> Vec<usize> {
-        let mut live = snapshot
-            .ring
-            .replicas(model, self.config.replication.max(1));
-        live.retain(|&id| {
-            snapshot
-                .backend(id)
-                .is_some_and(|backend| backend.breaker().available())
-        });
-        live
+        Some(Arc::clone(live[turn.checked_rem(live.len())?]))
     }
 
     /// A hot-cache read of `key`, counted when it hits.
@@ -885,11 +835,11 @@ impl Router {
     }
 
     /// Turns one collected burst outcome into a final score: breaker
-    /// settlement, reply classification, preference-order fallback on any
+    /// settlement, reply classification, replica-set fallback on any
     /// walk-on answer, hot-cache fill. This is the resolution path of
     /// every asynchronous score — it can error only where the blocking
-    /// path would have errored (deterministic `ERR`, or the whole
-    /// preference order exhausted).
+    /// path would have errored (deterministic `ERR`, or the whole replica
+    /// set exhausted).
     pub(crate) fn finish_score(&self, finish: ScoreFinish, outcome: BurstResult) -> Result<f64> {
         let ScoreFinish {
             snapshot,
@@ -944,8 +894,8 @@ impl Router {
         result
     }
 
-    /// Blocking resolution along the full preference order, with the
-    /// hot-cache fill on success. Crate-visible: a coalesced follower
+    /// Blocking resolution over `model`'s replica set, with the hot-cache
+    /// fill on success. Crate-visible: a coalesced follower
     /// falls back through here when its leader failed.
     pub(crate) fn resolve_score(
         &self,
@@ -1016,7 +966,8 @@ impl Router {
         }
         let lines = ScoreLines::encode(model, miss.iter().map(|&i| rows[i].as_slice()));
         let snapshot = self.membership();
-        let live = self.live_replicas(&snapshot, model);
+        let replicas = snapshot.replicas(model);
+        let live = replicas.live();
         if live.len() > 1 {
             self.stats.scatters.fetch_add(1, Ordering::Relaxed);
         }
@@ -1038,8 +989,7 @@ impl Router {
             // network, and settling it would record a phantom breaker
             // success that could re-admit a dead backend.
             .take(lines.len())
-            .map(|(r, id)| {
-                let backend = snapshot.backend(*id).expect("a live replica is a member");
+            .map(|(r, backend)| {
                 let positions: Vec<usize> = (r..lines.len()).step_by(live.len()).collect();
                 backend.submit(lines.frame_of(&positions), positions.len(), &net, r as u64);
                 SubBurst {
@@ -1064,9 +1014,9 @@ impl Router {
     }
 
     /// The gather half of a batch: applies sub-burst responses, re-routes
-    /// every still-unscored row individually along the full preference
-    /// order (against the same membership snapshot), fills the hot cache
-    /// and assembles the scores in request order.
+    /// every still-unscored row individually over the replica set
+    /// (against the same membership snapshot), fills the hot cache and
+    /// assembles the scores in request order.
     pub(crate) fn finish_batch(&self, batch: &mut BatchPending<'_>) -> Result<Vec<f64>> {
         let (scores, miss) = (&mut batch.scores, &batch.miss);
         for sub in &batch.subs {
@@ -1081,8 +1031,8 @@ impl Router {
             }
         }
         // Gather pass: any row still unscored is re-routed individually
-        // along the full preference order (and a deterministic ERR is
-        // surfaced from here), against the same membership snapshot.
+        // over the replica set (and a deterministic ERR is surfaced from
+        // here), against the same membership snapshot.
         for (p, &i) in miss.iter().enumerate() {
             if scores[i].is_none() {
                 self.stats.retried_rows.fetch_add(1, Ordering::Relaxed);
@@ -1104,19 +1054,14 @@ impl Router {
 
     /// Verifies that every reachable replica of `model` serves the same
     /// bundle content, via the `EPOCH` digest. Returns the agreed digest
-    /// (hex). Replicas that are dead or not holding the model are skipped;
-    /// at least one must answer.
+    /// (hex). Replicas that are ejected, dead or not holding the model are
+    /// skipped; at least one must answer. Backends outside the replica set
+    /// are never asked.
     pub fn verify(&self, model: &str) -> Result<String> {
         let line = format!("EPOCH {model}");
         let snapshot = self.membership();
         let mut digests: Vec<(usize, String)> = Vec::new();
-        for id in snapshot.ring.preference(model) {
-            let Some(backend) = snapshot.backend(id) else {
-                continue;
-            };
-            if !backend.breaker().available() {
-                continue;
-            }
+        for backend in snapshot.replicas(model).live() {
             let Some(payload) = payload_of(backend, &line) else {
                 continue;
             };
@@ -1126,7 +1071,7 @@ impl Router {
                 .ok_or_else(|| {
                     RouterError::Protocol(format!("EPOCH payload without digest: {payload}"))
                 })?;
-            digests.push((id, digest.to_string()));
+            digests.push((backend.id(), digest.to_string()));
         }
         let Some((first_id, first)) = digests.first().cloned() else {
             return Err(RouterError::Unavailable(model.to_string()));
@@ -1147,7 +1092,11 @@ impl Router {
     /// per-row keys from it instead of taking the lock per row.
     fn hot_model_id(&self, model: &str) -> Option<u64> {
         self.hot.as_ref()?;
-        let mut ids = self.model_ids.lock().expect("model id lock poisoned");
+        let mut ids = self
+            .control
+            .model_ids
+            .lock()
+            .expect("model id lock poisoned");
         Some(match ids.get(model) {
             Some(&id) => id,
             None => {
@@ -1164,21 +1113,12 @@ impl Router {
         ScoreKey::new(self.hot_model_id(model)?, features)
     }
 
-    /// Retires every model's cache id (membership changed): old keys can
+    /// Retires one model's cache id (its placement changed): old keys can
     /// never match again and their entries age out of the LRU.
-    fn invalidate_hot_keys(&self) {
-        if self.hot.is_some() {
-            self.model_ids
-                .lock()
-                .expect("model id lock poisoned")
-                .clear();
-        }
-    }
-
-    /// Retires one model's cache id (its placement changed).
     fn invalidate_hot_keys_for(&self, model: &str) {
         if self.hot.is_some() {
-            self.model_ids
+            self.control
+                .model_ids
                 .lock()
                 .expect("model id lock poisoned")
                 .remove(model);
@@ -1234,40 +1174,23 @@ impl Router {
         (!out.is_empty()).then_some(out)
     }
 
-    /// Routes one request line along `model`'s preference order in the
-    /// given membership snapshot: ejected backends are skipped (then
-    /// retried as a last resort if nobody else answered), io failures fail
-    /// over, `ERR no model named` continues, and any other `ERR` is
-    /// returned without failover. The `routed` counter is incremented by
-    /// the public entry points, not here — batch retries funnel through
-    /// this path and must not double-count.
+    /// Routes one request line over `model`'s replica set in the given
+    /// membership snapshot, live replicas first and ejected ones as a last
+    /// resort (a stale breaker must degrade latency, not turn a servable
+    /// request into an error): io failures fail over, `ERR no model named`
+    /// and `BUSY` continue, and any other `ERR` is returned without
+    /// failover. The `routed` counter is incremented by the public entry
+    /// points, not here — batch retries funnel through this path and must
+    /// not double-count.
     fn route_line(&self, snapshot: &Membership, model: &str, line: &str) -> Result<String> {
-        let preference = snapshot.ring.preference(model);
-        if preference.is_empty() {
+        let replicas = snapshot.replicas(model);
+        if replicas.all().is_empty() {
             return Err(RouterError::NoBackends);
         }
-        let mut skipped: Vec<&Arc<Backend>> = Vec::new();
         let mut last_io: Option<std::io::Error> = None;
-        for id in preference {
-            let Some(backend) = snapshot.backend(id) else {
-                continue;
-            };
-            if !backend.breaker().available() {
-                skipped.push(backend);
-                continue;
-            }
-            match self.attempt(backend, line, &mut last_io)? {
-                Some(payload) => return Ok(payload),
-                None => continue,
-            }
-        }
-        // Last resort: every admissible backend failed or lacked the
-        // model. Try the ejected ones once — a stale breaker must degrade
-        // latency, not turn a servable request into an error.
-        for backend in skipped {
-            match self.attempt(backend, line, &mut last_io)? {
-                Some(payload) => return Ok(payload),
-                None => continue,
+        for backend in replicas.all() {
+            if let Some(payload) = self.attempt(backend, line, &mut last_io)? {
+                return Ok(payload);
             }
         }
         match last_io {
@@ -1314,7 +1237,7 @@ impl Drop for Router {
 /// What [`Router::prepare_score`] made of one score request.
 pub(crate) enum Prepared {
     /// Answered without a submission: a hot-cache hit, or no live replica
-    /// and an inline walk of the preference order.
+    /// and an inline walk of the ejected ones.
     Immediate(Result<f64>),
     /// Another request is flying this key: park on `flight`, or — a
     /// caller that must not park — [`Router::dispatch`] `frame`
@@ -1327,14 +1250,6 @@ pub(crate) enum Prepared {
     /// Ready to ship: the frame goes to `finish.backend`, and `finish`
     /// turns the reply into a score.
     Submit(Vec<u8>, ScoreFinish),
-}
-
-/// Mints a cluster-unique catalog writer id: process id in the high
-/// bits, a process-local counter in the low — distinct across routers in
-/// one process and across processes on one cluster.
-fn mint_writer() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    (u64::from(std::process::id()) << 32) | NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Registers the routing counters (as gauges over [`RouterStats`]) and
@@ -1599,8 +1514,12 @@ mod tests {
 
         // A catalog that moves id 1 to another address replaces the
         // backend; its series must not render beside the old one's.
-        let mut remote = router.catalog.lock().unwrap().clone();
-        remote.add_member(router.writer, 1, cluster.add_backend().unwrap().to_string());
+        let mut remote = router.control.catalog.lock().unwrap().clone();
+        remote.add_member(
+            router.writer_id(),
+            1,
+            cluster.add_backend().unwrap().to_string(),
+        );
         assert!(router.control.adopt(remote));
         let scrape = router.metrics();
         let mut seen = std::collections::HashSet::new();

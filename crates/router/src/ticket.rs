@@ -9,7 +9,7 @@
 //! submits through a [`CompletionQueue`] and drains results in completion
 //! order. The routing semantics are identical to the blocking entry
 //! points: the ticket's resolution runs the same breaker bookkeeping,
-//! reply classification, hot-cache fill and preference-order failover that
+//! reply classification, hot-cache fill and replica-set failover that
 //! [`Router::score`](crate::Router::score) runs inline — a ticket can
 //! resolve to an error only when the blocking call would have errored too.
 //!
@@ -29,8 +29,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Everything needed to turn one backend's burst outcome into a final
-/// score: settle the breaker, classify the reply, fall back along the
-/// preference order on walk-on answers, fill the hot cache.
+/// score: settle the breaker, classify the reply, fall back over the
+/// replica set on walk-on answers, fill the hot cache.
 pub(crate) struct ScoreFinish {
     pub(crate) snapshot: Arc<Membership>,
     pub(crate) model: String,
@@ -183,7 +183,7 @@ impl PendingWork<f64> for ScorePending<'_> {
 
 /// A follower parked on another request's in-flight score: resolves from
 /// the leader's [`Flight`] without touching the network; falls back to
-/// its own full resolution (fresh membership snapshot, preference-order
+/// its own full resolution (fresh membership snapshot, replica-set
 /// walk, cache fill) only when the leader failed — a leader's io failure
 /// must not fan out into N failures.
 pub(crate) struct CoalescedPending<'r> {

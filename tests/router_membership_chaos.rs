@@ -5,14 +5,20 @@
 //! `≤ 2/N` remap bound holding on the live ring at both transitions, and
 //! every replica populated over the wire via `PUSH`. A second test races
 //! pushes against membership changes and checks that no push is reverted.
+//! A third checks that a backend which left a model's replica set never
+//! answers for it, and a fourth that a membership change moving a model's
+//! only replica never fails a read (make before break).
 
-use pfr::core::persistence::{bundle_digest, bundle_to_string, digest_hex};
+use pfr::core::persistence::{bundle_digest, bundle_to_string, digest_hex, ModelBundle};
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::router::{BreakerConfig, ConnConfig, HashRing, LocalCluster, Router, RouterConfig};
+use pfr::router::{
+    BreakerConfig, ConnConfig, HashRing, LocalCluster, Router, RouterConfig, DEFAULT_VNODES,
+};
+use pfr::serve::{ServableModel, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 fn fairness_graph(ds: &Dataset) -> SparseGraph {
@@ -327,4 +333,203 @@ fn a_push_racing_a_membership_change_is_never_reverted() {
         stale.len(),
         stale[0]
     );
+}
+
+/// A bundle fitted on the seed-73 synthetic split at `gamma`, and the raw
+/// test rows it scores.
+fn fitted_bundle(gamma: f64) -> (ModelBundle, Vec<Vec<f64>>) {
+    let dataset = synthetic::generate_default(73).unwrap();
+    let split = split::train_test_split(&dataset, 0.3, 73).unwrap();
+    let train = dataset.subset(&split.train).unwrap();
+    let test = dataset.subset(&split.test).unwrap();
+    let bundle = FairPipeline::new(FairPipelineConfig {
+        gamma,
+        ..FairPipelineConfig::default()
+    })
+    .fit(&train, &fairness_graph(&train))
+    .unwrap()
+    .into_bundle()
+    .unwrap();
+    let (raw, _) = test.features_with_protected().unwrap();
+    let rows = (0..8).map(|i| raw.row(i).to_vec()).collect();
+    (bundle, rows)
+}
+
+/// A router with no background prober, sync worker or hot cache: every
+/// read reaches a backend, and nothing but the test changes a breaker or
+/// the roster.
+fn quiet_config(replication: usize) -> RouterConfig {
+    RouterConfig {
+        replication,
+        health_interval: None,
+        sync_interval: None,
+        hot_cache_capacity: 0,
+        ..RouterConfig::default()
+    }
+}
+
+/// A backend that left a model's replica set keeps the bundle it held —
+/// no verb unloads a model — so it must never answer for that model
+/// again. Bundle A is placed on a model's two replicas, a fourth backend
+/// joins and takes one replica slot, and bundle B is pushed: `verify`
+/// sees B alone, not the ex-replica's A. Then both replicas die: a read
+/// fails and `verify` errors, where walking on to the ex-replica would
+/// return A's bits as a success.
+#[test]
+fn an_ex_replica_never_answers_for_the_model_it_left() {
+    let (bundle_a, rows) = fitted_bundle(0.9);
+    let (bundle_b, _) = fitted_bundle(0.5);
+    let digest_b = digest_hex(bundle_digest(&bundle_b));
+    let offline_a = ServableModel::from_bundle("a", &bundle_a).unwrap();
+
+    let mut cluster = LocalCluster::boot(4, ServerConfig::default()).unwrap();
+    let router = Router::connect(&cluster.addrs()[..3], quiet_config(2)).unwrap();
+    // A model whose replica set the newcomer (ring id 3) joins.
+    let ring_of = |ids: &[usize]| {
+        let mut ring = HashRing::new(DEFAULT_VNODES);
+        ids.iter().for_each(|&id| ring.add(id));
+        ring
+    };
+    let grown = ring_of(&[0, 1, 2, 3]);
+    let model = (0..)
+        .map(|i| format!("m{i}"))
+        .find(|m| grown.replicas(m, 2).contains(&3))
+        .unwrap();
+
+    assert_eq!(router.push(&model, &bundle_a).unwrap(), 2);
+    let before = router.replica_set(&model);
+    assert_eq!(router.add_backend(cluster.addrs()[3]).unwrap(), 3);
+    let replicas = router.replica_set(&model);
+    assert_eq!(replicas, grown.replicas(&model, 2));
+    let ex = *before.iter().find(|id| !replicas.contains(id)).unwrap();
+    assert_eq!(router.push(&model, &bundle_b).unwrap(), 2);
+    assert_eq!(
+        router.verify(&model).unwrap(),
+        digest_b,
+        "verify must read the replica set only"
+    );
+    // The ex-replica still holds A: only the replica walk keeps it out.
+    let held = cluster.server(ex).unwrap().registry().get(&model).unwrap();
+    assert_eq!(held.digest(), bundle_digest(&bundle_a));
+
+    for &id in &replicas {
+        assert!(cluster.kill(id));
+    }
+    for row in &rows {
+        if let Ok(score) = router.score(&model, row) {
+            let a = offline_a.score_one(row).unwrap();
+            panic!(
+                "a read answered {score} with both replicas dead{}",
+                if score.to_bits() == a.to_bits() {
+                    " — the superseded bundle A's bits"
+                } else {
+                    ""
+                }
+            );
+        }
+    }
+    assert!(
+        router.verify(&model).is_err(),
+        "verify answered with both replicas dead"
+    );
+}
+
+/// Make before break: a membership change reaches readers only once the
+/// model's new replica holds it. With one replica per model and the hot
+/// cache off, every read goes to the model's only replica; a reader
+/// scores in a loop while each round joins a fresh, empty backend and
+/// then retires whichever member holds the model — so every round moves
+/// the only replica at least once. No read may fail, and every reply is
+/// bitwise equal to offline `score_one`.
+#[test]
+fn moving_a_models_only_replica_never_fails_a_read() {
+    const ROUNDS: usize = 100;
+    let (bundle, rows) = fitted_bundle(0.9);
+    let offline = ServableModel::from_bundle("offline", &bundle).unwrap();
+    let want: Vec<f64> = rows.iter().map(|r| offline.score_one(r).unwrap()).collect();
+    let lean = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+
+    let mut cluster = LocalCluster::boot(1, lean.clone()).unwrap();
+    let router = cluster.router(quiet_config(1)).unwrap();
+    assert_eq!(router.push("solo", &bundle).unwrap(), 1);
+    let reads = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let failures = Mutex::new(Vec::new());
+    let mut moves = 0;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for i in 0.. {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let row = i % rows.len();
+                match router.score("solo", &rows[row]) {
+                    Ok(score) if score.to_bits() == want[row].to_bits() => {}
+                    other => failures
+                        .lock()
+                        .unwrap()
+                        .push(format!("row {row}: {other:?}")),
+                }
+                reads.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // A failed assertion below must stop the reader too, or the scope
+        // would wait for it forever.
+        let _stop = StopOnDrop(&stop);
+        // Returns once a read that started after the call has completed:
+        // the reader is one thread, so the read after the one in flight.
+        let wait_for_reads = || {
+            let mark = reads.load(Ordering::Relaxed) + 2;
+            while reads.load(Ordering::Relaxed) < mark {
+                std::thread::yield_now();
+            }
+        };
+        let server_of = |cluster: &LocalCluster, id: usize| {
+            let addr = router.backend(id).unwrap().addr();
+            // The newest server on the address: a killed server's port
+            // can be reused by a later one.
+            cluster.addrs().iter().rposition(|&a| a == addr).unwrap()
+        };
+        for _ in 0..ROUNDS {
+            let holder = router.replica_set("solo")[0];
+            router
+                .add_backend(cluster.add_backend_with(lean.clone()).unwrap())
+                .unwrap();
+            wait_for_reads();
+            let holder_now = router.replica_set("solo")[0];
+            moves += usize::from(holder_now != holder);
+            // Retiring the holder moves the model to the other member.
+            let retired = server_of(&cluster, holder_now);
+            router.remove_backend(holder_now).unwrap();
+            moves += 1;
+            wait_for_reads();
+            // No read can still hold a snapshot with the retired member.
+            assert!(cluster.kill(retired));
+        }
+    });
+    let failures = failures.into_inner().unwrap();
+    assert!(
+        moves >= ROUNDS,
+        "only {moves} membership changes moved the replica"
+    );
+    assert!(reads.load(Ordering::Relaxed) >= 4 * ROUNDS);
+    assert!(
+        failures.is_empty(),
+        "{} of {} reads failed or differed from score_one, first: {}",
+        failures.len(),
+        reads.load(Ordering::Relaxed),
+        failures[0]
+    );
+}
+
+/// Raises its flag when dropped, on success and on a panic alike.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
